@@ -42,6 +42,12 @@
 // profiled, its final partial profile and goodbye are sent, and the process
 // exits 0. A second signal — or the -drain-timeout deadline — force-closes
 // whatever remains.
+//
+// With -cpu-profile the daemon writes a CPU profile of itself, from start
+// (journal recovery included) until the shutdown drain completes:
+//
+//	profiled -listen :9123 -cpu-profile cpu.pb.gz
+//	go tool pprof -top cpu.pb.gz
 package main
 
 import (
@@ -53,6 +59,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"syscall"
 	"time"
 
@@ -77,6 +84,7 @@ func main() {
 		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write wire deadline (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline before force-closing sessions")
 		quiet        = flag.Bool("quiet", false, "suppress per-session log lines")
+		cpuProfile   = flag.String("cpu-profile", "", "write a CPU profile of the daemon to this file, from start until the shutdown drain completes (go tool pprof)")
 
 		publish       = flag.Bool("publish", false, "publish per-epoch machine profiles for aggd subscribers")
 		machineID     = flag.String("machine-id", server.DefaultMachineID, "this machine's name in published epochs")
@@ -142,10 +150,43 @@ func main() {
 		fmt.Fprintln(os.Stderr, "profiled: -elastic requires resume (-resume-grace must not be negative): ladder rung 4 parks sessions for their clients to resume")
 		os.Exit(2)
 	}
-	if err := run(*listen, *telemetry, cfg, *drainTimeout, *quiet); err != nil {
+	stopProfile, err := startCPUProfile(*cpuProfile)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "profiled:", err)
 		os.Exit(1)
 	}
+	err = run(*listen, *telemetry, cfg, *drainTimeout, *quiet)
+	if perr := stopProfile(); perr != nil && err == nil {
+		err = perr
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "profiled:", err)
+		os.Exit(1)
+	}
+}
+
+// startCPUProfile starts a CPU profile written to path and returns the
+// function that stops it and closes the file. An empty path profiles
+// nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cpu profile: %w", err)
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("cpu profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 func run(listen, telemetry string, cfg server.Config, drainTimeout time.Duration, quiet bool) error {

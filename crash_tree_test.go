@@ -24,11 +24,21 @@ import (
 
 // crashableDaemon runs a journaled publishing daemon meant to be killed:
 // Serve's exit is delivered on the channel, not asserted in a cleanup.
-func crashableDaemon(t *testing.T, cfg server.Config, addr string) (*server.Server, string, chan error) {
+// Like profiled, it recovers the journal directory before it serves, as
+// Server.Recover requires, and fails unless wantRecovered sessions came
+// back: a client that reconnected before its recovered session was
+// registered would be refused for good.
+func crashableDaemon(t *testing.T, cfg server.Config, addr string, wantRecovered int) (*server.Server, string, chan error) {
 	t.Helper()
 	srv := server.New(cfg)
+	recovered, err := srv.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if recovered != wantRecovered {
+		t.Fatalf("recovered %d sessions, want %d", recovered, wantRecovered)
+	}
 	var ln net.Listener
-	var err error
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ln, err = net.Listen("tcp", addr)
@@ -63,7 +73,7 @@ func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
 		JournalDir:    t.TempDir(),
 		JournalSync:   journal.SyncBatch,
 	}
-	srv0, d0, done0 := crashableDaemon(t, dcfg, "127.0.0.1:0")
+	srv0, d0, done0 := crashableDaemon(t, dcfg, "127.0.0.1:0", 0)
 	d1 := startDaemon(t, "m1")
 	root := startAggd(t, "root", []string{d0, d1})
 
@@ -149,14 +159,7 @@ func TestTreeRootBitIdenticalAcrossDaemonCrash(t *testing.T) {
 		t.Fatalf("killed daemon's Serve: %v", err)
 	}
 
-	srv2, _, done2 := crashableDaemon(t, dcfg, d0)
-	recovered, err := srv2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if recovered != 1 {
-		t.Fatalf("recovered %d sessions, want 1", recovered)
-	}
+	srv2, _, done2 := crashableDaemon(t, dcfg, d0, 1)
 	t.Cleanup(func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"hwprof/internal/event"
@@ -206,6 +207,28 @@ func TestRetainAcrossIntervals(t *testing.T) {
 	idx := m.fam.Indexes(hot, nil)[0]
 	if got := m.set.Get(0, idx); got != 0 {
 		t.Fatalf("retained tuple leaked %d hash increments", got)
+	}
+}
+
+// TestRetainedTupleReportedAtZero pins the P1 boundary encoding that
+// journals and HWSR digests depend on: a tuple retained at a boundary that
+// does not recur is reported by the next profile at count 0, and dropped
+// at the boundary after that.
+func TestRetainedTupleReportedAtZero(t *testing.T) {
+	cfg := BestMultiHash(ShortIntervalConfig())
+	cfg.Seed = 5
+	m := newMH(t, cfg)
+	x, y := event.Tuple{A: 1, B: 1}, event.Tuple{A: 2, B: 2}
+	for i := 0; i < 500; i++ {
+		m.Observe(x)
+	}
+	for i, want := range []map[event.Tuple]uint64{{x: 500}, {x: 0}, {}} {
+		if i == 1 {
+			m.Observe(y) // once: far below the threshold
+		}
+		if got := m.EndInterval(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("profile %d = %v, want %v", i, got, want)
+		}
 	}
 }
 

@@ -173,9 +173,12 @@ func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
 // successful promotion (after which the staged suffix is stale).
 //
 // Per hash-path event: four counter loads, a branch-light 4-way minimum,
-// and guarded stores to exactly the minimum-valued counters — the same
-// dataflow as the ordered reference, minus the redundant re-reads and
-// per-call invariant reloads.
+// and four unconditional stores — the same dataflow as the ordered
+// reference, minus the redundant re-reads, the per-call invariant reloads
+// and the data-dependent store branches. Each store writes the updated
+// word where the counter sat at the minimum and the word as loaded
+// elsewhere. That is exact only because the four indexes lie in disjoint
+// tables: no store can overwrite another's update.
 func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int {
 	sc := &m.sc
 	acc := m.acc
@@ -227,17 +230,18 @@ func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int 
 		}
 		up := etag | nv
 		if v0 == min {
-			words[j0] = up
+			w0 = up
 		}
 		if v1 == min {
-			words[j1] = up
+			w1 = up
 		}
 		if v2 == min {
-			words[j2] = up
+			w2 = up
 		}
 		if v3 == min {
-			words[j3] = up
+			w3 = up
 		}
+		words[j0], words[j1], words[j2], words[j3] = w0, w1, w2, w3
 		if nv < thresh {
 			continue
 		}

@@ -247,7 +247,7 @@ func TestElasticResizeCrashRecovery(t *testing.T) {
 		JournalSync: journal.SyncBatch,
 		ResumeGrace: 20 * time.Second,
 	}
-	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0")
+	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0", 0)
 
 	var sess *client.Session
 	var srv2 *server.Server
@@ -308,14 +308,7 @@ func TestElasticResizeCrashRecovery(t *testing.T) {
 		t.Fatalf("killed daemon's Serve: %v", err)
 	}
 
-	restarted, _, done2 := crashServer(t, cfg, addr)
-	recovered, err := restarted.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if recovered != 1 {
-		t.Fatalf("recovered %d sessions, want 1", recovered)
-	}
+	restarted, _, done2 := crashServer(t, cfg, addr, 1)
 	srv2 = restarted
 	close(gated.gate)
 

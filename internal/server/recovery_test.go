@@ -37,11 +37,21 @@ func (g *gatedSource) Err() error { return g.inner.Err() }
 
 // crashServer runs a daemon meant to be Kill()ed: Serve's exit error is
 // delivered on the returned channel instead of asserted in a cleanup.
-func crashServer(t *testing.T, cfg server.Config, addr string) (*server.Server, string, chan error) {
+// Like profiled, it recovers the journal directory before it serves, as
+// Server.Recover requires, and fails unless wantRecovered sessions came
+// back: a client that reconnected before its recovered session was
+// registered would be refused for good.
+func crashServer(t *testing.T, cfg server.Config, addr string, wantRecovered int) (*server.Server, string, chan error) {
 	t.Helper()
 	srv := server.New(cfg)
+	recovered, err := srv.Recover()
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if recovered != wantRecovered {
+		t.Fatalf("recovered %d sessions, want %d", recovered, wantRecovered)
+	}
 	var ln net.Listener
-	var err error
 	// The restarted daemon rebinds the crashed one's exact address so the
 	// client's reconnect loop finds it; retry briefly in case the old
 	// socket lingers.
@@ -74,7 +84,7 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 		JournalSync: sync,
 		ResumeGrace: 20 * time.Second,
 	}
-	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0")
+	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0", 0)
 
 	ccfg := testConfig(seed)
 	total := ccfg.IntervalLength * intervals
@@ -122,14 +132,7 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 		t.Error("journal_bytes = 0 on the crashed daemon")
 	}
 
-	srv2, _, done2 := crashServer(t, cfg, addr)
-	recovered, err := srv2.Recover()
-	if err != nil {
-		t.Fatalf("recover: %v", err)
-	}
-	if recovered != 1 {
-		t.Fatalf("recovered %d sessions, want 1", recovered)
-	}
+	srv2, _, done2 := crashServer(t, cfg, addr, 1)
 	close(gated.gate)
 
 	r := <-resCh
@@ -190,7 +193,7 @@ func TestKillRecoverResume(t *testing.T) {
 func TestRecoverAdmissionRefused(t *testing.T) {
 	dir := t.TempDir()
 	cfg := server.Config{JournalDir: dir, JournalSync: journal.SyncBatch}
-	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0")
+	srv1, addr, done1 := crashServer(t, cfg, "127.0.0.1:0", 0)
 
 	_, wc := rawSession(t, addr, testConfig(7))
 	batch := make([]event.Tuple, 200)

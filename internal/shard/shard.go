@@ -33,6 +33,16 @@
 // stream, so aliasing pressure — and hence expected error — stays
 // comparable to the unsharded profiler; it is not bit-identical to one
 // monolithic MultiHash, only to the split-config ensemble above.
+//
+// # One shard
+//
+// Every default path (the library, each daemon session, scenarios and
+// journal recovery) runs one shard, where routing has no choice to make.
+// ObserveBatch then copies batches into the worker's buffers in BatchSize
+// chunks instead of hashing and appending each tuple, so the worker
+// receives the same batches in the same order. The worker goroutine stays:
+// it lets the producer (a source decoding a trace, a session reading the
+// wire) run concurrently with the engine instead of in turn with it.
 package shard
 
 import (
@@ -210,8 +220,9 @@ type Profiler struct {
 	pending []*[]event.Tuple // per shard, partially filled route buffers
 	events  uint64
 	closed  bool
-	spare   map[event.Tuple]uint64   // recycled merge map, see Recycle
-	snaps   []map[event.Tuple]uint64 // barrier merge scratch, len NumShards
+	spare   map[event.Tuple]uint64      // recycled merge map, see Recycle
+	snaps   []map[event.Tuple]uint64    // barrier merge scratch, len NumShards
+	answers chan map[event.Tuple]uint64 // barrier replies, one per shard
 
 	errMu sync.Mutex
 	err   error // first terminal failure: worker panic or use-after-close
@@ -240,6 +251,7 @@ func New(cfg Config) (*Profiler, error) {
 		workers: make([]*worker, cfg.NumShards),
 		pending: make([]*[]event.Tuple, cfg.NumShards),
 		snaps:   make([]map[event.Tuple]uint64, cfg.NumShards),
+		answers: make(chan map[event.Tuple]uint64, cfg.NumShards),
 	}
 	p.pool.New = func() any {
 		buf := make([]event.Tuple, 0, cfg.BatchSize)
@@ -363,8 +375,11 @@ func (p *Profiler) Observe(tp event.Tuple) {
 }
 
 // ObserveBatch routes every tuple of batch to its shard, taking the router
-// lock once for the whole batch. batch is not retained. After Close it is
-// a no-op that records ErrClosed (see Err) instead of panicking.
+// lock once for the whole batch. A one-shard engine has nothing to route:
+// it copies batch into the pending buffer in BatchSize chunks, so its
+// worker receives exactly the batches per-tuple routing would have built.
+// batch is not retained. After Close it is a no-op that records ErrClosed
+// (see Err) instead of panicking.
 func (p *Profiler) ObserveBatch(batch []event.Tuple) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -372,10 +387,14 @@ func (p *Profiler) ObserveBatch(batch []event.Tuple) {
 		p.fail(ErrClosed)
 		return
 	}
+	p.events += uint64(len(batch))
+	if len(p.workers) == 1 {
+		p.fill(batch)
+		return
+	}
 	for _, tp := range batch {
 		p.route(tp)
 	}
-	p.events += uint64(len(batch))
 }
 
 // route appends tp to its shard's pending buffer, shipping the buffer to
@@ -385,9 +404,30 @@ func (p *Profiler) route(tp event.Tuple) {
 	buf := p.pending[s]
 	*buf = append(*buf, tp)
 	if len(*buf) == cap(*buf) {
-		p.workers[s].ch <- request{batch: buf}
-		p.pending[s] = p.pool.Get().(*[]event.Tuple)
+		p.ship(s)
 	}
+}
+
+// fill is route for a one-shard engine, whose every tuple goes to shard 0:
+// it copies batch into the pending buffer a chunk at a time, shipping each
+// buffer as it fills. Callers hold p.mu.
+func (p *Profiler) fill(batch []event.Tuple) {
+	for len(batch) > 0 {
+		buf := p.pending[0]
+		n := copy((*buf)[len(*buf):cap(*buf)], batch)
+		*buf = (*buf)[:len(*buf)+n]
+		batch = batch[n:]
+		if len(*buf) == cap(*buf) {
+			p.ship(0)
+		}
+	}
+}
+
+// ship sends shard s its pending buffer and starts a fresh one. Callers
+// hold p.mu.
+func (p *Profiler) ship(s int) {
+	p.workers[s].ch <- request{batch: p.pending[s]}
+	p.pending[s] = p.pool.Get().(*[]event.Tuple)
 }
 
 // EndInterval flushes the pending route buffers, drains every shard to
@@ -422,19 +462,20 @@ func (p *Profiler) barrier() map[event.Tuple]uint64 {
 	// the interval in each shard's FIFO.
 	for s, buf := range p.pending {
 		if len(*buf) > 0 {
-			p.workers[s].ch <- request{batch: buf}
-			p.pending[s] = p.pool.Get().(*[]event.Tuple)
+			p.ship(s)
 		}
 	}
 
-	out := make(chan map[event.Tuple]uint64, len(p.workers))
+	// Every shard answers each barrier exactly once, and the barrier
+	// collects every answer before it returns, so the reply channel is
+	// empty again for the next barrier.
 	for _, w := range p.workers {
-		w.ch <- request{out: out}
+		w.ch <- request{out: p.answers}
 	}
 
 	snaps := p.snaps
 	for i := range p.workers {
-		snaps[i] = <-out // answers arrive in arbitrary shard order
+		snaps[i] = <-p.answers // answers arrive in arbitrary shard order
 	}
 
 	// Shards partition the tuple space, so the union is disjoint. Failed

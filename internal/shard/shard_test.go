@@ -45,9 +45,21 @@ func workload(t *testing.T, n uint64) []event.Tuple {
 // — same tuples, same counts — to routing each tuple to its shard and
 // running every shard's sub-stream through a sequential MultiHash built
 // from the same split configuration.
+//
+// Producers hand the engine batches of any length, and the one-shard
+// engine copies them into its buffers in chunks rather than routing tuple
+// by tuple, so a batch that fills a buffer exactly, falls one short, runs
+// one over or spans several buffers must change nothing.
 func TestShardedEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		cfg := Config{Core: baseConfig(), NumShards: shards, BatchSize: 64, QueueDepth: 2}
+	const bufLen = 64
+	for _, tc := range []struct {
+		shards, feed int // feed: ObserveBatch length, 0 for a whole interval
+	}{
+		{1, 0}, {2, 0}, {4, 0}, {8, 0},
+		{1, 1}, {1, bufLen - 1}, {1, bufLen + 1}, {1, 3*bufLen + 7},
+	} {
+		shards := tc.shards
+		cfg := Config{Core: baseConfig(), NumShards: shards, BatchSize: bufLen, QueueDepth: 2}
 		engine := newEngine(t, cfg)
 
 		seq := make([]*core.MultiHash, shards)
@@ -64,7 +76,13 @@ func TestShardedEquivalence(t *testing.T) {
 		tuples := workload(t, uint64(intervals)*ivLen)
 		for iv := 0; iv < intervals; iv++ {
 			chunk := tuples[uint64(iv)*ivLen : uint64(iv+1)*ivLen]
-			engine.ObserveBatch(chunk)
+			feed := tc.feed
+			if feed == 0 {
+				feed = len(chunk)
+			}
+			for lo := 0; lo < len(chunk); lo += feed {
+				engine.ObserveBatch(chunk[lo:min(lo+feed, len(chunk))])
+			}
 			for _, tp := range chunk {
 				seq[engine.ShardOf(tp)].Observe(tp)
 			}
@@ -77,11 +95,11 @@ func TestShardedEquivalence(t *testing.T) {
 				}
 			}
 			if len(want) == 0 {
-				t.Fatalf("%d shards interval %d: empty reference profile", shards, iv)
+				t.Fatalf("%d shards, feed %d, interval %d: empty reference profile", shards, tc.feed, iv)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%d shards interval %d: profiles diverge\n got:  %v\n want: %v",
-					shards, iv, got, want)
+				t.Fatalf("%d shards, feed %d, interval %d: profiles diverge\n got:  %v\n want: %v",
+					shards, tc.feed, iv, got, want)
 			}
 		}
 	}
@@ -281,31 +299,34 @@ func TestDrainReturnsPartialInterval(t *testing.T) {
 
 // TestWorkerPanicContained: a panic inside a shard worker must not crash
 // the process or deadlock the engine; it surfaces through Err and the
-// remaining shards keep reporting.
+// remaining shards keep reporting. A one-shard engine has no healthy shard
+// left, so its interval profile is nil — but it still answers.
 func TestWorkerPanicContained(t *testing.T) {
-	cfg := Config{Core: baseConfig(), NumShards: 4, BatchSize: 8, QueueDepth: 2}
-	var fired atomic.Bool
-	cfg.WorkerHook = func(shard int, batch []event.Tuple) {
-		if shard == 1 && fired.CompareAndSwap(false, true) {
-			panic("injected shard fault")
+	for _, shards := range []int{4, 1} {
+		cfg := Config{Core: baseConfig(), NumShards: shards, BatchSize: 8, QueueDepth: 2}
+		faulty := shards - 1
+		var fired atomic.Bool
+		cfg.WorkerHook = func(shard int, batch []event.Tuple) {
+			if shard == faulty && fired.CompareAndSwap(false, true) {
+				panic("injected shard fault")
+			}
 		}
-	}
-	engine, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer engine.Close()
+		engine := newEngine(t, cfg)
 
-	engine.ObserveBatch(workload(t, 10_000))
-	profile := engine.EndInterval() // must not deadlock on the failed shard
-	if err := engine.Err(); err == nil || !strings.Contains(err.Error(), "worker panic") {
-		t.Fatalf("Err = %v, want contained worker panic", err)
+		engine.ObserveBatch(workload(t, 10_000))
+		profile := engine.EndInterval() // must not deadlock on the failed shard
+		if err := engine.Err(); err == nil || !strings.Contains(err.Error(), "worker panic: injected shard fault") {
+			t.Fatalf("%d shards: Err = %v, want the contained worker panic", shards, err)
+		}
+		if shards == 1 && profile != nil {
+			t.Fatalf("1 shard: failed engine reported a profile of %d tuples", len(profile))
+		}
+		// The healthy shards' profile still comes through.
+		if shards > 1 && len(profile) == 0 {
+			t.Fatalf("%d shards: all shards lost to one worker panic", shards)
+		}
+		// The engine keeps absorbing events without blocking after the failure.
+		engine.ObserveBatch(workload(t, 10_000))
+		engine.EndInterval()
 	}
-	// The healthy shards' profile still comes through.
-	if len(profile) == 0 {
-		t.Fatal("all shards lost to one worker panic")
-	}
-	// The engine keeps absorbing events without blocking after the failure.
-	engine.ObserveBatch(workload(t, 10_000))
-	engine.EndInterval()
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Daemon smoke test: build profiled and profctl, start the daemon, stream a
 # short synthetic workload through it, scrape the telemetry endpoint, then
-# drain with SIGTERM and assert a clean exit. Five seconds of wall clock,
-# exercising the whole serving path end to end.
+# drain with SIGTERM and assert a clean exit and a CPU profile that
+# `go tool pprof` reads. Five seconds of wall clock, exercising the whole
+# serving path end to end.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -19,7 +20,7 @@ TELEMETRY=127.0.0.1:19124
 
 echo "== start profiled"
 "$WORKDIR/profiled" -listen "$LISTEN" -telemetry "$TELEMETRY" \
-    >"$WORKDIR/profiled.log" 2>&1 &
+    -cpu-profile "$WORKDIR/cpu.pb.gz" >"$WORKDIR/profiled.log" 2>&1 &
 DAEMON=$!
 # The daemon must not have died, and must be accepting, before we dial.
 for i in $(seq 1 50); do
@@ -53,5 +54,11 @@ if kill -0 "$DAEMON" 2>/dev/null; then
 fi
 wait "$DAEMON" || { cat "$WORKDIR/profiled.log"; echo "FAIL: daemon exited non-zero"; exit 1; }
 grep -q "drained cleanly" "$WORKDIR/profiled.log" || { cat "$WORKDIR/profiled.log"; echo "FAIL: daemon did not report a clean drain"; exit 1; }
+
+echo "== read the daemon's CPU profile"
+go tool pprof -top "$WORKDIR/profiled" "$WORKDIR/cpu.pb.gz" >"$WORKDIR/pprof.out" 2>&1 \
+    || { cat "$WORKDIR/pprof.out"; echo "FAIL: go tool pprof could not read the CPU profile"; exit 1; }
+grep -q "^Type: cpu" "$WORKDIR/pprof.out" || { cat "$WORKDIR/pprof.out"; echo "FAIL: the profile is not a CPU profile"; exit 1; }
+head -n 12 "$WORKDIR/pprof.out"
 
 echo "PASS: daemon smoke"

@@ -1,11 +1,11 @@
 package hwprof_test
 
-// Equivalence proofs for the deprecated entry points: every legacy name is
-// a thin wrapper over Profile or Connect and must produce bit-identical
-// results — otherwise the migration table in the README is a lie.
+// Connect's promise: on a block-policy daemon its profiles are bit-identical
+// to a local Profile run over the same stream, configuration and seed.
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -48,94 +48,7 @@ func sameProfiles(t *testing.T, want, got []map[hwprof.Tuple]uint64, label strin
 	}
 }
 
-func TestRunParallelEquivalentToProfile(t *testing.T) {
-	cfg := apiConfig(31)
-	rc := hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 2, NoPerfect: true}
-
-	var legacy []map[hwprof.Tuple]uint64
-	n1, err := hwprof.RunParallel(apiSource(t, 31, 4*cfg.IntervalLength), cfg, rc, capture(&legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unified []map[hwprof.Tuple]uint64
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 31, 4*cfg.IntervalLength),
-		hwprof.WithConfig(cfg),
-		hwprof.WithShards(2),
-		hwprof.WithoutOracle(),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 4 || n2 != 4 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 4", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "RunParallel vs Profile")
-}
-
-func TestRunWithEquivalentToProfileWithEngine(t *testing.T) {
-	cfg := apiConfig(32)
-	p1, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var legacy []map[hwprof.Tuple]uint64
-	n1, err := hwprof.RunWith(apiSource(t, 32, 3*cfg.IntervalLength), p1,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, capture(&legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var unified []map[hwprof.Tuple]uint64
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 32, 3*cfg.IntervalLength),
-		hwprof.WithEngine(p2),
-		hwprof.WithIntervalLength(cfg.IntervalLength),
-		hwprof.WithoutOracle(),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 3 || n2 != 3 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 3", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "RunWith vs Profile+WithEngine")
-}
-
-func TestRunEquivalentToProfile(t *testing.T) {
-	cfg := apiConfig(33)
-	p1, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := hwprof.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var legacy, unified []map[hwprof.Tuple]uint64
-	n1, err := hwprof.Run(apiSource(t, 33, 2*cfg.IntervalLength), p1, cfg.IntervalLength,
-		func(_ int, _, hw map[hwprof.Tuple]uint64) { legacy = append(legacy, hw) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	n2, err := hwprof.Profile(context.Background(), apiSource(t, 33, 2*cfg.IntervalLength),
-		hwprof.WithEngine(p2),
-		hwprof.WithIntervalLength(cfg.IntervalLength),
-		hwprof.OnInterval(capture(&unified)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n1 != 2 || n2 != 2 {
-		t.Fatalf("intervals = %d legacy, %d unified, want 2", n1, n2)
-	}
-	sameProfiles(t, legacy, unified, "Run vs Profile+WithEngine")
-}
-
-// startPlainDaemon runs a non-publishing daemon for the remote equivalence
-// tests.
+// startPlainDaemon runs a non-publishing daemon for the remote tests.
 func startPlainDaemon(t *testing.T) string {
 	t.Helper()
 	srv := server.New(server.Config{})
@@ -176,48 +89,29 @@ func runSession(t *testing.T, sess *hwprof.RemoteSession, seed uint64, intervals
 	return got
 }
 
-func TestDialEquivalentToConnect(t *testing.T) {
+// TestConnectEquivalentToProfile runs one stream locally through Profile
+// and remotely through Connect, at the default batch size and a small one,
+// and requires the same profiles from all three.
+func TestConnectEquivalentToProfile(t *testing.T) {
 	addr := startPlainDaemon(t)
 	cfg := apiConfig(34)
 
-	legacySess, err := hwprof.Dial(addr, cfg, hwprof.RunConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	var local []map[hwprof.Tuple]uint64
+	n, err := hwprof.Profile(context.Background(), apiSource(t, 34, 3*cfg.IntervalLength),
+		hwprof.WithConfig(cfg), hwprof.WithShards(2), hwprof.WithoutOracle(),
+		hwprof.OnInterval(capture(&local)))
+	if err != nil || n != 3 {
+		t.Fatalf("local Profile = %d, %v; want 3 intervals", n, err)
 	}
-	legacy := runSession(t, legacySess, 34, 3, cfg.IntervalLength)
-
-	unifiedSess, err := hwprof.Connect(context.Background(), addr,
-		hwprof.WithConfig(cfg), hwprof.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
+	for _, batch := range []int{0, 128} {
+		sess, err := hwprof.Connect(context.Background(), addr,
+			hwprof.WithConfig(cfg), hwprof.WithShards(2), hwprof.WithBatchSize(batch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote := runSession(t, sess, 34, 3, cfg.IntervalLength)
+		sameProfiles(t, local, remote, fmt.Sprintf("Connect (batch size %d) vs Profile", batch))
 	}
-	unified := runSession(t, unifiedSess, 34, 3, cfg.IntervalLength)
-	sameProfiles(t, legacy, unified, "Dial vs Connect")
-}
-
-func TestDialWithEquivalentToConnect(t *testing.T) {
-	addr := startPlainDaemon(t)
-	cfg := apiConfig(35)
-
-	legacySess, err := hwprof.DialWith(addr, cfg, hwprof.RemoteOptions{
-		Shards:    2,
-		BatchSize: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := runSession(t, legacySess, 35, 3, cfg.IntervalLength)
-
-	unifiedSess, err := hwprof.Connect(context.Background(), addr,
-		hwprof.WithConfig(cfg),
-		hwprof.WithShards(2),
-		hwprof.WithBatchSize(128),
-		hwprof.WithoutReconnect()) // RemoteOptions defaults reconnect off
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified := runSession(t, unifiedSess, 35, 3, cfg.IntervalLength)
-	sameProfiles(t, legacy, unified, "DialWith vs Connect")
 }
 
 // TestConnectContextCancelStopsRedial: the ctx handed to Connect governs

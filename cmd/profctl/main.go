@@ -199,7 +199,8 @@ func run(addr, traceFile, workload, program, kindName string, seed, interval uin
 		Retain:             retain,
 		Seed:               seed + 7,
 	}
-	sess, err := hwprof.Dial(addr, cfg, hwprof.RunConfig{Shards: shards, BatchSize: batch})
+	sess, err := hwprof.Connect(context.Background(), addr,
+		hwprof.WithConfig(cfg), hwprof.WithShards(shards), hwprof.WithBatchSize(batch))
 	if err != nil {
 		// Surface the daemon's admission decision verbatim — "admission
 		// refused: ..." names the cost or limit that was exceeded.

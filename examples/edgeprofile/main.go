@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -14,10 +15,6 @@ import (
 
 func main() {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
-	profiler, err := hwprof.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Every control transfer in the interpreter emits a
 	// <branchPC, targetPC> tuple.
@@ -27,14 +24,14 @@ func main() {
 	}
 
 	edges := map[hwprof.Tuple]uint64{}
-	_, err = hwprof.Run(hwprof.Limit(src, cfg.IntervalLength*5), profiler,
-		cfg.IntervalLength, func(_ int, _, hardware map[hwprof.Tuple]uint64) {
+	_, err = hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*5),
+		hwprof.WithConfig(cfg), hwprof.OnInterval(func(_ int, _, hardware map[hwprof.Tuple]uint64) {
 			for t, n := range hardware {
 				if n >= cfg.ThresholdCount() {
 					edges[t] += n
 				}
 			}
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

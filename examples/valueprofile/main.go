@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -17,10 +18,6 @@ func main() {
 	// Short intervals so the profile tracks the program closely.
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	cfg.IntervalLength = 5_000
-	profiler, err := hwprof.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Each ld instruction emits a <loadPC, value> tuple; loop the program
 	// to cover several intervals.
@@ -32,8 +29,8 @@ func main() {
 	// Aggregate the per-interval hardware profiles: for every load PC,
 	// how much of its profiled traffic is one dominant value?
 	perPC := map[uint64]map[uint64]uint64{}
-	intervals, err := hwprof.Run(hwprof.Limit(src, cfg.IntervalLength*10), profiler,
-		cfg.IntervalLength, func(_ int, _, hardware map[hwprof.Tuple]uint64) {
+	intervals, err := hwprof.Profile(context.Background(), hwprof.Limit(src, cfg.IntervalLength*10),
+		hwprof.WithConfig(cfg), hwprof.OnInterval(func(_ int, _, hardware map[hwprof.Tuple]uint64) {
 			for t, n := range hardware {
 				if n < cfg.ThresholdCount() {
 					continue
@@ -43,7 +40,7 @@ func main() {
 				}
 				perPC[t.A][t.B] += n
 			}
-		})
+		}))
 	if err != nil {
 		log.Fatal(err)
 	}

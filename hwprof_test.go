@@ -50,16 +50,17 @@ func TestRunAndEvalRoundTrip(t *testing.T) {
 	}
 	w, _ := hwprof.NewWorkload("m88ksim", hwprof.KindValue, 2)
 	calls := 0
-	n, err := hwprof.Run(hwprof.Limit(w, 3*cfg.IntervalLength), p, cfg.IntervalLength,
-		func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
+	n, err := hwprof.Profile(context.Background(), hwprof.Limit(w, 3*cfg.IntervalLength),
+		hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength),
+		hwprof.OnInterval(func(i int, perfect, hardware map[hwprof.Tuple]uint64) {
 			calls++
 			iv := hwprof.EvalInterval(perfect, hardware, cfg.ThresholdCount())
 			if iv.Total < 0 {
 				t.Fatalf("negative error %v", iv.Total)
 			}
-		})
+		}))
 	if err != nil || n != 3 || calls != 3 {
-		t.Fatalf("Run = %d, %v; calls = %d", n, err, calls)
+		t.Fatalf("Profile = %d, %v; calls = %d", n, err, calls)
 	}
 }
 
@@ -150,8 +151,9 @@ func TestWriteTraceZeroMeansNoLimit(t *testing.T) {
 	}
 }
 
-// TestRunWithMatchesRun: the options-form batched driver and the legacy
-// positional driver produce identical interval profiles.
+// TestRunWithMatchesRun: the batch size of the source→engine loop does not
+// move interval boundaries — a run at the default batch size and one at 77
+// tuples per batch produce identical interval profiles.
 func TestRunWithMatchesRun(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	w, _ := hwprof.NewWorkload("gcc", hwprof.KindValue, 5)
@@ -160,34 +162,30 @@ func TestRunWithMatchesRun(t *testing.T) {
 		tuples[i], _ = w.Next()
 	}
 
-	collect := func(run func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error)) []map[hwprof.Tuple]uint64 {
+	collect := func(opts ...hwprof.Option) []map[hwprof.Tuple]uint64 {
 		t.Helper()
 		p, err := hwprof.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var out []map[hwprof.Tuple]uint64
-		n, err := run(p, func(_ int, _, h map[hwprof.Tuple]uint64) { out = append(out, h) })
+		opts = append(opts, hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength),
+			hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { out = append(out, h) }))
+		n, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples), opts...)
 		if err != nil || n != 3 {
 			t.Fatalf("run = %d, %v", n, err)
 		}
 		return out
 	}
 
-	legacy := collect(func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error) {
-		return hwprof.Run(hwprof.NewSliceSource(tuples), p, cfg.IntervalLength, fn)
-	})
-	batched := collect(func(p *hwprof.Profiler, fn hwprof.IntervalFunc) (int, error) {
-		return hwprof.RunWith(hwprof.NewSliceSource(tuples), p,
-			hwprof.RunConfig{IntervalLength: cfg.IntervalLength, BatchSize: 77}, fn)
-	})
-	if !reflect.DeepEqual(legacy, batched) {
-		t.Fatal("RunWith diverges from legacy Run")
+	if !reflect.DeepEqual(collect(), collect(hwprof.WithBatchSize(77))) {
+		t.Fatal("a 77-tuple batch size changed the interval profiles")
 	}
 }
 
 // TestShardedFacade drives the sharded engine end-to-end through the
-// facade: NewSharded + RunWith, and the one-call RunParallel, must agree.
+// facade: NewSharded run through Profile, and Profile building the engine
+// itself, must agree.
 func TestShardedFacade(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	cfg.Seed = 6
@@ -196,28 +194,28 @@ func TestShardedFacade(t *testing.T) {
 	for i := range tuples {
 		tuples[i], _ = w.Next()
 	}
-	rc := hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 4, NoPerfect: true}
-
 	sp, err := hwprof.NewSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var manual []map[hwprof.Tuple]uint64
-	n, err := hwprof.RunWith(hwprof.NewSliceSource(tuples), sp, rc,
-		func(_ int, _, h map[hwprof.Tuple]uint64) { manual = append(manual, h) })
+	n, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples),
+		hwprof.WithEngine(sp), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { manual = append(manual, h) }))
 	sp.Close()
 	if err != nil || n != 2 {
-		t.Fatalf("RunWith over sharded engine = %d, %v", n, err)
+		t.Fatalf("Profile over a NewSharded engine = %d, %v", n, err)
 	}
 
 	var oneCall []map[hwprof.Tuple]uint64
-	n, err = hwprof.RunParallel(hwprof.NewSliceSource(tuples), cfg, rc,
-		func(_ int, _, h map[hwprof.Tuple]uint64) { oneCall = append(oneCall, h) })
+	n, err = hwprof.Profile(context.Background(), hwprof.NewSliceSource(tuples),
+		hwprof.WithConfig(cfg), hwprof.WithShards(4), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, h map[hwprof.Tuple]uint64) { oneCall = append(oneCall, h) }))
 	if err != nil || n != 2 {
-		t.Fatalf("RunParallel = %d, %v", n, err)
+		t.Fatalf("Profile with WithShards = %d, %v", n, err)
 	}
 	if !reflect.DeepEqual(manual, oneCall) {
-		t.Fatal("RunParallel diverges from NewSharded + RunWith")
+		t.Fatal("Profile's own sharded engine diverges from NewSharded")
 	}
 	for i, h := range oneCall {
 		if len(h) == 0 {
@@ -348,18 +346,19 @@ func TestFromNexterFacade(t *testing.T) {
 	}
 }
 
-// TestRunParallelContextFacade: cancellation stops the one-call parallel
-// driver with ctx.Err() and the engine is torn down for the caller.
+// TestRunParallelContextFacade: cancellation stops a Profile run on a
+// sharded engine it built with ctx.Err(), and the engine is torn down for
+// the caller.
 func TestRunParallelContextFacade(t *testing.T) {
 	cfg := hwprof.BestMultiHash(hwprof.ShortIntervalConfig())
 	ctx, cancel := context.WithCancel(context.Background())
-	n, err := hwprof.RunParallelContext(ctx, hwprof.FromNexter(&countingNexter{}), cfg,
-		hwprof.RunConfig{IntervalLength: cfg.IntervalLength, Shards: 2, NoPerfect: true},
-		func(i int, _, _ map[hwprof.Tuple]uint64) {
+	n, err := hwprof.Profile(ctx, hwprof.FromNexter(&countingNexter{}),
+		hwprof.WithConfig(cfg), hwprof.WithShards(2), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(i int, _, _ map[hwprof.Tuple]uint64) {
 			if i == 1 {
 				cancel()
 			}
-		})
+		}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -418,7 +417,8 @@ func TestRunWithReportsTraceFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = hwprof.RunWith(r, p, hwprof.RunConfig{IntervalLength: cfg.IntervalLength, NoPerfect: true}, nil)
+		_, err = hwprof.Profile(context.Background(), r,
+			hwprof.WithEngine(p), hwprof.WithIntervalLength(cfg.IntervalLength), hwprof.WithoutOracle())
 		return err
 	}
 

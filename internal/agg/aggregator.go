@@ -311,13 +311,6 @@ func (a *Aggregator) handleConn(conn net.Conn) {
 		a.cfg.Logf("agg: conn %s: handshake: %v", conn.RemoteAddr(), err)
 		return
 	}
-	if wc.Version() < 2 {
-		// A v1 peer has no Subscribe frame; whatever it wants, it dialed
-		// the wrong service.
-		wc.WriteFrame(wire.MsgError, wire.AppendError(nil,
-			wire.ErrorMsg{Code: wire.CodeUnsupported, Msg: "aggd serves epoch subscriptions (protocol v2+)"}))
-		return
-	}
 	typ, payload, err := wc.ReadFrame()
 	if err != nil {
 		a.cfg.Logf("agg: conn %s: reading opening frame: %v", conn.RemoteAddr(), err)

@@ -1,0 +1,231 @@
+package client
+
+import (
+	"errors"
+	"fmt"
+	"io"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"hwprof/internal/core"
+	"hwprof/internal/event"
+	"hwprof/internal/wire"
+)
+
+func testConfig() core.Config {
+	cfg := core.BestMultiHash(core.ShortIntervalConfig())
+	cfg.IntervalLength = 1000
+	return cfg
+}
+
+// fakeDaemon answers the client over net.Pipe, one scripted attachment per
+// dial, with the daemon's side of the handshake already done.
+type fakeDaemon struct {
+	t      *testing.T
+	script []func(wc *wire.Conn) error
+	dials  atomic.Int32
+}
+
+func (f *fakeDaemon) dial(string, time.Duration) (net.Conn, error) {
+	i := int(f.dials.Add(1)) - 1
+	if i >= len(f.script) {
+		return nil, fmt.Errorf("fake daemon: no attachment scripted for dial %d", i)
+	}
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		wc := wire.NewConn(server)
+		if err := wc.ServerHandshake(); err != nil {
+			f.t.Errorf("dial %d: handshake: %v", i, err)
+			return
+		}
+		if err := f.script[i](wc); err != nil {
+			f.t.Errorf("dial %d: %v", i, err)
+		}
+	}()
+	return client, nil
+}
+
+// expect reads one frame and checks its type.
+func expect(wc *wire.Conn, typ byte) ([]byte, error) {
+	got, payload, err := wc.ReadFrame()
+	if err != nil {
+		return nil, err
+	}
+	if got != typ {
+		return nil, fmt.Errorf("frame type %d, want %d", got, typ)
+	}
+	return payload, nil
+}
+
+// readEvents consumes batch frames until exactly n events have arrived.
+func readEvents(wc *wire.Conn, n uint64) error {
+	var buf []event.Tuple
+	for got := uint64(0); got < n; {
+		payload, err := expect(wc, wire.MsgBatch)
+		if err != nil {
+			return err
+		}
+		if buf, err = wire.DecodeBatch(payload, buf); err != nil {
+			return err
+		}
+		got += uint64(len(buf))
+		if got > n {
+			return fmt.Errorf("received %d events, want %d", got, n)
+		}
+	}
+	return nil
+}
+
+func sendProfile(wc *wire.Conn, index uint64, final bool) error {
+	counts := map[event.Tuple]uint64{{A: 1, B: index}: 100}
+	return wc.WriteFrame(wire.MsgProfile, wire.AppendProfile(nil, wire.ProfileMsg{Index: index, Final: final, Counts: counts}))
+}
+
+func observe(t *testing.T, s *Session, n uint64) {
+	t.Helper()
+	for i := uint64(0); i < n; i++ {
+		if err := s.Observe(event.Tuple{A: i % 7, B: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDialRefusesOtherVersion: a daemon that answers the handshake with
+// any version but wire.Version fails Dial with wire.ErrProtocol.
+func TestDialRefusesOtherVersion(t *testing.T) {
+	for _, v := range []byte{0, 1, 2, 3, wire.Version + 1} {
+		dialer := func(string, time.Duration) (net.Conn, error) {
+			client, server := net.Pipe()
+			go func() {
+				defer server.Close()
+				if _, err := io.ReadFull(server, make([]byte, len(wire.Magic)+1)); err != nil {
+					t.Errorf("reading the client handshake: %v", err)
+					return
+				}
+				server.Write(append([]byte(wire.Magic), v))
+			}()
+			return client, nil
+		}
+		_, err := Dial("fake", testConfig(), Options{Dialer: dialer})
+		if !errors.Is(err, wire.ErrProtocol) {
+			t.Fatalf("daemon at version %d: Dial err = %v, want wire.ErrProtocol", v, err)
+		}
+	}
+}
+
+// TestReconnectResumes drops the link after the first profile and checks
+// the redial: Reconnects rises, the Resume carries the client's replay
+// floor, and a ResumeAck that changes IntervalLength counts as a resize
+// while later profiles are still accepted.
+func TestReconnectResumes(t *testing.T) {
+	cfg := testConfig()
+	L := cfg.IntervalLength
+	for _, tc := range []struct {
+		name        string
+		ackLen      uint64
+		wantResizes uint64
+	}{
+		{"same geometry", L, 0},
+		{"resized", 2 * L, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			drop := make(chan struct{})
+			resumes := make(chan wire.Resume, 1)
+			f := &fakeDaemon{t: t}
+			f.script = []func(*wire.Conn) error{
+				func(wc *wire.Conn) error {
+					if _, err := expect(wc, wire.MsgHello); err != nil {
+						return err
+					}
+					ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4}
+					if err := wc.WriteFrame(wire.MsgHelloAck, wire.AppendHelloAck(nil, ack)); err != nil {
+						return err
+					}
+					if err := readEvents(wc, L); err != nil {
+						return err
+					}
+					if err := sendProfile(wc, 0, false); err != nil {
+						return err
+					}
+					<-drop
+					return nil
+				},
+				func(wc *wire.Conn) error {
+					payload, err := expect(wc, wire.MsgResume)
+					if err != nil {
+						return err
+					}
+					r, err := wire.DecodeResume(payload)
+					if err != nil {
+						return err
+					}
+					resumes <- r
+					ack := wire.ResumeAck{Intervals: 1, StreamPos: L, IntervalLength: tc.ackLen,
+						TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1}
+					if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
+						return err
+					}
+					if err := readEvents(wc, tc.ackLen); err != nil {
+						return err
+					}
+					if err := sendProfile(wc, 1, false); err != nil {
+						return err
+					}
+					if _, err := expect(wc, wire.MsgDrain); err != nil {
+						return err
+					}
+					if err := sendProfile(wc, 2, true); err != nil {
+						return err
+					}
+					return wc.WriteFrame(wire.MsgGoodbye, nil)
+				},
+			}
+
+			s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+			if err != nil {
+				t.Fatal(err)
+			}
+			observe(t, s, L)
+			if p := <-s.Profiles(); p.Index != 0 {
+				t.Fatalf("first profile has index %d, want 0", p.Index)
+			}
+			s.mu.Lock()
+			floor := s.replayBase
+			s.mu.Unlock()
+			if floor != L {
+				t.Fatalf("replay floor %d after profile 0, want %d", floor, L)
+			}
+
+			close(drop)
+			var r wire.Resume
+			select {
+			case r = <-resumes:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("no resume after the link dropped: %v", s.Err())
+			}
+			if r.SessionID != 7 || r.Intervals != 1 || r.Floor != floor {
+				t.Fatalf("resume = %+v, want session 7, 1 interval, floor %d", r, floor)
+			}
+
+			observe(t, s, tc.ackLen)
+			if p := <-s.Profiles(); p.Index != 1 || p.Final {
+				t.Fatalf("profile after the resume = index %d final %v, want index 1", p.Index, p.Final)
+			}
+			if got := s.Reconnects(); got != 1 {
+				t.Fatalf("Reconnects = %d, want 1", got)
+			}
+			if got := s.Resizes(); got != tc.wantResizes {
+				t.Fatalf("Resizes = %d, want %d", got, tc.wantResizes)
+			}
+			if _, err := s.Drain(); err != nil {
+				t.Fatalf("Drain: %v", err)
+			}
+		})
+	}
+}

@@ -9,7 +9,7 @@
 //
 // # Format
 //
-// A journal is a directory of segment files reusing the trace layer's v2
+// A journal is a directory of segment files reusing the trace layer's
 // CRC-per-block framing (trace.BlockWriter/ScanBlocks): each segment is a
 // 6-byte header — magic "HWPJ", format version, a zero pad — followed by
 // CRC-framed blocks, one record per block. Rotated-away segments carry
@@ -516,7 +516,7 @@ func (w *Writer) Resize(h wire.Hello) error {
 		return errors.New("journal: resize after close")
 	}
 	w.buf = append(w.buf[:0], recResize)
-	w.buf = wire.AppendHello(w.buf, h, 2)
+	w.buf = wire.AppendHello(w.buf, h)
 	if err := w.append(w.buf); err != nil {
 		return err
 	}
@@ -628,7 +628,7 @@ func encodeMeta(dst []byte, m Meta) []byte {
 	dst = binary.AppendUvarint(dst, m.PubBase)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Tenant)))
 	dst = append(dst, m.Tenant...)
-	return wire.AppendHello(dst, m.Hello, 2)
+	return wire.AppendHello(dst, m.Hello)
 }
 
 // encodeState builds a state record (ring entries follow separately).
@@ -695,7 +695,7 @@ func decodeMeta(p []byte) (Meta, error) {
 	}
 	m.Tenant = string(c.rest()[:tn])
 	c.off += int(tn)
-	h, err := wire.DecodeHello(c.rest(), 2)
+	h, err := wire.DecodeHello(c.rest())
 	if err != nil {
 		return Meta{}, fmt.Errorf("%w: meta hello: %w", ErrCorrupt, err)
 	}
@@ -705,10 +705,10 @@ func decodeMeta(p []byte) (Meta, error) {
 
 // replayer carries the per-session replay state across segments.
 type replayer struct {
-	h       Handler
-	meta    Meta
-	metaOK  bool
-	started bool
+	h        Handler
+	meta     Meta
+	metaOK   bool
+	started  bool
 	cur      State
 	ringN    int  // ring records still expected after a state record
 	ringSkip bool // the pending ring records are a mid-replay checkpoint's
@@ -825,7 +825,7 @@ func (r *replayer) record(p []byte) error {
 		if err := r.ensureStarted(); err != nil {
 			return err
 		}
-		h, err := wire.DecodeHello(body, 2)
+		h, err := wire.DecodeHello(body)
 		if err != nil {
 			return fmt.Errorf("%w: resize record: %w", ErrCorrupt, err)
 		}

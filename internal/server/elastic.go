@@ -96,9 +96,9 @@ func (s *Server) newElastic(sess *session) *adaptive.Elastic {
 // uses — re-price, fresh engine, durable journal record, client notice — so
 // an operator resize carries the identical bit-identity guarantee.
 // Asynchronous: the client observes the result as a NoticeResize; a
-// geometry the worker cannot apply (invalid config, pre-v3 attachment) is
-// logged and dropped. Staging onto a parked session is allowed — it takes
-// effect at the first boundary after resumption.
+// geometry the worker cannot apply (invalid config) is logged and dropped.
+// Staging onto a parked session is allowed — it takes effect at the first
+// boundary after resumption.
 func (s *Server) ResizeSession(id, intervalLength uint64, entries, shards int) error {
 	s.mu.Lock()
 	sess := s.sessions[id]
@@ -124,11 +124,8 @@ func (s *Server) ResizeSession(id, intervalLength uint64, entries, shards int) e
 }
 
 // validGeometry normalizes and validates a staged geometry against the
-// session's fixed configuration. Worker goroutine only (reads s.cfg, s.wc).
+// session's fixed configuration. Worker goroutine only (reads s.cfg).
 func (s *session) validGeometry(g *adaptive.Geometry) (ok bool, why string) {
-	if s.wc.Version() < 3 {
-		return false, "attachment negotiated protocol below v3; resizes cannot be announced"
-	}
 	for g.Shards > 1 && g.TotalEntries%g.Shards != 0 {
 		g.Shards--
 	}
@@ -264,7 +261,7 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 	if s.jw != nil {
 		// The resize record must be durable before any effect is visible:
 		// a crash before it recovers the old geometry (the client never saw
-		// the notice); a crash after it rebuilds the new one and the v3
+		// the notice); a crash after it rebuilds the new one and the
 		// resume ack re-anchors the client.
 		if err := s.jw.Resize(wire.Hello{Config: newCfg, Shards: newShards, Marked: s.marked}); err != nil {
 			eng.Close()

@@ -475,7 +475,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 	if err := wc.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1}, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := wc.ReadFrame()
@@ -511,7 +511,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 	if err := wc2.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	if err := wc2.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1}, wc2.Version())); err != nil {
+	if err := wc2.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = wc2.ReadFrame()
@@ -541,7 +541,7 @@ func TestTenantRateResumeExemption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.Resume{SessionID: ack.SessionID}
-	if err := wc3.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r, wc3.Version())); err != nil {
+	if err := wc3.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = wc3.ReadFrame()

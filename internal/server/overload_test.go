@@ -175,7 +175,7 @@ func TestShutdownBoundedByWriteDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig(1)
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: cfg, Shards: 1}, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: cfg, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := wc.ReadFrame(); err != nil || typ != wire.MsgHelloAck {

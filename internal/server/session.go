@@ -59,17 +59,17 @@ type session struct {
 	shards int
 	eng    *shard.Profiler
 	cost   float64 // admission cost held until release; re-priced on resize
-	marked bool    // client places interval boundaries with MsgMark (v2)
+	marked bool    // client places interval boundaries with MsgMark
 	tenant string  // admission tenant key (remote host), fixed at admission
 
 	// Elastic serving. elastic is the session's online controller, nil
-	// when disabled (config off, marked session, or a pre-v3 client —
-	// resizes cannot be announced below v3). lastShed, distinct and
-	// variation are the worker's per-boundary signal staging. rung is the
-	// session's current degradation-ladder rung, atomic because teardown
-	// paths read it for gauge cleanup. pendingResize is the operator/test
-	// entry point (Server.ResizeSession): a geometry the worker applies at
-	// the next boundary through the same commit path the controller uses.
+	// when disabled (config off, marked session, or resume off). lastShed,
+	// distinct and variation are the worker's per-boundary signal staging.
+	// rung is the session's current degradation-ladder rung, atomic because
+	// teardown paths read it for gauge cleanup. pendingResize is the
+	// operator/test entry point (Server.ResizeSession): a geometry the
+	// worker applies at the next boundary through the same commit path the
+	// controller uses.
 	elastic       *adaptive.Elastic
 	lastShed      uint64  // cumulative shed at the previous boundary (worker)
 	distinct      int     // distinct tuples in the last interval profile (worker)
@@ -83,24 +83,26 @@ type session struct {
 	// joins at the current watermark). endClean is the worker's verdict at
 	// the end of the last attachment: true iff every event the session
 	// observed was reported into the feed, so Leave does not need to mark
-	// an in-progress epoch missing.
+	// an in-progress epoch missing. left records that the session has
+	// already left the feed.
 	pub      string
 	pubBase  uint64
 	endClean bool
+	left     bool
 
 	// Stream position, persisted across attachments.
-	events    uint64        // events observed in the current partial interval
-	observed  uint64        // total events observed into the engine (shed excluded)
-	interval  uint64        // completed intervals, = next profile index
-	ring      [][]byte      // recent encoded profiles, oldest first, for resend on resume
+	events   uint64   // events observed in the current partial interval
+	observed uint64   // total events observed into the engine (shed excluded)
+	interval uint64   // completed intervals, = next profile index
+	ring     [][]byte // recent encoded profiles, oldest first, for resend on resume
 	// pendingNotices holds encoded notice frames the worker could not
 	// deliver to a dead attachment (a resize or ladder move committed while
 	// the queue drained disconnected). The resume path replays them, in
 	// order, right after the ack — so the client's notice trail stays a
 	// complete geometry timeline across outages, not just a re-anchored one.
 	pendingNotices [][]byte
-	streamPos atomic.Uint64 // client-stream events consumed: observed + shed
-	shed      atomic.Uint64 // cumulative events dropped under shed policy
+	streamPos      atomic.Uint64 // client-stream events consumed: observed + shed
+	shed           atomic.Uint64 // cumulative events dropped under shed policy
 
 	// Crash durability: every engine-observed batch and interval boundary
 	// is mirrored here before the client learns of it, so a restarted
@@ -141,9 +143,7 @@ func (s *session) release() {
 				}
 			}
 		}
-		if s.pub != "" {
-			s.srv.feed.Leave(s.pub, s.endClean)
-		}
+		s.leaveFeed()
 		s.eng.Close()
 		s.srv.admission.release(s.tenant, s.cost)
 		m := s.srv.metrics
@@ -162,7 +162,7 @@ func (s *session) release() {
 // openSession admits a new session from its Hello frame: validate, charge
 // the admission budget, build the engine, ack, and serve the attachment.
 func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
-	h, err := wire.DecodeHello(payload, wc.Version())
+	h, err := wire.DecodeHello(payload)
 	if err != nil {
 		s.metrics.CorruptFrames.Inc()
 		s.refuseConn(conn, wc, wire.CodeProtocol, fmt.Sprintf("undecodable hello: %v", err))
@@ -286,10 +286,9 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 	s.mu.Unlock()
 	s.metrics.SessionsTotal.Inc()
 	s.metrics.SessionsActive.Add(1)
-	// Elastic serving needs a client that understands notices (v3), a
-	// worker that owns its boundaries (not marked), and somewhere for rung
-	// 4 to park into (resume).
-	if s.cfg.Elastic && !h.Marked && wc.Version() >= 3 && s.cfg.resumeEnabled() {
+	// Elastic serving needs a worker that owns its boundaries (not marked)
+	// and somewhere for rung 4 to park into (resume).
+	if s.cfg.Elastic && !h.Marked && s.cfg.resumeEnabled() {
 		sess.elastic = s.newElastic(sess)
 	}
 	s.logf("session %d: open from %s: %v, %d shard(s), cost %.3f, marked %v, publish %q",
@@ -318,7 +317,7 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 // did not), the stale attachment is killed first and the resulting
 // tombstone adopted.
 func (s *Server) resumeSession(conn net.Conn, wc *wire.Conn, payload []byte) {
-	r, err := wire.DecodeResume(payload, wc.Version())
+	r, err := wire.DecodeResume(payload)
 	if err != nil {
 		s.metrics.CorruptFrames.Inc()
 		s.refuseConn(conn, wc, wire.CodeProtocol, fmt.Sprintf("undecodable resume: %v", err))
@@ -369,25 +368,9 @@ func (s *Server) resumeSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 // resent, and the attachment goroutines start.
 func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resume) {
 	pos := sess.streamPos.Load()
-	// The client's replay floor: v2 states it as an absolute stream
-	// position; v1 derives it from fixed-length interval arithmetic, which
-	// is meaningless on a marked session (intervals are not IntervalLength
-	// events each).
-	floor := r.Floor
-	if wc.Version() < 2 {
-		floor = r.Intervals*sess.cfg.IntervalLength + r.Offset
-	}
 	var code byte
 	var refusal string
 	switch {
-	case sess.marked && wc.Version() < 2:
-		code = wire.CodeProtocol
-		refusal = "marked session resume requires protocol v2"
-	case sess.elastic != nil && wc.Version() < 3:
-		// An elastic session may already have resized away from its
-		// Hello-time geometry; only a v3 ack can re-anchor the client.
-		code = wire.CodeProtocol
-		refusal = "elastic session resume requires protocol v3"
 	case r.Intervals > sess.interval:
 		code = wire.CodeProtocol
 		refusal = fmt.Sprintf("resume claims %d intervals, server has %d", r.Intervals, sess.interval)
@@ -395,9 +378,9 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 		code = wire.CodeUnknownSession
 		refusal = fmt.Sprintf("resume window exceeded: client at interval %d, server at %d with %d profile(s) retained",
 			r.Intervals, sess.interval, len(sess.ring))
-	case floor > pos:
+	case r.Floor > pos:
 		code = wire.CodeProtocol
-		refusal = fmt.Sprintf("resume replay floor %d is beyond the server's stream position %d", floor, pos)
+		refusal = fmt.Sprintf("resume replay floor %d is beyond the server's stream position %d", r.Floor, pos)
 	}
 	if refusal != "" {
 		s.metrics.ResumeFailures.Inc()
@@ -425,15 +408,15 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	s.mu.Unlock()
 	s.metrics.SessionsActive.Add(1)
 
-	// v3 acks carry the session's current geometry: after an elastic resize
-	// the client's Hello-time geometry is stale, and the ack is what
+	// The ack carries the session's current geometry: after an elastic
+	// resize the client's Hello-time geometry is stale, and the ack is what
 	// re-anchors its prune-floor arithmetic.
 	ack := wire.ResumeAck{
 		Intervals: sess.interval, Offset: sess.events, StreamPos: pos, Shed: sess.shed.Load(),
 		IntervalLength: sess.cfg.IntervalLength, TotalEntries: sess.cfg.TotalEntries,
 		NumTables: sess.cfg.NumTables, Shards: sess.shards,
 	}
-	if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack, wc.Version())); err != nil {
+	if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
 		s.logf("session %d: writing resume-ack: %v", sess.id, err)
 		s.parkSession(sess)
 		close(sess.attachDone)
@@ -469,7 +452,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	// A recovered session lost its controller in the crash; rebuild it for
 	// this attachment, re-admitting the current (possibly resized) geometry
 	// as the restore target.
-	if s.cfg.Elastic && sess.elastic == nil && !sess.marked && wc.Version() >= 3 && s.cfg.resumeEnabled() {
+	if s.cfg.Elastic && sess.elastic == nil && !sess.marked && s.cfg.resumeEnabled() {
 		sess.elastic = s.newElastic(sess)
 	}
 	s.logf("session %d: resumed from %s at interval %d+%d (stream pos %d), resent %d profile(s)",
@@ -945,12 +928,24 @@ func (s *session) finish() {
 	if !s.emitProfile(true) {
 		return
 	}
+	// Leave the feed before the goodbye, so a client whose Drain returned
+	// finds the departure already recorded.
+	s.leaveFeed()
 	if err := s.wc.WriteFrame(wire.MsgGoodbye, nil); err != nil {
 		s.srv.metrics.SessionErrors.Inc()
 		s.srv.logf("session %d: writing goodbye: %v", s.id, err)
 		return
 	}
 	s.srv.logf("session %d: drained, %d complete interval(s)", s.id, s.interval)
+}
+
+// leaveFeed records the session's departure from the epoch feed, once:
+// from finish on a drain, otherwise from release.
+func (s *session) leaveFeed() {
+	if s.pub != "" && !s.left {
+		s.left = true
+		s.srv.feed.Leave(s.pub, s.endClean)
+	}
 }
 
 // fail tears the session down after a peer bug or engine failure,

@@ -1,6 +1,6 @@
 package trace
 
-// The generic block layer: the v2 CRC-per-block framing, detached from
+// The generic block layer: the trace's CRC-per-block framing, detached from
 // tuple records so other stream formats — the session journal in
 // internal/journal — can reuse it for arbitrary payloads. A block stream
 // is a sequence of
@@ -9,7 +9,7 @@ package trace
 //
 // optionally closed by the uvarint(0) terminator and a footer of
 // uvarint(blockCount) plus a CRC32 over every payload byte in order —
-// exactly the v2 trace shape, with the footer counting blocks instead of
+// exactly the trace shape, with the footer counting blocks instead of
 // records (the block layer does not know what a record is).
 //
 // The layer exists for crash recovery: a stream cut off at any byte

@@ -7,11 +7,11 @@ import (
 	"hwprof/internal/event"
 )
 
-// fuzzSeed serializes tuples at the given version for the fuzz corpus.
-func fuzzSeed(f *testing.F, version byte, tuples []event.Tuple) []byte {
+// fuzzSeed serializes tuples for the fuzz corpus.
+func fuzzSeed(f *testing.F, tuples []event.Tuple) []byte {
 	f.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, event.KindValue, version)
+	w, err := NewWriter(&buf, event.KindValue)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -35,18 +35,13 @@ func FuzzReader(f *testing.F) {
 		{A: 0x400000, B: 7}, {A: 0x400004, B: 7}, {A: 0, B: 0},
 		{A: ^uint64(0), B: ^uint64(0)}, {A: 1 << 40, B: 3},
 	}
-	v1 := fuzzSeed(f, VersionDelta, tuples)
-	v2 := fuzzSeed(f, Version, tuples)
-	f.Add(v1)
+	v2 := fuzzSeed(f, tuples)
 	f.Add(v2)
-	// Truncations of both versions, including cuts inside the v2 footer.
-	for _, cut := range []int{3, 7, len(v1) - 1} {
-		f.Add(v1[:cut])
-	}
+	// Truncations, including cuts inside the footer.
 	for _, cut := range []int{7, len(v2) / 2, len(v2) - 5, len(v2) - 1} {
 		f.Add(v2[:cut])
 	}
-	// A bit flip in the v2 payload, and garbage after a valid header.
+	// A bit flip in the payload, and garbage after a valid header.
 	flipped := append([]byte(nil), v2...)
 	flipped[8] ^= 0x10
 	f.Add(flipped)

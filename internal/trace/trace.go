@@ -1,7 +1,7 @@
 // Package trace implements a compact binary format for tuple streams, the
 // stand-in for the ATOM-instrumented program traces the paper profiled.
 //
-// Version 2 (current) format:
+// Format (version 2; the Reader refuses any other version byte):
 //
 //	header:  magic "HWPT" | version byte | kind byte
 //	blocks:  uvarint(payloadLen > 0), payloadLen bytes of records, then a
@@ -17,16 +17,14 @@
 // to a few bytes per event, which matters when experiments stream hundreds
 // of millions of events through files.
 //
-// The framing exists for fault tolerance: a v2 stream always ends with the
+// The framing exists for fault tolerance: a stream always ends with the
 // terminator and footer, so the Reader can tell a cleanly finished trace
 // from one that was cut off (ErrTruncated), and the checksums catch bit
 // flips and in-place corruption (ErrCorrupt). Each block is verified
 // against its own CRC before any record in it is delivered, so corruption
 // is detected promptly even by readers that consume only a prefix of the
 // stream; the footer's stream-wide count and CRC close the loop for full
-// reads. Version 1 traces — bare records with no framing — are still read,
-// but for them an end of file at a record boundary is indistinguishable
-// from truncation.
+// reads.
 package trace
 
 import (
@@ -43,22 +41,15 @@ import (
 // Magic identifies a hwprof trace file.
 const Magic = "HWPT"
 
-// Format versions.
-const (
-	// VersionDelta is the legacy v1 format: bare delta-varint records with
-	// no terminator, checksum or record count. Readable, no longer written
-	// by default.
-	VersionDelta = 1
-	// Version is the current format: delta-varint records framed in
-	// length-prefixed blocks with a CRC32-checked footer.
-	Version = 2
-)
+// Version is the format version: delta-varint records framed in
+// length-prefixed blocks with a CRC32-checked footer.
+const Version = 2
 
 // ErrBadMagic is returned when a stream does not begin with Magic.
 var ErrBadMagic = errors.New("trace: bad magic, not a hwprof trace")
 
 // ErrTruncated reports a trace that ends before its format says it may:
-// mid-record or mid-block, or (v2) before the terminator and footer.
+// mid-block, or before the terminator and footer.
 var ErrTruncated = errors.New("trace: truncated trace")
 
 // ErrCorrupt reports a trace whose bytes are present but inconsistent: a
@@ -83,17 +74,16 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Writer streams tuples into an io.Writer in trace format. Close (or the
-// equivalent Flush) finalizes the stream; a v2 trace without its footer
-// reads back as truncated, which is exactly the point.
+// Writer streams tuples into an io.Writer in trace format. Close
+// finalizes the stream; a trace without its footer reads back as
+// truncated, which is exactly the point.
 type Writer struct {
 	w       *bufio.Writer
-	version byte
 	prev    event.Tuple
 	scratch [2 * binary.MaxVarintLen64]byte
 	count   uint64
 
-	// v2 state: the pending block payload and the running payload CRC.
+	// The pending block payload and the running payload CRC.
 	block []byte
 	crc   uint32
 
@@ -101,35 +91,20 @@ type Writer struct {
 }
 
 // NewWriter writes a trace header for the given tuple kind and returns a
-// Writer producing the current (v2) format. Call Close when done — the
-// footer is what lets readers distinguish a finished trace from a
-// truncated one.
+// Writer. Call Close when done — the footer is what lets readers
+// distinguish a finished trace from a truncated one.
 func NewWriter(w io.Writer, kind event.Kind) (*Writer, error) {
-	return NewWriterVersion(w, kind, Version)
-}
-
-// NewWriterVersion writes a header for an explicit format version (1 or
-// 2). Version 1 exists for interoperability tests and for regenerating
-// legacy fixtures; new traces should use the default.
-func NewWriterVersion(w io.Writer, kind event.Kind, version byte) (*Writer, error) {
-	if version != VersionDelta && version != Version {
-		return nil, fmt.Errorf("trace: cannot write version %d", version)
-	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(Magic); err != nil {
 		return nil, fmt.Errorf("trace: writing magic: %w", err)
 	}
-	if err := bw.WriteByte(version); err != nil {
+	if err := bw.WriteByte(Version); err != nil {
 		return nil, fmt.Errorf("trace: writing version: %w", err)
 	}
 	if err := bw.WriteByte(byte(kind)); err != nil {
 		return nil, fmt.Errorf("trace: writing kind: %w", err)
 	}
-	tw := &Writer{w: bw, version: version}
-	if version == Version {
-		tw.block = make([]byte, 0, blockTarget+2*binary.MaxVarintLen64)
-	}
-	return tw, nil
+	return &Writer{w: bw, block: make([]byte, 0, blockTarget+2*binary.MaxVarintLen64)}, nil
 }
 
 // Write appends one tuple to the trace.
@@ -139,16 +114,10 @@ func (w *Writer) Write(t event.Tuple) error {
 	}
 	n := binary.PutUvarint(w.scratch[:], zigzag(int64(t.A)-int64(w.prev.A)))
 	n += binary.PutUvarint(w.scratch[n:], zigzag(int64(t.B)-int64(w.prev.B)))
-	if w.version == VersionDelta {
-		if _, err := w.w.Write(w.scratch[:n]); err != nil {
+	w.block = append(w.block, w.scratch[:n]...)
+	if len(w.block) >= blockTarget {
+		if err := w.emitBlock(); err != nil {
 			return fmt.Errorf("trace: writing record %d: %w", w.count, err)
-		}
-	} else {
-		w.block = append(w.block, w.scratch[:n]...)
-		if len(w.block) >= blockTarget {
-			if err := w.emitBlock(); err != nil {
-				return fmt.Errorf("trace: writing record %d: %w", w.count, err)
-			}
 		}
 	}
 	w.prev = t
@@ -179,27 +148,24 @@ func (w *Writer) emitBlock() error {
 // Count returns the number of tuples written so far.
 func (w *Writer) Count() uint64 { return w.count }
 
-// Close finalizes the trace — for v2, the last block, the terminator and
-// the count+CRC32 footer — and flushes everything to the underlying
-// writer. It does not close the underlying writer. Close is idempotent;
+// Close finalizes the trace — the last block, the terminator and the
+// count+CRC32 footer — and flushes everything to the underlying writer. It does not close the underlying writer. Close is idempotent;
 // Write after Close is an error.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	if w.version == Version {
-		if len(w.block) > 0 {
-			if err := w.emitBlock(); err != nil {
-				return fmt.Errorf("trace: final block: %w", err)
-			}
+	if len(w.block) > 0 {
+		if err := w.emitBlock(); err != nil {
+			return fmt.Errorf("trace: final block: %w", err)
 		}
-		n := binary.PutUvarint(w.scratch[:], 0) // terminator
-		n += binary.PutUvarint(w.scratch[n:], w.count)
-		binary.LittleEndian.PutUint32(w.scratch[n:], w.crc)
-		if _, err := w.w.Write(w.scratch[:n+4]); err != nil {
-			return fmt.Errorf("trace: footer: %w", err)
-		}
+	}
+	n := binary.PutUvarint(w.scratch[:], 0) // terminator
+	n += binary.PutUvarint(w.scratch[n:], w.count)
+	binary.LittleEndian.PutUint32(w.scratch[n:], w.crc)
+	if _, err := w.w.Write(w.scratch[:n+4]); err != nil {
+		return fmt.Errorf("trace: footer: %w", err)
 	}
 	if err := w.w.Flush(); err != nil {
 		return fmt.Errorf("trace: flush: %w", err)
@@ -207,26 +173,19 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// Flush finalizes and flushes the trace.
-//
-// Deprecated: Flush is the pre-v2 name for Close and behaves identically;
-// it cannot be used to flush mid-stream and keep writing.
-func (w *Writer) Flush() error { return w.Close() }
-
 // Reader streams tuples out of a trace. It implements event.Source: Next
 // returning false means the stream ended, and Err reports whether the end
 // was the trace's genuine end or a truncation/corruption failure.
 type Reader struct {
-	r       *bufio.Reader
-	kind    event.Kind
-	version byte
-	prev    event.Tuple
-	count   uint64
-	err     error
+	r     *bufio.Reader
+	kind  event.Kind
+	prev  event.Tuple
+	count uint64
+	err   error
 
-	// v2 state: the current block's payload, the decode position within
-	// it, the running CRC over all payloads, and whether the footer has
-	// been seen and verified.
+	// The current block's payload, the decode position within it, the
+	// running CRC over all payloads, and whether the footer has been seen
+	// and verified.
 	block []byte
 	pos   int
 	crc   uint32
@@ -234,7 +193,7 @@ type Reader struct {
 }
 
 // NewReader validates the header of r and returns a Reader positioned at
-// the first record. Both v1 and v2 traces are accepted.
+// the first record.
 func NewReader(r io.Reader) (*Reader, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [6]byte
@@ -244,17 +203,14 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if string(hdr[:4]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[4] != VersionDelta && hdr[4] != Version {
+	if hdr[4] != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d", hdr[4])
 	}
-	return &Reader{r: br, kind: event.Kind(hdr[5]), version: hdr[4]}, nil
+	return &Reader{r: br, kind: event.Kind(hdr[5])}, nil
 }
 
 // Kind returns the tuple kind declared in the trace header.
 func (r *Reader) Kind() event.Kind { return r.kind }
-
-// Version returns the format version declared in the trace header.
-func (r *Reader) Version() int { return int(r.version) }
 
 // Count returns the number of records decoded so far.
 func (r *Reader) Count() uint64 { return r.count }
@@ -265,17 +221,9 @@ func (r *Reader) Next() (event.Tuple, bool) {
 	if r.err != nil || r.done {
 		return event.Tuple{}, false
 	}
-	var da, db uint64
-	if r.version == VersionDelta {
-		var ok bool
-		if da, db, ok = r.nextV1(); !ok {
-			return event.Tuple{}, false
-		}
-	} else {
-		var ok bool
-		if da, db, ok = r.nextV2(); !ok {
-			return event.Tuple{}, false
-		}
+	da, db, ok := r.nextRecord()
+	if !ok {
+		return event.Tuple{}, false
 	}
 	r.prev.A = uint64(int64(r.prev.A) + unzigzag(da))
 	r.prev.B = uint64(int64(r.prev.B) + unzigzag(db))
@@ -283,31 +231,9 @@ func (r *Reader) Next() (event.Tuple, bool) {
 	return r.prev, true
 }
 
-// nextV1 decodes one legacy record straight off the stream. EOF at a
-// record boundary is a clean end — v1 has no framing that could tell us
-// otherwise.
-func (r *Reader) nextV1() (da, db uint64, ok bool) {
-	da, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if err != io.EOF {
-			r.err = fmt.Errorf("%w: record %d: %w", ErrTruncated, r.count, err)
-		} else {
-			r.done = true
-		}
-		return 0, 0, false
-	}
-	db, err = binary.ReadUvarint(r.r)
-	if err != nil {
-		// A record with only its first half present is a truncated file.
-		r.err = fmt.Errorf("%w: record %d ends mid-record: %w", ErrTruncated, r.count, err)
-		return 0, 0, false
-	}
-	return da, db, true
-}
-
-// nextV2 decodes one record out of the current block, loading blocks (and
-// ultimately verifying the footer) as needed.
-func (r *Reader) nextV2() (da, db uint64, ok bool) {
+// nextRecord decodes one record out of the current block, loading blocks
+// (and ultimately verifying the footer) as needed.
+func (r *Reader) nextRecord() (da, db uint64, ok bool) {
 	for r.pos == len(r.block) {
 		if !r.loadBlock() {
 			return 0, 0, false
@@ -334,7 +260,7 @@ func (r *Reader) nextV2() (da, db uint64, ok bool) {
 func (r *Reader) loadBlock() bool {
 	n, err := binary.ReadUvarint(r.r)
 	if err != nil {
-		// v2 streams must end with terminator+footer, so EOF here — at a
+		// A trace must end with terminator+footer, so EOF here — at a
 		// block boundary — still means the file was cut off.
 		r.err = fmt.Errorf("%w: stream ends before footer: %w", ErrTruncated, err)
 		return false
@@ -374,7 +300,7 @@ func (r *Reader) loadBlock() bool {
 	return true
 }
 
-// readFooter verifies the record count and checksum that close a v2 trace.
+// readFooter verifies the record count and checksum that close a trace.
 func (r *Reader) readFooter() {
 	count, err := binary.ReadUvarint(r.r)
 	if err != nil {

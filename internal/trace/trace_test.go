@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, kind event.Kind, tuples []event.Tuple) []event.Tupl
 	if w.Count() != uint64(len(tuples)) {
 		t.Fatalf("Count = %d, want %d", w.Count(), len(tuples))
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	r, err := NewReader(&buf)
@@ -92,7 +92,7 @@ func TestRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		if w.Flush() != nil {
+		if w.Close() != nil {
 			return false
 		}
 		rd, err := NewReader(&buf)
@@ -128,7 +128,7 @@ func TestCompressionOnStructuredStream(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Flush(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	perRecord := float64(buf.Len()-6) / 10000
@@ -145,9 +145,10 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestBadVersion(t *testing.T) {
-	_, err := NewReader(bytes.NewReader([]byte("HWPT\x7f\x00")))
-	if err == nil {
-		t.Fatal("future version accepted")
+	for _, v := range []byte{0, 1, Version + 1, 0x7f} {
+		if _, err := NewReader(bytes.NewReader([]byte{'H', 'W', 'P', 'T', v, 0})); err == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 }
 
@@ -158,11 +159,11 @@ func TestShortHeader(t *testing.T) {
 	}
 }
 
-// writeTrace serializes tuples at an explicit format version.
-func writeTrace(t *testing.T, version byte, kind event.Kind, tuples []event.Tuple) []byte {
+// writeTrace serializes tuples into a finished trace.
+func writeTrace(t *testing.T, kind event.Kind, tuples []event.Tuple) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, kind, version)
+	w, err := NewWriter(&buf, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,20 +205,11 @@ var truncationTuples = []event.Tuple{
 	{A: 1 << 40, B: 2}, {A: 1 << 41, B: 3}, {A: 5, B: 1 << 50},
 }
 
-func TestTruncatedRecordV1(t *testing.T) {
-	data := writeTrace(t, VersionDelta, event.KindValue, truncationTuples[:1])
-	// Chop the final byte: the record's second varint is now incomplete.
-	_, err := readAll(t, data[:len(data)-1])
-	if !errors.Is(err, ErrTruncated) {
-		t.Fatalf("err = %v, want ErrTruncated", err)
-	}
-}
-
-// TestTruncatedV2 cuts a v2 trace at every possible byte length and checks
+// TestTruncatedV2 cuts a trace at every possible byte length and checks
 // each prefix reports truncation — the framing makes any cut detectable,
-// including cuts at record boundaries that v1 cannot see.
+// including cuts at record boundaries.
 func TestTruncatedV2(t *testing.T) {
-	data := writeTrace(t, Version, event.KindValue, truncationTuples)
+	data := writeTrace(t, event.KindValue, truncationTuples)
 	for cut := 6; cut < len(data); cut++ {
 		if _, err := readAll(t, data[:cut]); !errors.Is(err, ErrTruncated) {
 			t.Fatalf("cut at %d of %d: err = %v, want ErrTruncated", cut, len(data), err)
@@ -232,7 +224,7 @@ func TestTruncatedV2(t *testing.T) {
 // that no flip yields the original tuples with a nil error: every
 // corruption is either detected or confined to the header check.
 func TestBitFlipV2(t *testing.T) {
-	orig := writeTrace(t, Version, event.KindValue, truncationTuples)
+	orig := writeTrace(t, event.KindValue, truncationTuples)
 	want, err := readAll(t, orig)
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +265,7 @@ func TestPrefixReadDetectsCorruption(t *testing.T) {
 	for i := range in {
 		in[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
 	}
-	data := writeTrace(t, Version, event.KindGeneric, in)
+	data := writeTrace(t, event.KindGeneric, in)
 	if len(data) < 2*blockTarget {
 		t.Fatalf("need a multi-block trace, got %d bytes", len(data))
 	}
@@ -293,29 +285,9 @@ func TestPrefixReadDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestV1StillReadable: the v2 reader must keep decoding legacy traces.
-func TestV1StillReadable(t *testing.T) {
-	in := []event.Tuple{{A: 0x400000, B: 7}, {A: 0x400004, B: 9}, {A: 1, B: 2}}
-	data := writeTrace(t, VersionDelta, event.KindEdge, in)
-	r, err := NewReader(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Version() != VersionDelta {
-		t.Fatalf("Version = %d, want %d", r.Version(), VersionDelta)
-	}
-	got, err := readAll(t, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, in) {
-		t.Fatalf("v1 round trip: got %v, want %v", got, in)
-	}
-}
-
 // TestFooterCountMismatch hand-edits the footer's record count.
 func TestFooterCountMismatch(t *testing.T) {
-	data := writeTrace(t, Version, event.KindValue, truncationTuples)
+	data := writeTrace(t, event.KindValue, truncationTuples)
 	// Footer layout: ... 0x00 terminator | uvarint(count=3) | crc32. The
 	// count is the second-to-last-5th byte; with 3 records it is one byte.
 	data[len(data)-5] = 7
@@ -357,7 +329,7 @@ func TestMultiBlock(t *testing.T) {
 	for i := range in {
 		in[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
 	}
-	data := writeTrace(t, Version, event.KindGeneric, in)
+	data := writeTrace(t, event.KindGeneric, in)
 	if len(data) < 3*blockTarget {
 		t.Fatalf("expected multi-block trace, got %d bytes", len(data))
 	}
@@ -374,7 +346,7 @@ func TestReaderIsSource(t *testing.T) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf, event.KindValue)
 	w.Write(event.Tuple{A: 5, B: 6})
-	w.Flush()
+	w.Close()
 	r, _ := NewReader(&buf)
 	var src event.Source = r
 	tp, ok := src.Next()
@@ -403,7 +375,7 @@ func TestWriteErrorPropagates(t *testing.T) {
 		}
 	}
 	if wErr == nil {
-		wErr = w.Flush()
+		wErr = w.Close()
 	}
 	if wErr == nil {
 		t.Fatal("write to failing writer reported no error")
@@ -430,7 +402,7 @@ func BenchmarkReadWrite1M(b *testing.B) {
 	for i := 0; i < 1_000_000; i++ {
 		w.Write(event.Tuple{A: uint64(i) * 4, B: uint64(i & 7)})
 	}
-	w.Flush()
+	w.Close()
 	data := buf.Bytes()
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -454,7 +426,7 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 	r := xrand.New(99)
 	for trial := 0; trial < 200; trial++ {
 		n := int(r.Uint64n(64))
-		data := append([]byte("HWPT\x01\x00"), make([]byte, n)...)
+		data := append([]byte("HWPT\x02\x00"), make([]byte, n)...)
 		for i := 6; i < len(data); i++ {
 			data[i] = byte(r.Uint64())
 		}
@@ -482,7 +454,7 @@ func TestHeaderGarbage(t *testing.T) {
 			data[i] = byte(r.Uint64())
 		}
 		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
-			// A 6+ byte random prefix matching "HWPT\x01" is astronomically
+			// A 6+ byte random prefix matching "HWPT\x02" is astronomically
 			// unlikely; if it happens the reader must still behave.
 			rd.Next()
 		}

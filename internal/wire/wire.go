@@ -1,16 +1,16 @@
-// Package wire defines the versioned binary protocol spoken between a
-// profiling client and the profiled daemon: a connection handshake followed
-// by a stream of length-prefixed, CRC32-trailed frames carrying event
-// batches, interval profiles, and control messages.
+// Package wire defines the binary protocol spoken between a profiling
+// client and the profiled daemon: a connection handshake followed by a
+// stream of length-prefixed, CRC32-trailed frames carrying event batches,
+// interval profiles, and control messages.
 //
 // # Stream layout
 //
-//	handshake: magic "HWPS" | version byte        (client sends its newest,
-//	           server replies min(client, server); both then speak that)
+//	handshake: magic "HWPS" | version byte        (each side sends Version
+//	           and refuses a peer that sent any other byte)
 //	frames:    type byte | uvarint(payloadLen) | payload | CRC32(payload)
 //
 // The CRC32 (IEEE, little-endian, over the payload bytes only) reuses the
-// per-block framing discipline of the v2 trace format (internal/trace): a
+// per-block framing discipline of the trace format (internal/trace): a
 // frame is verified before any of its content is interpreted, so a flipped
 // bit in transit or a desynchronized stream surfaces as ErrCorrupt at the
 // frame boundary instead of as garbage profiles.
@@ -27,23 +27,22 @@
 // tearing the session down; Goodbye from the client abandons the session
 // without the final profile.
 //
-// Protocol v2 adds the fleet-aggregation surface. A subscriber opens with
-// Subscribe instead of Hello; the publisher answers SubscribeAck and then
-// streams one Epoch frame per closed fleet epoch, in index order. A marked
-// session (Hello.Marked) places its interval boundaries with Mark frames
-// instead of by event count, so a coordinator can align a cohort's epochs
-// with a union stream's intervals. A v2 Resume carries the replay floor as
-// an absolute stream position. None of these are legal on a v1 stream.
+// Fleet aggregation: a subscriber opens with Subscribe instead of Hello;
+// the publisher answers SubscribeAck and then streams one Epoch frame per
+// closed fleet epoch, in index order. A marked session (Hello.Marked)
+// places its interval boundaries with Mark frames instead of by event
+// count, so a coordinator can align a cohort's epochs with a union
+// stream's intervals. A Resume carries the client's replay floor as an
+// absolute stream position.
 //
-// Protocol v3 adds the elastic-serving surface. The server may send Notice
-// frames — always at an interval boundary — announcing a live geometry
-// change (resize), a degradation-ladder transition, or an imminent park. A
-// Notice is an absolute snapshot (full geometry plus the boundary's exact
-// stream coordinates), so duplicates are harmless and the client never has
-// to reconstruct history. A v3 ResumeAck carries the session's current
-// geometry for the same reason: a client that missed a Notice across an
-// outage is resynchronized by the ack. Servers only resize sessions that
-// negotiated v3.
+// Elastic serving: the server may send Notice frames — always at an
+// interval boundary — announcing a live geometry change (resize), a
+// degradation-ladder transition, or an imminent park. A Notice is an
+// absolute snapshot (full geometry plus the boundary's exact stream
+// coordinates), so duplicates are harmless and the client never has to
+// reconstruct history. A ResumeAck carries the session's current geometry
+// for the same reason: a client that missed a Notice across an outage is
+// resynchronized by the ack.
 //
 // All encodings are deterministic: profile entries are sorted by tuple, and
 // both batches and profiles use the same delta+zigzag+uvarint record coding
@@ -68,18 +67,9 @@ import (
 // Magic opens every protocol stream.
 const Magic = "HWPS"
 
-// Version is the newest protocol version this package speaks. The
-// handshake negotiates down: the client sends its newest version, the
-// server replies with min(client, server), and both sides then speak the
-// agreed version (Conn.Version). v2 adds the fleet-aggregation surface —
-// Subscribe/SubscribeAck/Epoch frames, client-driven interval marks, and
-// the Resume replay floor — all of which are illegal on a v1 stream. v3
-// adds server-initiated Notice frames and the ResumeAck geometry fields,
-// illegal (respectively absent) below v3.
-const Version = 3
-
-// MinVersion is the oldest protocol version still served.
-const MinVersion = 1
+// Version is the protocol version this package speaks, and the only one:
+// both handshake sides refuse a peer at any other version.
+const Version = 4
 
 // MaxPayload bounds a frame payload. Batches and interval profiles are both
 // far smaller in practice; the bound exists so a corrupt length prefix
@@ -110,22 +100,22 @@ const (
 	// carrying the server's exact stream position.
 	MsgResumeAck byte = 9
 
-	// MsgSubscribe (subscriber→publisher, v2) opens an epoch-feed
+	// MsgSubscribe (subscriber→publisher) opens an epoch-feed
 	// subscription in place of a Hello: a Subscribe payload.
 	MsgSubscribe byte = 10
-	// MsgSubscribeAck (publisher→subscriber, v2) accepts a subscription: a
+	// MsgSubscribeAck (publisher→subscriber) accepts a subscription: a
 	// SubscribeAck payload naming the publisher and the first epoch it will
 	// deliver.
 	MsgSubscribeAck byte = 11
-	// MsgEpoch (publisher→subscriber, v2) carries one closed fleet epoch: an
+	// MsgEpoch (publisher→subscriber) carries one closed fleet epoch: an
 	// EpochMsg payload.
 	MsgEpoch byte = 12
-	// MsgMark (client→server, v2) closes the session's current interval at
+	// MsgMark (client→server) closes the session's current interval at
 	// the exact stream position of the frame: a Mark payload. Sessions that
 	// opened with Hello.Marked place every interval boundary this way.
 	MsgMark byte = 13
 
-	// MsgNotice (server→client, v3) announces an elastic-serving event at
+	// MsgNotice (server→client) announces an elastic-serving event at
 	// an interval boundary — a live resize, a degradation-ladder
 	// transition, or an imminent park: a Notice payload. Notices are
 	// informational snapshots; the session stream continues (or, for a
@@ -151,8 +141,7 @@ const (
 	// hold (never existed, already finished, or its grace period expired).
 	CodeUnknownSession byte = 6
 	// CodeUnsupported: the peer asked for a capability this server does not
-	// provide — an epoch-feed subscription on a daemon not publishing, or a
-	// v2-only frame on a stream negotiated down to v1.
+	// provide: an epoch-feed subscription on a daemon not publishing.
 	CodeUnsupported byte = 7
 )
 
@@ -182,7 +171,6 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type Conn struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
-	version byte // negotiated protocol version; Version before a handshake
 	scratch [binary.MaxVarintLen64 + 1]byte
 	payload []byte // reused ReadFrame buffer
 }
@@ -191,61 +179,51 @@ type Conn struct {
 // before any frames.
 func NewConn(rw io.ReadWriter) *Conn {
 	return &Conn{
-		r:       bufio.NewReaderSize(rw, 1<<16),
-		w:       bufio.NewWriterSize(rw, 1<<16),
-		version: Version,
+		r: bufio.NewReaderSize(rw, 1<<16),
+		w: bufio.NewWriterSize(rw, 1<<16),
 	}
 }
 
-// Version returns the protocol version negotiated by the handshake (or
-// this package's newest Version if no handshake was performed). Versioned
-// encoders (AppendHello, AppendResume, their decoders) must be driven with
-// this value, and v2-only frame types must not be sent on a v1 stream.
-func (c *Conn) Version() byte { return c.version }
-
-// ClientHandshake sends the magic and this package's newest version, then
-// reads the server's reply: the negotiated version, min(client, server).
-// It must be the first exchange on the connection. Servers older than
-// MinVersion-aware negotiation reject newer clients outright — upgrade
-// servers before clients.
+// ClientHandshake sends the magic and Version, then reads the server's
+// reply, which must carry Version too. It must be the first exchange on
+// the connection.
 func (c *Conn) ClientHandshake() error {
-	if err := c.sendHandshake(Version); err != nil {
+	if err := c.sendHandshake(); err != nil {
 		return err
 	}
 	v, err := c.expectHandshake()
 	if err != nil {
 		return err
 	}
-	if v < MinVersion || v > Version {
-		return fmt.Errorf("%w: server negotiated unsupported version %d", ErrProtocol, v)
+	if v != Version {
+		return fmt.Errorf("%w: server speaks version %d, this client %d", ErrProtocol, v, Version)
 	}
-	c.version = v
 	return nil
 }
 
-// ServerHandshake reads the client's magic and newest version, then
-// replies with the negotiated version, min(client, server). It must be the
-// first exchange on the connection.
+// ServerHandshake reads the client's magic and version and replies with
+// Version, then refuses a client at any other version. The reply goes out
+// either way, so a mismatched client learns which version it reached. It
+// must be the first exchange on the connection.
 func (c *Conn) ServerHandshake() error {
 	v, err := c.expectHandshake()
 	if err != nil {
 		return err
 	}
-	if v < MinVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrProtocol, v)
+	if err := c.sendHandshake(); err != nil {
+		return err
 	}
-	if v > Version {
-		v = Version
+	if v != Version {
+		return fmt.Errorf("%w: client speaks version %d, this server %d", ErrProtocol, v, Version)
 	}
-	c.version = v
-	return c.sendHandshake(v)
+	return nil
 }
 
-func (c *Conn) sendHandshake(v byte) error {
+func (c *Conn) sendHandshake() error {
 	if _, err := c.w.WriteString(Magic); err != nil {
 		return fmt.Errorf("wire: writing handshake: %w", err)
 	}
-	if err := c.w.WriteByte(v); err != nil {
+	if err := c.w.WriteByte(Version); err != nil {
 		return fmt.Errorf("wire: writing handshake: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {
@@ -339,7 +317,7 @@ type Hello struct {
 	// means sequential. Servers may clamp it.
 	Shards int
 
-	// Marked (v2 only) declares that the client will place every interval
+	// Marked declares that the client will place every interval
 	// boundary itself with MsgMark frames; the server must not clip the
 	// stream by IntervalLength. This is how a coordinator that owns a
 	// fleet-wide union stream keeps the per-machine epoch boundaries
@@ -356,12 +334,12 @@ const (
 	flagWeakHash
 )
 
-// Hello v2 extension flag bits.
+// Hello extension flag bits, in the byte after the shard count.
 const helloFlagMarked = 1 << iota
 
-// AppendHello encodes h onto dst in the shape of protocol version v: v2
-// appends the extension flags byte (Marked), v1 stops at the shard count.
-func AppendHello(dst []byte, h Hello, v byte) []byte {
+// AppendHello encodes h onto dst. The session journal stores the same
+// bytes, so a change to this encoding is a change to the journal format.
+func AppendHello(dst []byte, h Hello) []byte {
 	c := h.Config
 	dst = binary.AppendUvarint(dst, c.IntervalLength)
 	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.ThresholdPercent))
@@ -388,20 +366,16 @@ func AppendHello(dst []byte, h Hello, v byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.AccumCapacity))
 	dst = binary.LittleEndian.AppendUint64(dst, c.Seed)
 	dst = binary.AppendUvarint(dst, uint64(h.Shards))
-	if v >= 2 {
-		var flags2 byte
-		if h.Marked {
-			flags2 |= helloFlagMarked
-		}
-		dst = append(dst, flags2)
+	var flags2 byte
+	if h.Marked {
+		flags2 |= helloFlagMarked
 	}
-	return dst
+	return append(dst, flags2)
 }
 
-// DecodeHello decodes a Hello payload in the shape of protocol version v.
-// It checks only the encoding; the configuration's own validity is the
-// server's call (core.Config.Validate).
-func DecodeHello(p []byte, v byte) (Hello, error) {
+// DecodeHello decodes a Hello payload. It checks only the encoding; the
+// configuration's own validity is the server's call (core.Config.Validate).
+func DecodeHello(p []byte) (Hello, error) {
 	d := decoder{p: p}
 	var h Hello
 	h.Config.IntervalLength = d.uvarint()
@@ -418,10 +392,7 @@ func DecodeHello(p []byte, v byte) (Hello, error) {
 	h.Config.AccumCapacity = d.vint()
 	h.Config.Seed = d.u64()
 	h.Shards = d.vint()
-	if v >= 2 {
-		flags2 := d.byte()
-		h.Marked = flags2&helloFlagMarked != 0
-	}
+	h.Marked = d.byte()&helloFlagMarked != 0
 	if err := d.finish("hello"); err != nil {
 		return Hello{}, err
 	}
@@ -497,40 +468,25 @@ type Resume struct {
 	// received (equivalently: the index of the next profile it expects).
 	Intervals uint64
 
-	// Offset is the client's replay floor within the stream, relative to
-	// Intervals complete intervals: the client can resend every event from
-	// global position Intervals×IntervalLength+Offset onward.
-	Offset uint64
-
-	// Floor (v2 only) is the client's replay floor as an absolute stream
-	// position, superseding the Intervals×IntervalLength+Offset arithmetic
-	// — which is meaningless on a marked session, where intervals are not
-	// IntervalLength events each.
+	// Floor is the client's replay floor as an absolute stream position:
+	// the client can resend every event from Floor onward.
 	Floor uint64
 }
 
-// AppendResume encodes r onto dst in the shape of protocol version v: v2
-// appends the absolute replay floor.
-func AppendResume(dst []byte, r Resume, v byte) []byte {
+// AppendResume encodes r onto dst.
+func AppendResume(dst []byte, r Resume) []byte {
 	dst = binary.AppendUvarint(dst, r.SessionID)
 	dst = binary.AppendUvarint(dst, r.Intervals)
-	dst = binary.AppendUvarint(dst, r.Offset)
-	if v >= 2 {
-		dst = binary.AppendUvarint(dst, r.Floor)
-	}
-	return dst
+	return binary.AppendUvarint(dst, r.Floor)
 }
 
-// DecodeResume decodes a Resume payload in the shape of protocol version v.
-func DecodeResume(p []byte, v byte) (Resume, error) {
+// DecodeResume decodes a Resume payload.
+func DecodeResume(p []byte) (Resume, error) {
 	d := decoder{p: p}
 	var r Resume
 	r.SessionID = d.uvarint()
 	r.Intervals = d.uvarint()
-	r.Offset = d.uvarint()
-	if v >= 2 {
-		r.Floor = d.uvarint()
-	}
+	r.Floor = d.uvarint()
 	if err := d.finish("resume"); err != nil {
 		return Resume{}, err
 	}
@@ -555,48 +511,40 @@ type ResumeAck struct {
 	// Shed is the session's cumulative shed count so far.
 	Shed uint64
 
-	// IntervalLength, TotalEntries, NumTables and Shards (v3 only) are the
-	// session's geometry as of this ack. An elastic server may have resized
-	// the session while the client was away; the ack resynchronizes the
-	// client without it having to see every Notice. Zero values on a v1/v2
-	// stream mean "unchanged from the Hello".
+	// IntervalLength, TotalEntries, NumTables and Shards are the session's
+	// geometry as of this ack. An elastic server may have resized the
+	// session while the client was away; the ack resynchronizes the client
+	// without it having to see every Notice.
 	IntervalLength uint64
 	TotalEntries   int
 	NumTables      int
 	Shards         int
 }
 
-// AppendResumeAck encodes a onto dst in the shape of protocol version v:
-// v3 appends the session's current geometry.
-func AppendResumeAck(dst []byte, a ResumeAck, v byte) []byte {
+// AppendResumeAck encodes a onto dst.
+func AppendResumeAck(dst []byte, a ResumeAck) []byte {
 	dst = binary.AppendUvarint(dst, a.Intervals)
 	dst = binary.AppendUvarint(dst, a.Offset)
 	dst = binary.AppendUvarint(dst, a.StreamPos)
 	dst = binary.AppendUvarint(dst, a.Shed)
-	if v >= 3 {
-		dst = binary.AppendUvarint(dst, a.IntervalLength)
-		dst = binary.AppendUvarint(dst, uint64(a.TotalEntries))
-		dst = binary.AppendUvarint(dst, uint64(a.NumTables))
-		dst = binary.AppendUvarint(dst, uint64(a.Shards))
-	}
-	return dst
+	dst = binary.AppendUvarint(dst, a.IntervalLength)
+	dst = binary.AppendUvarint(dst, uint64(a.TotalEntries))
+	dst = binary.AppendUvarint(dst, uint64(a.NumTables))
+	return binary.AppendUvarint(dst, uint64(a.Shards))
 }
 
-// DecodeResumeAck decodes a ResumeAck payload in the shape of protocol
-// version v.
-func DecodeResumeAck(p []byte, v byte) (ResumeAck, error) {
+// DecodeResumeAck decodes a ResumeAck payload.
+func DecodeResumeAck(p []byte) (ResumeAck, error) {
 	d := decoder{p: p}
 	var a ResumeAck
 	a.Intervals = d.uvarint()
 	a.Offset = d.uvarint()
 	a.StreamPos = d.uvarint()
 	a.Shed = d.uvarint()
-	if v >= 3 {
-		a.IntervalLength = d.uvarint()
-		a.TotalEntries = d.vint()
-		a.NumTables = d.vint()
-		a.Shards = d.vint()
-	}
+	a.IntervalLength = d.uvarint()
+	a.TotalEntries = d.vint()
+	a.NumTables = d.vint()
+	a.Shards = d.vint()
 	if err := d.finish("resume-ack"); err != nil {
 		return ResumeAck{}, err
 	}
@@ -773,7 +721,7 @@ func (d *decoder) name(what string) string {
 	return s
 }
 
-// Subscribe opens an epoch-feed subscription (v2): the subscriber asks the
+// Subscribe opens an epoch-feed subscription: the subscriber asks the
 // publisher — a publishing profiled daemon or an aggd — for every closed
 // epoch from Start onward.
 type Subscribe struct {
@@ -799,7 +747,7 @@ func DecodeSubscribe(p []byte) (Subscribe, error) {
 	return s, nil
 }
 
-// SubscribeAck accepts a subscription (v2).
+// SubscribeAck accepts a subscription.
 type SubscribeAck struct {
 	// Source is the publisher's machine id, stamped on every epoch it
 	// emits.
@@ -843,7 +791,7 @@ func DecodeSubscribeAck(p []byte) (SubscribeAck, error) {
 	return a, nil
 }
 
-// EpochMsg is one closed fleet epoch as carried on the wire (v2): the
+// EpochMsg is one closed fleet epoch as carried on the wire: the
 // merged counts of every member that reported interval Epoch, stamped with
 // the publisher's identity. Epochs are delivered strictly in index order
 // per subscription.
@@ -925,7 +873,7 @@ func DecodeEpoch(p []byte) (EpochMsg, error) {
 	return m, nil
 }
 
-// Mark closes a marked session's current interval (v2): the boundary lands
+// Mark closes a marked session's current interval: the boundary lands
 // at the exact stream position of the frame, and the profile emitted for
 // it carries the interval index Index — which the server validates against
 // its own count, so a desynchronized client surfaces as a protocol error
@@ -965,7 +913,7 @@ const (
 	NoticePark byte = 3
 )
 
-// Notice is a server-initiated elastic-serving announcement (v3), sent at
+// Notice is a server-initiated elastic-serving announcement, sent at
 // an interval boundary. It is an absolute snapshot: the boundary's exact
 // coordinates plus the full geometry now in force, so applying the same
 // notice twice is a no-op and a client can rebuild its position arithmetic
@@ -1013,8 +961,7 @@ type Notice struct {
 	Reason string
 }
 
-// AppendNotice encodes n onto dst. Notices exist only on v3 streams, so
-// the encoding is unversioned.
+// AppendNotice encodes n onto dst.
 func AppendNotice(dst []byte, n Notice) []byte {
 	dst = append(dst, n.Kind, n.Rung)
 	dst = binary.AppendUvarint(dst, n.Index)

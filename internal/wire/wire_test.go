@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -30,7 +31,7 @@ func TestHandshake(t *testing.T) {
 
 	// The client's send must land before the server reads; drive the
 	// halves manually in buffer order.
-	if err := client.sendHandshake(Version); err != nil {
+	if err := client.sendHandshake(); err != nil {
 		t.Fatalf("client send: %v", err)
 	}
 	if err := server.ServerHandshake(); err != nil {
@@ -40,60 +41,47 @@ func TestHandshake(t *testing.T) {
 	if err != nil {
 		t.Fatalf("client expect: %v", err)
 	}
-	if v != Version || server.Version() != Version {
-		t.Fatalf("peers negotiated %d/%d, want %d", v, server.Version(), Version)
+	if v != Version {
+		t.Fatalf("server replied %d, want %d", v, Version)
 	}
 }
 
-// TestHandshakeNegotiation pins the min-version rule: an old client gets
-// served at its own version, a futuristic client is negotiated down to
-// ours, and anything below MinVersion is refused.
+// TestHandshakeNegotiation pins the one-version rule: a peer at Version is
+// accepted, and either side refuses a peer at any other version with
+// ErrProtocol. The server replies with Version either way, so a refused
+// client can name the mismatch.
 func TestHandshakeNegotiation(t *testing.T) {
-	negotiate := func(clientVersion byte) (*Conn, byte, error) {
-		var cToS, sToC bytes.Buffer
-		cToS.WriteString(Magic)
-		cToS.WriteByte(clientVersion)
-		server := NewConn(duplex{r: &cToS, w: &sToC})
-		err := server.ServerHandshake()
-		var reply byte
-		if sToC.Len() == len(Magic)+1 {
-			reply = sToC.Bytes()[len(Magic)]
+	ours := Magic + string([]byte{Version})
+	for _, tc := range []struct {
+		peer byte
+		want error
+	}{
+		{Version, nil},
+		{0, ErrProtocol},
+		{1, ErrProtocol},
+		{2, ErrProtocol},
+		{3, ErrProtocol},
+		{Version + 1, ErrProtocol},
+	} {
+		theirs := Magic + string([]byte{tc.peer})
+
+		var reply bytes.Buffer
+		server := NewConn(duplex{r: bytes.NewBufferString(theirs), w: &reply})
+		if err := server.ServerHandshake(); !errors.Is(err, tc.want) {
+			t.Fatalf("server, client at %d: got %v, want %v", tc.peer, err, tc.want)
 		}
-		return server, reply, err
-	}
-
-	if server, reply, err := negotiate(1); err != nil || reply != 1 || server.Version() != 1 {
-		t.Fatalf("v1 client: reply %d, server at %d, err %v; want both at 1", reply, server.Version(), err)
-	}
-	if server, reply, err := negotiate(Version + 5); err != nil || reply != Version || server.Version() != Version {
-		t.Fatalf("future client: reply %d, server at %d, err %v; want both at %d", reply, server.Version(), err, Version)
-	}
-	if _, _, err := negotiate(0); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("v0 client: got %v, want ErrProtocol", err)
-	}
-
-	// A server reply outside the client's supported range is a protocol
-	// violation on the client side.
-	for _, bad := range []byte{0, Version + 1} {
-		var sToC bytes.Buffer
-		sToC.WriteString(Magic)
-		sToC.WriteByte(bad)
-		client := NewConn(duplex{r: &sToC, w: &bytes.Buffer{}})
-		if err := client.ClientHandshake(); !errors.Is(err, ErrProtocol) {
-			t.Fatalf("server reply %d: got %v, want ErrProtocol", bad, err)
+		if reply.String() != ours {
+			t.Fatalf("server, client at %d: replied %q, want %q", tc.peer, reply.String(), ours)
 		}
-	}
 
-	// An accepted downgrade sticks on the client too.
-	var sToC bytes.Buffer
-	sToC.WriteString(Magic)
-	sToC.WriteByte(1)
-	client := NewConn(duplex{r: &sToC, w: &bytes.Buffer{}})
-	if err := client.ClientHandshake(); err != nil {
-		t.Fatalf("downgrade handshake: %v", err)
-	}
-	if client.Version() != 1 {
-		t.Fatalf("client at %d after downgrade, want 1", client.Version())
+		var sent bytes.Buffer
+		client := NewConn(duplex{r: bytes.NewBufferString(theirs), w: &sent})
+		if err := client.ClientHandshake(); !errors.Is(err, tc.want) {
+			t.Fatalf("client, server at %d: got %v, want %v", tc.peer, err, tc.want)
+		}
+		if sent.String() != ours {
+			t.Fatalf("client, server at %d: sent %q, want %q", tc.peer, sent.String(), ours)
+		}
 	}
 }
 
@@ -128,7 +116,7 @@ func frameStream(t *testing.T) ([]byte, []byte, [][]byte) {
 	c := NewConn(duplex{r: &bytes.Buffer{}, w: &buf})
 	types := []byte{MsgHello, MsgBatch, MsgProfile, MsgGoodbye, MsgError, MsgEpoch}
 	payloads := [][]byte{
-		AppendHello(nil, Hello{Config: testConfig(), Shards: 4}, Version),
+		AppendHello(nil, Hello{Config: testConfig(), Shards: 4}),
 		AppendBatch(nil, []event.Tuple{{A: 1, B: 2}, {A: 100, B: 3}, {A: 7, B: 7}}),
 		AppendProfile(nil, ProfileMsg{Index: 3, Shed: 17, Counts: map[event.Tuple]uint64{{A: 9, B: 1}: 4}}),
 		nil,
@@ -286,28 +274,41 @@ func TestHelloRoundTrip(t *testing.T) {
 		{Config: core.Config{ThresholdPercent: math.Inf(1)}, Shards: 1 << 20},
 		{Config: testConfig(), Shards: 2, Marked: true},
 	}
-	for i, h := range cases {
-		for _, v := range []byte{1, 2} {
-			want := h
-			if v < 2 {
-				want.Marked = false // v1 cannot carry the marked flag
-			}
-			got, err := DecodeHello(AppendHello(nil, want, v), v)
-			if err != nil {
-				t.Fatalf("case %d v%d: %v", i, v, err)
-			}
-			if got != want {
-				t.Fatalf("case %d v%d: %+v != %+v", i, v, got, want)
-			}
+	for i, want := range cases {
+		got, err := DecodeHello(AppendHello(nil, want))
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got != want {
+			t.Fatalf("case %d: %+v != %+v", i, got, want)
 		}
 	}
-	// A v1 payload is not acceptable on a v2 stream, nor vice versa: the
-	// negotiated version fixes the shape exactly.
-	if _, err := DecodeHello(AppendHello(nil, cases[0], 1), 2); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v1 hello on v2 stream: got %v, want ErrCorrupt", err)
+}
+
+// TestJournaledEncodingsPinned pins the Hello and ResumeAck bytes to the
+// encodings protocol versions 2 and 3 produced. Session journals store
+// Hello bytes in their meta and resize records, so journals written before
+// the protocol moved to one version must still decode to the same
+// configuration.
+func TestJournaledEncodingsPinned(t *testing.T) {
+	cfg := core.BestMultiHash(core.ShortIntervalConfig())
+	cfg.Seed = 0x1234_5678_9abc_def0
+	for _, tc := range []struct {
+		marked bool
+		want   string
+	}{
+		{false, "904e000000000000f03f801004180500f0debc9a785634120300"},
+		{true, "904e000000000000f03f801004180500f0debc9a785634120301"},
+	} {
+		h := Hello{Config: cfg, Shards: 3, Marked: tc.marked}
+		if got := hex.EncodeToString(AppendHello(nil, h)); got != tc.want {
+			t.Fatalf("hello (marked %v) = %s, want %s", tc.marked, got, tc.want)
+		}
 	}
-	if _, err := DecodeHello(AppendHello(nil, cases[0], 2), 1); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2 hello on v1 stream: got %v, want ErrCorrupt", err)
+	a := ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3,
+		IntervalLength: 20_000, TotalEntries: 4096, NumTables: 4, Shards: 2}
+	if got, want := hex.EncodeToString(AppendResumeAck(nil, a)), "05d804a88b0303a09c0180200402"; got != want {
+		t.Fatalf("resume-ack = %s, want %s", got, want)
 	}
 }
 
@@ -329,42 +330,29 @@ func TestHelloAckRoundTrip(t *testing.T) {
 }
 
 func TestResumeRoundTrip(t *testing.T) {
-	for _, r := range []Resume{{}, {SessionID: 42, Intervals: 7, Offset: 1234, Floor: 71_234}} {
-		for _, v := range []byte{1, 2} {
-			want := r
-			if v < 2 {
-				want.Floor = 0 // v1 has no absolute floor field
-			}
-			got, err := DecodeResume(AppendResume(nil, want, v), v)
-			if err != nil {
-				t.Fatalf("v%d: %v", v, err)
-			}
-			if got != want {
-				t.Fatalf("v%d: %+v != %+v", v, got, want)
-			}
+	for _, want := range []Resume{{}, {SessionID: 42, Intervals: 7, Floor: 71_234}} {
+		got, err := DecodeResume(AppendResume(nil, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%+v != %+v", got, want)
 		}
 	}
 }
 
 func TestResumeAckRoundTrip(t *testing.T) {
-	for _, a := range []ResumeAck{
+	for _, want := range []ResumeAck{
 		{},
 		{Intervals: 3, Offset: 999, StreamPos: 30_999, Shed: 17,
 			IntervalLength: 20_000, TotalEntries: 1024, NumTables: 4, Shards: 2},
 	} {
-		for _, v := range []byte{1, 2, 3} {
-			want := a
-			if v < 3 {
-				// Pre-v3 acks carry no geometry.
-				want.IntervalLength, want.TotalEntries, want.NumTables, want.Shards = 0, 0, 0, 0
-			}
-			got, err := DecodeResumeAck(AppendResumeAck(nil, want, v), v)
-			if err != nil {
-				t.Fatalf("v%d: %v", v, err)
-			}
-			if got != want {
-				t.Fatalf("v%d: %+v != %+v", v, got, want)
-			}
+		got, err := DecodeResumeAck(AppendResumeAck(nil, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%+v != %+v", got, want)
 		}
 	}
 }
@@ -606,10 +594,8 @@ func TestDecodersRejectPrefixesAndTrailingGarbage(t *testing.T) {
 		payload []byte
 		decode  func([]byte) error
 	}{
-		{"hello-v1", AppendHello(nil, Hello{Config: testConfig(), Shards: 3}, 1),
-			func(p []byte) error { _, err := DecodeHello(p, 1); return err }},
-		{"hello-v2", AppendHello(nil, Hello{Config: testConfig(), Shards: 3, Marked: true}, 2),
-			func(p []byte) error { _, err := DecodeHello(p, 2); return err }},
+		{"hello", AppendHello(nil, Hello{Config: testConfig(), Shards: 3, Marked: true}),
+			func(p []byte) error { _, err := DecodeHello(p); return err }},
 		{"hello-ack", AppendHelloAck(nil, HelloAck{SessionID: 5, Shed: true, QueueDepth: 8}),
 			func(p []byte) error { _, err := DecodeHelloAck(p); return err }},
 		{"batch", AppendBatch(nil, []event.Tuple{{A: 300, B: 2}, {A: 1, B: 900}}),
@@ -618,15 +604,11 @@ func TestDecodersRejectPrefixesAndTrailingGarbage(t *testing.T) {
 			func(p []byte) error { _, err := DecodeProfile(p); return err }},
 		{"error", AppendError(nil, ErrorMsg{Code: CodeConfig, Msg: "bad config"}),
 			func(p []byte) error { _, err := DecodeError(p); return err }},
-		{"resume-v1", AppendResume(nil, Resume{SessionID: 300, Intervals: 4, Offset: 150}, 1),
-			func(p []byte) error { _, err := DecodeResume(p, 1); return err }},
-		{"resume-v2", AppendResume(nil, Resume{SessionID: 300, Intervals: 4, Offset: 150, Floor: 40_150}, 2),
-			func(p []byte) error { _, err := DecodeResume(p, 2); return err }},
-		{"resume-ack-v2", AppendResumeAck(nil, ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3}, 2),
-			func(p []byte) error { _, err := DecodeResumeAck(p, 2); return err }},
-		{"resume-ack-v3", AppendResumeAck(nil, ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3,
-			IntervalLength: 10_000, TotalEntries: 2048, NumTables: 4, Shards: 2}, 3),
-			func(p []byte) error { _, err := DecodeResumeAck(p, 3); return err }},
+		{"resume", AppendResume(nil, Resume{SessionID: 300, Intervals: 4, Floor: 40_150}),
+			func(p []byte) error { _, err := DecodeResume(p); return err }},
+		{"resume-ack", AppendResumeAck(nil, ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3,
+			IntervalLength: 10_000, TotalEntries: 2048, NumTables: 4, Shards: 2}),
+			func(p []byte) error { _, err := DecodeResumeAck(p); return err }},
 		{"notice", AppendNotice(nil, Notice{Kind: NoticeDegrade, Rung: 3, Index: 7, Observed: 70_000, Shed: 2,
 			IntervalLength: 40_000, TotalEntries: 512, NumTables: 4, Shards: 1, Reason: "shed 0.31 >= 0.25"}),
 			func(p []byte) error { _, err := DecodeNotice(p); return err }},

@@ -99,7 +99,7 @@ func Subscribe(ctx context.Context, addr string, opts ...Option) (*Subscription,
 	}
 	o := buildOptions(opts)
 	maxAttempts := o.remote.MaxAttempts
-	if o.reconnectSet && !o.remote.Reconnect {
+	if o.noReconnect {
 		maxAttempts = 1
 	}
 	s := &Subscription{

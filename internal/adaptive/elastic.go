@@ -329,6 +329,13 @@ func (e *Elastic) escalate(sig Signals) (Action, bool) {
 			})
 		}
 	}
+	// On a shed-policy session the geometry rungs follow persisting
+	// shedding, not queue pressure alone: the queue can cross the shared
+	// high water at a boundary before the shed gate's first drop, and
+	// climbing from there would skip rung 1.
+	if cfg.Shed && e.rung < RungShed {
+		return Action{}, false
+	}
 	// Rung 2: coarsen the interval — fewer boundaries means less flush,
 	// encode and journal work per event. Under the cost model a longer
 	// interval is a cost increase, so a tight tenant budget may refuse it;

@@ -93,6 +93,28 @@ func TestElasticLadderEscalation(t *testing.T) {
 	}
 }
 
+// TestElasticQueuePressureWaitsForShed feeds a shed-policy session queue
+// pressure before its shed gate drops anything: the controller must not
+// climb the ladder past rung 1, and the first shedding boundary enters it.
+func TestElasticQueuePressureWaitsForShed(t *testing.T) {
+	cfg := hairTrigger()
+	cfg.MaxShards = 1 // no grow-shards: only the ladder could act
+	e := NewElastic(cfg)
+	cur := cfg.Admitted
+
+	queued := Signals{Cur: cur, QueueLen: cfg.HighWater, ShedDelta: 0, Variation: -1}
+	for i := 0; i < 10; i++ {
+		if a, ok := e.Boundary(queued); ok {
+			t.Fatalf("boundary %d: queue pressure without shedding proposed %s → rung %d", i, a.Op, a.Rung)
+		}
+	}
+	a, ok := e.Boundary(pressured(cur))
+	if !ok || a.Op != OpShed || a.Rung != RungShed {
+		t.Fatalf("first shedding boundary proposed %s → rung %d (%v), want %s → rung %d",
+			a.Op, a.Rung, ok, OpShed, RungShed)
+	}
+}
+
 // TestElasticScaleOutBeforeDegrading verifies the controller prefers a
 // shard scale-up over any accuracy-costing rung when the budget allows,
 // and steps straight to the ladder when it does not.

@@ -24,9 +24,8 @@ import (
 // Case is one named benchmark. Cases that process events report an
 // "ns/event" metric; component micro-cases are plain ns/op. Advisory
 // cases are measured and recorded but excluded from regression gating:
-// they document a measured trade-off (e.g. the ordered-vs-banked sweep
-// crossover) whose numbers are too workload- and cache-sensitive to be
-// a stable contract.
+// their numbers (e.g. the deep geometry's cache-bound loop) are too
+// workload- and cache-sensitive to be a stable contract.
 type Case struct {
 	Name     string
 	F        func(b *testing.B)
@@ -215,20 +214,15 @@ func hashIndexCase() func(b *testing.B) {
 }
 
 // deepConfig returns the deepest fusable plain-update geometry — 4×32768
-// = 128Ki counters (512 KB of words) at the short-interval regime — with
-// and without the banked sweep opted in. The pair is what keeps the
-// ordered-vs-banked crossover decision in banked.go measured rather than
-// assumed: if hardware ever appears where the banked case wins, the
-// default should be revisited.
-func deepConfig(banked bool) core.Config {
+// = 128Ki counters (512 KB of words) at the short-interval regime — where
+// the counter set no longer fits in L1 and the ordered commit pays for
+// scattered counter access.
+func deepConfig() core.Config {
 	cfg := core.ShortIntervalConfig()
 	cfg.NumTables = 4
 	cfg.TotalEntries = 1 << 17
 	cfg.ResetOnPromote = true
 	cfg.Retain = true
-	if banked {
-		cfg.BankedSweepMinCounters = 1
-	}
 	return cfg
 }
 
@@ -238,8 +232,8 @@ func deepConfig(banked bool) core.Config {
 // multi-hash configuration (4×512 C1 R0 P1) at the short-interval regime,
 // driven through ObserveBatch exactly as RunBatched drives it. The
 // multi-lenN cases sweep the batch length across the staged pipeline's
-// break-even point, and the deep pair measures the bank-bucketed sweep
-// against the ordered pipeline on a cache-hostile counter set.
+// break-even point, and the deep case measures the ordered pipeline on a
+// cache-hostile counter set.
 func Suite() []Case {
 	short := core.ShortIntervalConfig()
 	long := core.LongIntervalConfig()
@@ -251,8 +245,7 @@ func Suite() []Case {
 		{Name: "observe-batch/multi-len64", F: observeBatchLenCase(core.BestMultiHash(short), 64)},
 		{Name: "observe-batch/multi-len512", F: observeBatchLenCase(core.BestMultiHash(short), 512)},
 		{Name: "observe-batch/multi-len4096", F: observeBatchLenCase(core.BestMultiHash(short), 4096)},
-		{Name: "observe-batch/deep", F: observeBatchLenCase(deepConfig(false), 4096), Advisory: true},
-		{Name: "observe-batch/deep-banked", F: observeBatchLenCase(deepConfig(true), 4096), Advisory: true},
+		{Name: "observe-batch/deep", F: observeBatchLenCase(deepConfig(), 4096), Advisory: true},
 		{Name: "observe/per-event", F: observePerEventCase(core.BestMultiHash(short))},
 		{Name: "accum/inc", F: accumIncCase()},
 		{Name: "accum/insert-evict", F: accumInsertCase()},

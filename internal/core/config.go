@@ -77,15 +77,6 @@ type Config struct {
 	// paper's bound of ceil(100 / ThresholdPercent) entries (§5.1).
 	AccumCapacity int
 
-	// BankedSweepMinCounters opts plain-update (C0) batches into the
-	// bank-bucketed sweep pipeline instead of the ordered staged loop
-	// (see banked.go): when positive, the banked path engages once
-	// TotalEntries reaches this many counters. Zero (the default) and
-	// negative values keep the ordered pipeline, which measures faster at
-	// every fusable geometry on cache-rich hardware. Profile results are
-	// identical either way — this is purely a performance crossover knob.
-	BankedSweepMinCounters int
-
 	// Seed determines the hash functions' random byte tables. Two
 	// profilers with equal Seed use identical hash functions.
 	Seed uint64

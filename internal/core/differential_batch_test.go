@@ -1,11 +1,14 @@
 package core
 
-// Differential coverage for the staged/banked batch pipelines beyond the
-// aligned, power-of-two batches of differential_test.go: odd and prime
-// batch lengths (windows that never line up with stagedWindow or the
-// banked window), single-event batches, streams long enough to wrap the
-// counter set's flush epoch tag, and geometries deep enough to engage the
-// bank-bucketed sweep for real (multiple banks).
+// Differential coverage for the staged batch pipeline beyond the aligned,
+// power-of-two batches of differential_test.go: odd and prime batch
+// lengths (windows that never line up with stagedWindow), single-event
+// batches, streams long enough to wrap the counter set's flush epoch tag,
+// and counter sets larger than L1.
+//
+// Names containing "banked" date from a bank-bucketed C0 sweep that has
+// since been removed (DESIGN.md §14); they are kept so test IDs stay
+// stable, and those cases now run the ordered pipelines.
 
 import (
 	"fmt"
@@ -57,37 +60,34 @@ func runDifferentialChunked(t *testing.T, cfg Config, streamSeed uint64, interva
 }
 
 // TestDifferentialBatchLengths runs odd and prime batch lengths — none a
-// multiple or divisor of the staged or banked window — through the C0 and
-// C1 pipelines, with the banked sweep both at its default crossover (off
-// at this geometry) and forced on.
+// multiple or divisor of the staged window — through the C0 and C1
+// pipelines.
 func TestDifferentialBatchLengths(t *testing.T) {
 	primes := []int{1, 2, 3, 5, 7, 13, 127, 251, 509, 513}
 	cases := []struct {
 		name   string
 		tables int
 		c1     bool
-		banked int // BankedSweepMinCounters
 	}{
-		{"multi4_C1", 4, true, 0},
-		{"multi4_C0", 4, false, 0},
-		{"multi4_C0_banked", 4, false, 1},
-		{"single_C0", 1, false, 0},
-		{"single_C0_banked", 1, false, 1},
+		{"multi4_C1", 4, true},
+		{"multi4_C0", 4, false},
+		{"multi4_C0_banked", 4, false},
+		{"single_C0", 1, false},
+		{"single_C0_banked", 1, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         2000,
-				ThresholdPercent:       1,
-				TotalEntries:           256,
-				NumTables:              tc.tables,
-				CounterWidth:           8,
-				ConservativeUpdate:     tc.c1,
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: tc.banked,
-				Seed:                   0x5EED,
+				IntervalLength:     2000,
+				ThresholdPercent:   1,
+				TotalEntries:       256,
+				NumTables:          tc.tables,
+				CounterWidth:       8,
+				ConservativeUpdate: tc.c1,
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0x5EED,
 			}
 			runDifferentialChunked(t, cfg, 0xFACE, 4, primes)
 		})
@@ -103,16 +103,15 @@ func TestDifferentialSingleEventBatches(t *testing.T) {
 		t.Run(fmt.Sprintf("banked=%d", banked), func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         1000,
-				ThresholdPercent:       1,
-				TotalEntries:           256,
-				NumTables:              4,
-				CounterWidth:           8,
-				ConservativeUpdate:     banked == 0, // C1 ordered vs C0 banked
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: banked,
-				Seed:                   0x51E5,
+				IntervalLength:     1000,
+				ThresholdPercent:   1,
+				TotalEntries:       256,
+				NumTables:          4,
+				CounterWidth:       8,
+				ConservativeUpdate: banked == 0, // banked=0 runs C1, banked=1 C0
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0x51E5,
 			}
 			runDifferentialChunked(t, cfg, 0x0DD1, 3, []int{1})
 		})
@@ -126,35 +125,33 @@ func TestDifferentialSingleEventBatches(t *testing.T) {
 // tag surviving the wrap shows up as a profile divergence.
 func TestDifferentialFlushGenerationWrap(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		c1     bool
-		banked int
+		name string
+		c1   bool
 	}{
-		{"C1_staged", true, 0},
-		{"C0_banked", false, 1},
+		{"C1_staged", true},
+		{"C0_banked", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         96,
-				ThresholdPercent:       5,
-				TotalEntries:           256,
-				NumTables:              4,
-				CounterWidth:           24, // 8 tag bits: epoch wraps at flush 255
-				ConservativeUpdate:     tc.c1,
-				ResetOnPromote:         true,
-				Retain:                 true,
-				BankedSweepMinCounters: tc.banked,
-				Seed:                   0xF1A5,
+				IntervalLength:     96,
+				ThresholdPercent:   5,
+				TotalEntries:       256,
+				NumTables:          4,
+				CounterWidth:       24, // 8 tag bits: epoch wraps at flush 255
+				ConservativeUpdate: tc.c1,
+				ResetOnPromote:     true,
+				Retain:             true,
+				Seed:               0xF1A5,
 			}
 			runDifferentialChunked(t, cfg, 0x3A9, 300, []int{31, 17, 7})
 		})
 	}
 }
 
-// TestDifferentialBankedMultiBank engages the banked sweep across several
-// real banks (4×8192 = 32768 counters = 8 banks of 4096) for every policy
-// combination; C1 and NoShield masks fall back to the ordered pipelines,
+// TestDifferentialBankedMultiBank runs a 4×8192 = 32768-counter geometry
+// (128 KB of words, past L1) for every policy combination: shielded masks
+// take the staged C0 or C1 pipeline and NoShield masks the generic loop,
 // which keeps the dispatch itself under differential test.
 func TestDifferentialBankedMultiBank(t *testing.T) {
 	const intervalLen = 2000
@@ -164,45 +161,35 @@ func TestDifferentialBankedMultiBank(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			cfg := Config{
-				IntervalLength:         intervalLen,
-				ThresholdPercent:       1,
-				TotalEntries:           32768,
-				NumTables:              4,
-				CounterWidth:           8,
-				ConservativeUpdate:     mask&1 != 0,
-				ResetOnPromote:         mask&2 != 0,
-				Retain:                 mask&4 != 0,
-				NoShield:               mask&8 != 0,
-				BankedSweepMinCounters: 1,
-				Seed:                   0xBA12 + uint64(mask),
+				IntervalLength:     intervalLen,
+				ThresholdPercent:   1,
+				TotalEntries:       32768,
+				NumTables:          4,
+				CounterWidth:       8,
+				ConservativeUpdate: mask&1 != 0,
+				ResetOnPromote:     mask&2 != 0,
+				Retain:             mask&4 != 0,
+				NoShield:           mask&8 != 0,
+				Seed:               0xBA12 + uint64(mask),
 			}
 			runDifferentialChunked(t, cfg, 0xBA2E^uint64(mask), 3, []int{509, 513, 127})
 		})
 	}
 }
 
-// TestDifferentialBankedDeepGeometry runs the crossover dispatch for
-// real: 4×32768 = 128Ki counters with the knob at exactly that size, so
-// the production `len(words) >= crossover` comparison (not a test-only
-// force) engages the sweep over 32 banks.
+// TestDifferentialBankedDeepGeometry runs the deepest fusable geometry,
+// 4×32768 = 128Ki counters (the benchsuite's observe-batch/deep shape),
+// through the staged C0 pipeline.
 func TestDifferentialBankedDeepGeometry(t *testing.T) {
 	cfg := Config{
-		IntervalLength:         4000,
-		ThresholdPercent:       1,
-		TotalEntries:           1 << 17,
-		NumTables:              4,
-		CounterWidth:           8,
-		ResetOnPromote:         true,
-		Retain:                 true,
-		BankedSweepMinCounters: 1 << 17,
-		Seed:                   0xDEE9,
-	}
-	m, err := NewMultiHash(cfg)
-	if err != nil {
-		t.Fatalf("NewMultiHash: %v", err)
-	}
-	if !m.bankedEligible() {
-		t.Fatalf("4×32768 with crossover at 1<<17 should be banked-eligible")
+		IntervalLength:   4000,
+		ThresholdPercent: 1,
+		TotalEntries:     1 << 17,
+		NumTables:        4,
+		CounterWidth:     8,
+		ResetOnPromote:   true,
+		Retain:           true,
+		Seed:             0xDEE9,
 	}
 	runDifferentialChunked(t, cfg, 0xDEE9, 3, []int{2048, 251, 4000})
 }
@@ -214,15 +201,14 @@ func TestDifferentialBankedDeepGeometry(t *testing.T) {
 // thinks of as one batch sequence.
 func TestDifferentialBatchSpanningFlush(t *testing.T) {
 	cfg := Config{
-		IntervalLength:         768, // 1.5 × DefaultBatchSize
-		ThresholdPercent:       2,
-		TotalEntries:           256,
-		NumTables:              4,
-		CounterWidth:           16,
-		ConservativeUpdate:     true,
-		Retain:                 true,
-		BankedSweepMinCounters: -1,
-		Seed:                   0x9A7,
+		IntervalLength:     768, // 1.5 × DefaultBatchSize
+		ThresholdPercent:   2,
+		TotalEntries:       256,
+		NumTables:          4,
+		CounterWidth:       16,
+		ConservativeUpdate: true,
+		Retain:             true,
+		Seed:               0x9A7,
 	}
 	opt, err := NewMultiHash(cfg)
 	if err != nil {

@@ -293,18 +293,23 @@ func equalProfiles(t *testing.T, interval int, want, got map[event.Tuple]uint64)
 
 // TestDifferentialAllPolicyCombos runs randomized workloads through the
 // optimized MultiHash and the seed reference for every combination of
-// shielding, conservative update, reset-on-promote, and retaining, in both
-// the multi-table (fused) and single-table shapes, and demands
-// bit-identical interval profiles and candidate lists.
+// shielding, conservative update, reset-on-promote, and retaining, in the
+// multi-table (fused), single-table, weak-hash and wide-counter shapes,
+// and demands bit-identical interval profiles and candidate lists.
 func TestDifferentialAllPolicyCombos(t *testing.T) {
 	shapes := []struct {
 		name      string
 		numTables int
 		weak      bool
+		width     uint
 	}{
-		{"multi4", 4, false},
-		{"single", 1, false},
-		{"weak4", 4, true}, // WeakFamily defeats fusing: exercises the generic path
+		{"multi4", 4, false, 8}, // low width forces saturation
+		{"single", 1, false, 8},
+		{"weak4", 4, true, 8}, // WeakFamily defeats fusing: exercises the generic path
+		// Counters too wide to pack take the generic loop even though
+		// the family fuses.
+		{"multi4_w32", 4, false, 32},
+		{"single_w64", 1, false, 64},
 	}
 	const intervalLen = 2000
 	for _, sh := range shapes {
@@ -314,7 +319,7 @@ func TestDifferentialAllPolicyCombos(t *testing.T) {
 				ThresholdPercent:   1,
 				TotalEntries:       256, // small tables force aliasing and eviction
 				NumTables:          sh.numTables,
-				CounterWidth:       8, // low width forces saturation
+				CounterWidth:       sh.width,
 				ConservativeUpdate: mask&1 != 0,
 				ResetOnPromote:     mask&2 != 0,
 				Retain:             mask&4 != 0,

@@ -1,17 +1,16 @@
 package core
 
 // Property tests pinning down which within-batch reorderings preserve the
-// profile — the correctness boundary the staged and banked pipelines are
-// built around (DESIGN.md §14):
+// profile — the correctness boundary the staged pipeline is built around
+// (DESIGN.md §14):
 //
 //   - Plain update (C0) without promotions is permutation-invariant: the
 //     final counter state is a per-counter sum of saturating increments.
-//     This is what licenses the banked sweep's bank-by-bank replay.
 //   - Conservative update (C1) is order-sensitive even under schedules
 //     that preserve per-counter order: an increment is guarded by the
 //     event's cross-counter minimum at its logical time, which couples
-//     counters the events do not share. This is why C1 stays on the
-//     ordered staged pipeline and is excluded from the banked sweep.
+//     counters the events do not share. This is why the staged commit
+//     runs in event order.
 //   - Swapping adjacent events with disjoint counter sets preserves the
 //     state under either policy (their updates touch disjoint words).
 
@@ -38,16 +37,15 @@ func counterOffsets(m *MultiHash, tp event.Tuple) []int {
 
 // orderTestConfig is a C1-capable shape with an unreachable promotion
 // threshold, so the tests observe pure counter dynamics.
-func orderTestConfig(c1 bool, bankedMin int) Config {
+func orderTestConfig(c1 bool) Config {
 	return Config{
-		IntervalLength:         1 << 20,
-		ThresholdPercent:       1, // threshold count ~10486, unreachable here
-		TotalEntries:           256,
-		NumTables:              4,
-		CounterWidth:           16,
-		ConservativeUpdate:     c1,
-		BankedSweepMinCounters: bankedMin,
-		Seed:                   0x0D5E,
+		IntervalLength:     1 << 20,
+		ThresholdPercent:   1, // threshold count ~10486, unreachable here
+		TotalEntries:       256,
+		NumTables:          4,
+		CounterWidth:       16,
+		ConservativeUpdate: c1,
+		Seed:               0x0D5E,
 	}
 }
 
@@ -117,11 +115,11 @@ func sharedPair(t *testing.T, m *MultiHash) (x, y event.Tuple, shared, xOnly, yO
 // sequence on s is the same length either way — the divergence comes
 // purely from the cross-counter min guard.
 func TestC1OrderSensitivity(t *testing.T) {
-	probe := mustMultiHash(t, orderTestConfig(true, 0))
+	probe := mustMultiHash(t, orderTestConfig(true))
 	x, y, shared, xOnly, yOnly := sharedPair(t, probe)
 
 	run := func(batch []event.Tuple) ([]uint64, *MultiHash) {
-		m := mustMultiHash(t, orderTestConfig(true, 0))
+		m := mustMultiHash(t, orderTestConfig(true))
 		for _, j := range yOnly {
 			m.set.IncAt(j)
 		}
@@ -165,10 +163,9 @@ func TestC1OrderSensitivity(t *testing.T) {
 	_ = xOnly
 }
 
-// TestC0PermutationInvariance is the property the banked sweep's replay
-// rests on: with plain update and no promotions, every permutation of a
-// batch yields the identical counter state. Checked on both the ordered
-// staged pipeline and the banked pipeline against a common baseline.
+// TestC0PermutationInvariance checks that with plain update and no
+// promotions, every permutation of a batch yields the identical counter
+// state on the staged pipeline.
 func TestC0PermutationInvariance(t *testing.T) {
 	r := xrand.New(0xC0DE)
 	batch := make([]event.Tuple, 600)
@@ -183,7 +180,7 @@ func TestC0PermutationInvariance(t *testing.T) {
 			batch[i] = hot[r.Uint64n(32)]
 		}
 	}
-	base := mustMultiHash(t, orderTestConfig(false, -1))
+	base := mustMultiHash(t, orderTestConfig(false))
 	base.ObserveBatch(batch)
 	want := counterState(base)
 
@@ -193,15 +190,12 @@ func TestC0PermutationInvariance(t *testing.T) {
 			k := int(r.Uint64n(uint64(i + 1)))
 			perm[i], perm[k] = perm[k], perm[i]
 		}
-		for _, bankedMin := range []int{-1, 1} {
-			m := mustMultiHash(t, orderTestConfig(false, bankedMin))
-			m.ObserveBatch(perm)
-			got := counterState(m)
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("trial %d banked=%d: counter %d = %d, want %d",
-						trial, bankedMin, j, got[j], want[j])
-				}
+		m := mustMultiHash(t, orderTestConfig(false))
+		m.ObserveBatch(perm)
+		got := counterState(m)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("trial %d: counter %d = %d, want %d", trial, j, got[j], want[j])
 			}
 		}
 	}
@@ -211,7 +205,7 @@ func TestC0PermutationInvariance(t *testing.T) {
 // swapping adjacent events whose counter sets are disjoint. Their guarded
 // increments read and write disjoint words, so the swap commutes.
 func TestC1DisjointSwapInvariance(t *testing.T) {
-	probe := mustMultiHash(t, orderTestConfig(true, 0))
+	probe := mustMultiHash(t, orderTestConfig(true))
 	r := xrand.New(0xD15)
 	// Build a batch, then find an adjacent disjoint pair to swap.
 	batch := make([]event.Tuple, 64)
@@ -240,8 +234,8 @@ func TestC1DisjointSwapInvariance(t *testing.T) {
 	if !found {
 		t.Fatal("no adjacent disjoint pair in 64 random tuples (hash family degenerate?)")
 	}
-	a := mustMultiHash(t, orderTestConfig(true, 0))
-	b := mustMultiHash(t, orderTestConfig(true, 0))
+	a := mustMultiHash(t, orderTestConfig(true))
+	b := mustMultiHash(t, orderTestConfig(true))
 	a.ObserveBatch(batch)
 	b.ObserveBatch(swapped)
 	wa, wb := counterState(a), counterState(b)

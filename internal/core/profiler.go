@@ -55,7 +55,7 @@ type MultiHash struct {
 	cfg    Config
 	thresh uint64
 	fam    hashfn.Indexer
-	fused  *hashfn.Fused // non-nil: specialized shielded loops apply
+	fused  *hashfn.Fused // non-nil: the staged pipeline may apply
 	set    *counter.Set
 	acc    *accum.Table
 
@@ -64,8 +64,7 @@ type MultiHash struct {
 	events uint64
 	spare  map[event.Tuple]uint64 // recycled snapshot map, see Recycle
 
-	sc           stagedScratch // staged-pipeline scratch, see staged.go
-	bankMinWords int           // counter-set size at which C0 goes banked
+	sc stagedScratch // staged-pipeline scratch, see staged.go
 }
 
 // NewMultiHash builds a profiler for the given configuration.
@@ -96,41 +95,19 @@ func NewMultiHash(cfg Config) (*MultiHash, error) {
 		return nil, fmt.Errorf("core: building accumulator: %w", err)
 	}
 	m := &MultiHash{
-		cfg:          cfg,
-		thresh:       cfg.ThresholdCount(),
-		fam:          fam,
-		fused:        fused,
-		set:          set,
-		acc:          acc,
-		idxBuf:       make([]uint32, 0, cfg.NumTables),
-		bankMinWords: cfg.bankMinWords(),
+		cfg:    cfg,
+		thresh: cfg.ThresholdCount(),
+		fam:    fam,
+		fused:  fused,
+		set:    set,
+		acc:    acc,
+		idxBuf: make([]uint32, 0, cfg.NumTables),
 	}
 	if fused != nil {
 		m.sc.packed = make([]uint64, 0, stagedWindow)
 		m.sc.slots = make([]uint32, 0, stagedWindow)
-		if m.bankedEligible() {
-			m.growBankedScratch(bankedWindowMax)
-		}
 	}
 	return m, nil
-}
-
-// PrewarmBatch pre-sizes the batch pipeline's scratch for batches of up
-// to n events, so a worker's first real batch never pays a scratch
-// allocation mid-stream. Optional — the pipelines grow their scratch on
-// demand and NewMultiHash already sizes it for the default windows —
-// but engines that know their per-worker batch length (shard.New) call
-// it once at construction.
-func (m *MultiHash) PrewarmBatch(n int) {
-	if m.fused == nil || n <= 0 {
-		return
-	}
-	if m.bankedEligible() {
-		if n > bankedWindowMax {
-			n = bankedWindowMax
-		}
-		m.growBankedScratch(n)
-	}
 }
 
 // Config returns the configuration the profiler was built with.
@@ -159,12 +136,11 @@ func (m *MultiHash) Observe(tp event.Tuple) {
 }
 
 // ObserveBatch feeds every tuple of batch through the architecture, in
-// order, with the exact semantics of per-tuple Observe calls. The common
-// shielded configurations with packed counters dispatch to the staged
-// batch pipeline (staged.go) — and, for plain-update configurations whose
-// counter set outgrows the cache, the bank-bucketed sweep (banked.go).
-// Everything else (no shielding, weak-hash ablations, wide counters or
-// geometries) takes the ordered loops.
+// order, with the exact semantics of per-tuple Observe calls. Shielded
+// configurations whose hash family fuses and whose counters pack (width
+// <= 24) dispatch to the staged batch pipeline (staged.go), C1 or C0.
+// Everything else (no shielding, weak-hash ablations, more than 4 tables,
+// wide counters or indexes) takes the generic loop.
 func (m *MultiHash) ObserveBatch(batch []event.Tuple) {
 	m.events += uint64(len(batch))
 	if len(batch) == 0 {
@@ -174,114 +150,20 @@ func (m *MultiHash) ObserveBatch(batch []event.Tuple) {
 		if hot, ok := m.set.Hot(); ok {
 			if m.cfg.ConservativeUpdate {
 				m.observeStagedConservative(batch, hot)
-			} else if len(hot.Words) >= m.bankMinWords {
-				m.observeBanked(batch, hot)
 			} else {
 				m.observeStagedPlain(batch, hot)
 			}
 			return
 		}
-		if m.cfg.ConservativeUpdate {
-			m.observeFusedConservative(batch)
-		} else {
-			m.observeFused(batch)
-		}
-		return
 	}
 	m.observeGeneric(batch)
 }
 
-// observeFused is the specialized loop for shielded, non-conservative (C0)
-// configurations: every counter increments, so the promotion minimum falls
-// out of the increment pass. One fused table pass yields all n indexes;
-// per-event work is the accumulator probe plus n contiguous counter
-// updates, with no per-event allocation or pointer chasing.
-func (m *MultiHash) observeFused(batch []event.Tuple) {
-	acc, fu, set := m.acc, m.fused, m.set
-	n := fu.Len()
-	size := set.Size()
-	thresh := m.thresh
-	resetOnPromote := m.cfg.ResetOnPromote
-
-	for _, tp := range batch {
-		if acc.Inc(tp) {
-			continue // resident and shielded: the exact counter took it
-		}
-		packed := fu.Packed(tp)
-		min := ^uint64(0)
-		p := packed
-		for base := 0; base < n*size; base += size {
-			if v := set.IncAt(base + int(p&hashfn.FusedMask)); v < min {
-				min = v
-			}
-			p >>= 16
-		}
-		if min < thresh {
-			continue
-		}
-		if acc.Insert(tp, min) && resetOnPromote {
-			p = packed
-			for base := 0; base < n*size; base += size {
-				set.ResetAt(base + int(p&hashfn.FusedMask))
-				p >>= 16
-			}
-		}
-	}
-}
-
-// observeFusedConservative is the specialized loop for shielded
-// conservative-update (C1) configurations: only the minimum-valued
-// counters increment. The post-update minimum needed for promotion is
-// derived without a third pass — every counter at the pre-update minimum
-// advances by one (saturation aside), so the updated minimum is pre+1.
-func (m *MultiHash) observeFusedConservative(batch []event.Tuple) {
-	acc, fu, set := m.acc, m.fused, m.set
-	n := fu.Len()
-	size := set.Size()
-	thresh := m.thresh
-	max := set.Max()
-	resetOnPromote := m.cfg.ResetOnPromote
-
-	var js [4]int // fused families have at most 4 functions
-	for _, tp := range batch {
-		if acc.Inc(tp) {
-			continue
-		}
-		p := fu.Packed(tp)
-		min := ^uint64(0)
-		base := 0
-		for t := 0; t < n; t++ {
-			j := base + int(p&hashfn.FusedMask)
-			js[t] = j
-			if v := set.GetAt(j); v < min {
-				min = v
-			}
-			p >>= 16
-			base += size
-		}
-		for t := 0; t < n; t++ {
-			if set.GetAt(js[t]) == min {
-				set.IncAt(js[t])
-			}
-		}
-		if min < max {
-			min++ // the updated minimum: every minimal counter advanced
-		}
-		if min < thresh {
-			continue
-		}
-		if acc.Insert(tp, min) && resetOnPromote {
-			for t := 0; t < n; t++ {
-				set.ResetAt(js[t])
-			}
-		}
-	}
-}
-
-// observeGeneric is the fully general loop, used when shielding is off or
+// observeGeneric is the fully general loop, used when shielding is off,
 // the hash family cannot fuse (weak-hash ablation, more than 4 tables,
-// index widths over 16 bits). Semantics are identical to the specialized
-// loops on their shared configurations.
+// index widths over 16 bits) or counters are wider than 24 bits.
+// Semantics are identical to the staged pipeline on their shared
+// configurations.
 func (m *MultiHash) observeGeneric(batch []event.Tuple) {
 	acc, fam, set := m.acc, m.fam, m.set
 	size := set.Size()

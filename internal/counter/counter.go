@@ -228,31 +228,6 @@ func (h Hot) Inc(j int) uint32 {
 	return c
 }
 
-// Bank geometry for the bucketed counter sweeps: the flat counter array is
-// divided into contiguous banks of 2^BankShift counters, sized so one
-// bank's words stay L1-resident while a sweep walks it — the software
-// analog of the banked counter SRAMs that let the paper's hardware sustain
-// one update per cycle without structural hazards. Staged indexes are
-// counting-sorted by BankOf and each bank is swept in order, so counter
-// traffic within a sweep is confined to one cache-sized window at a time.
-const (
-	// BankShift is log2 of the bank size in counters: 4096 counters of 4
-	// packed bytes = 16 KB per bank.
-	BankShift = 12
-	// BankCounters is the number of counters per bank.
-	BankCounters = 1 << BankShift
-)
-
-// NumBanks returns how many banks the set's flat array spans (the last one
-// possibly partial). Small sets are a single bank.
-func (s *Set) NumBanks() int {
-	n := s.tables * s.size
-	return (n + BankCounters - 1) >> BankShift
-}
-
-// BankOf returns the bank of flat offset j.
-func BankOf(j uint32) uint32 { return j >> BankShift }
-
 // Get returns the value of bank t's counter i.
 func (s *Set) Get(t int, i uint32) uint64 { return s.GetAt(t*s.size + int(i)) }
 

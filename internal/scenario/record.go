@@ -164,7 +164,7 @@ func DecodeRecording(data []byte) (*Recording, error) {
 		return nil, err
 	}
 	nd, k := binary.Uvarint(p)
-	if k <= 0 || nd*4 != uint64(len(p)-k) {
+	if k <= 0 || (len(p)-k)%4 != 0 || nd != uint64(len(p)-k)/4 {
 		return nil, fmt.Errorf("scenario: recording digest list corrupt")
 	}
 	p = p[k:]

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -79,6 +81,62 @@ func TestRecordingDetectsCorruption(t *testing.T) {
 	if _, err := DecodeRecording(enc[:8]); err == nil {
 		t.Fatal("truncation went undetected")
 	}
+}
+
+// resealed appends body's CRC32, the trailer DecodeRecording checks first.
+func resealed(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+}
+
+// TestRecordingDigestCountOverflow pins a correctly sealed recording whose
+// digest count times four wraps to the zero bytes that follow it: the
+// decoder must reject it instead of allocating 1<<62 digests.
+func TestRecordingDigestCountOverflow(t *testing.T) {
+	body := append([]byte(nil), recordMagic[:]...)
+	body = append(body, recordVersion)
+	body = binary.AppendUvarint(body, uint64(len(recText)))
+	body = append(body, recText...)
+	body = binary.AppendUvarint(body, 0) // empty trace
+	body = binary.AppendUvarint(body, 1<<62)
+	if _, err := DecodeRecording(resealed(body)); err == nil {
+		t.Fatal("digest count 1<<62 with no digest bytes was accepted")
+	}
+}
+
+// FuzzRecording feeds arbitrary bytes to the HWSR decoder, once as given
+// and once with the trailing checksum recomputed so that mutations reach
+// the framing behind it. Decoding must never panic, and a recording it
+// accepts must encode to bytes that decode to the same recording.
+func FuzzRecording(f *testing.F) {
+	// A two-interval recording keeps the seed near 1 KB; recText's 45 KB
+	// would spend the fuzzing budget minimizing.
+	const small = "scenario fz\nseed 3\ninterval 64\nphase a 128 {\n    source workload gcc\n}\n"
+	rec, _, err := Record(context.Background(), small)
+	if err != nil {
+		f.Fatalf("Record: %v", err)
+	}
+	f.Add(rec.Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, resealed(data[:len(data)-4]))
+		}
+		for _, in := range inputs {
+			dec, err := DecodeRecording(in)
+			if err != nil {
+				continue
+			}
+			enc := dec.Encode()
+			again, err := DecodeRecording(enc)
+			if err != nil {
+				t.Fatalf("re-encoded recording rejected: %v", err)
+			}
+			if !bytes.Equal(again.Encode(), enc) {
+				t.Fatal("re-encoded recording decodes to a different recording")
+			}
+		}
+	})
 }
 
 func TestReplayCatchesTamperedDigest(t *testing.T) {

@@ -531,23 +531,8 @@ func TestTenantRateResumeExemption(t *testing.T) {
 
 	// Resuming the parked session succeeds: the limiter gates new
 	// admissions, not continuations.
-	conn3, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn3, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: ack.SessionID})
 	defer conn3.Close()
-	wc3 := wire.NewConn(conn3)
-	if err := wc3.ClientHandshake(); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.Resume{SessionID: ack.SessionID}
-	if err := wc3.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err = wc3.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if typ != wire.MsgResumeAck {
 		if typ == wire.MsgError {
 			if e, err2 := wire.DecodeError(payload); err2 == nil {

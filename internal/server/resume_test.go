@@ -148,23 +148,8 @@ func TestTombstoneExpiry(t *testing.T) {
 // the refusal must carry CodeUnknownSession and count a resume failure.
 func TestResumeUnknownSession(t *testing.T) {
 	srv, addr := startServer(t, server.Config{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 0xdeadbeef, Intervals: 2, Floor: 17})
 	defer conn.Close()
-	wc := wire.NewConn(conn)
-	if err := wc.ClientHandshake(); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.Resume{SessionID: 0xdeadbeef, Intervals: 2, Floor: 17}
-	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := wc.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if typ != wire.MsgError {
 		t.Fatalf("expected error frame, got type %d", typ)
 	}
@@ -200,23 +185,8 @@ func TestTombstoneExpiredResumeRefused(t *testing.T) {
 	m := srv.Metrics()
 	waitFor(t, "tombstone to expire", func() bool { return m.TombstonesExpired.Load() >= 1 })
 
-	conn2, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn2, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1}) // first session the daemon issued
 	defer conn2.Close()
-	wc2 := wire.NewConn(conn2)
-	if err := wc2.ClientHandshake(); err != nil {
-		t.Fatal(err)
-	}
-	r := wire.Resume{SessionID: 1} // first session the daemon issued
-	if err := wc2.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := wc2.ReadFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if typ != wire.MsgError {
 		t.Fatalf("expected error frame, got type %d", typ)
 	}
@@ -227,4 +197,34 @@ func TestTombstoneExpiredResumeRefused(t *testing.T) {
 	if e.Code != wire.CodeUnknownSession {
 		t.Fatalf("error code %d, want CodeUnknownSession", e.Code)
 	}
+}
+
+// TestResumeRacesPark parks one session and resumes it at once, over and
+// over. A resume may adopt the tombstone while the parking attachment is
+// still settling, so that attachment must not touch the session once the
+// tombstone is published: run under -race, any such access is reported,
+// and closing the adopter's attachDone panics the daemon.
+func TestResumeRacesPark(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	conn, wc := rawSession(t, addr, testConfig(3))
+	// One event per cycle: the session never reaches an interval boundary,
+	// so every resume is valid at Intervals 0 and Floor 0.
+	batch := wire.AppendBatch(nil, []event.Tuple{{A: 1, B: 1}})
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		if err := wc.WriteFrame(wire.MsgBatch, batch); err != nil {
+			t.Fatalf("cycle %d: writing batch: %v", i, err)
+		}
+		conn.Close()
+		var typ byte
+		var payload []byte
+		conn, wc, typ, payload = rawResume(t, addr, wire.Resume{SessionID: 1}) // first session the daemon issued
+		if typ != wire.MsgResumeAck {
+			e, _ := wire.DecodeError(payload)
+			t.Fatalf("cycle %d: frame type %d (%+v), want resume-ack", i, typ, e)
+		}
+	}
+	conn.Close()
+	m := srv.Metrics()
+	waitFor(t, "every resume to be counted", func() bool { return m.ResumesTotal.Load() == cycles })
 }

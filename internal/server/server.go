@@ -710,11 +710,15 @@ func (s *Server) removeSession(sess *session) {
 // tombstone: engine and stream position retained, attachment released,
 // grace timer armed. During a drain there is no one to resume for, so the
 // session is discarded instead.
+//
+// Publishing the tombstone hands the session to whichever resume adopts
+// it, so nothing here touches the session after the insert.
 func (s *Server) parkSession(sess *session) {
 	sess.conn.Close()
 	s.metrics.SessionErrors.Inc()
+	id, interval, events, pos := sess.id, sess.interval, sess.events, sess.streamPos.Load()
 	s.mu.Lock()
-	delete(s.sessions, sess.id)
+	delete(s.sessions, id)
 	if s.draining.Load() || s.closed {
 		s.mu.Unlock()
 		sess.release()
@@ -723,13 +727,13 @@ func (s *Server) parkSession(sess *session) {
 	}
 	sess.parkEpoch++
 	epoch := sess.parkEpoch
-	s.tombs[sess.id] = sess
+	s.tombs[id] = sess
 	s.mu.Unlock()
 	s.metrics.SessionsActive.Add(-1)
 	s.metrics.SessionsParked.Add(1)
 	s.logf("session %d: parked at interval %d+%d events (stream pos %d), grace %v",
-		sess.id, sess.interval, sess.events, sess.streamPos.Load(), s.cfg.ResumeGrace)
-	time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireTombstone(sess.id, epoch) })
+		id, interval, events, pos, s.cfg.ResumeGrace)
+	time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireTombstone(id, epoch) })
 }
 
 // expireTombstone discards a parked session whose grace period lapsed

@@ -197,6 +197,28 @@ func rawSession(t *testing.T, addr string, cfg core.Config) (net.Conn, *wire.Con
 	return conn, wc
 }
 
+// rawResume dials addr, sends r as a Resume frame, and returns the
+// connection together with the daemon's first reply frame.
+func rawResume(t *testing.T, addr string, r wire.Resume) (net.Conn, *wire.Conn, byte, []byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := wire.NewConn(conn)
+	if err := wc.ClientHandshake(); err != nil {
+		t.Fatal(err)
+	}
+	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wc.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, wc, typ, payload
+}
+
 // TestMidStreamDisconnect injects an abrupt client disconnect mid-stream:
 // the daemon must tear that session down, count the failure, and leave a
 // concurrent healthy session's profiles untouched.

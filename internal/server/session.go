@@ -40,8 +40,10 @@ type item struct {
 // synchronization (srv.mu plus the previous attachment's attachDone).
 // events, interval, ring and enc belong to the worker goroutine during an
 // attachment; the park/resume path reads them only after the attachment is
-// fully done. streamPos, shed, parkNext and draining are shared and
-// atomic.
+// fully done. Publishing the tombstone (parkSession, under srv.mu) hands
+// the session to the next resume, which may adopt it at once: the parking
+// attachment touches no session field after that. streamPos, shed,
+// parkNext and draining are shared and atomic.
 type session struct {
 	srv *Server
 	id  uint64
@@ -389,9 +391,13 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 		return
 	}
 
+	// Each failure path below parks the session, after which a concurrent
+	// resume may adopt it and replace attachDone: close this attachment's
+	// channel through a local, never through the session.
+	done := make(chan struct{})
 	sess.conn, sess.wc = conn, wc
 	sess.queue = make(chan item, s.cfg.QueueDepth)
-	sess.attachDone = make(chan struct{})
+	sess.attachDone = done
 	sess.connDead = false
 	sess.gateOn = false
 	sess.parkNext.Store(false)
@@ -419,7 +425,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
 		s.logf("session %d: writing resume-ack: %v", sess.id, err)
 		s.parkSession(sess)
-		close(sess.attachDone)
+		close(done)
 		return
 	}
 	// Notices the previous attachment could not deliver come first: the
@@ -433,7 +439,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 			s.logf("session %d: resending notice: %v", sess.id, err)
 			sess.pendingNotices = sess.pendingNotices[i:]
 			s.parkSession(sess)
-			close(sess.attachDone)
+			close(done)
 			return
 		}
 	}
@@ -443,7 +449,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 		if err := wc.WriteFrame(wire.MsgProfile, sess.ring[i]); err != nil {
 			s.logf("session %d: resending profile: %v", sess.id, err)
 			s.parkSession(sess)
-			close(sess.attachDone)
+			close(done)
 			return
 		}
 		s.metrics.IntervalsTotal.Inc()
@@ -491,8 +497,10 @@ func (s *session) serve() {
 // finishAttachment settles the attachment after both goroutines exited:
 // park the session (stream failure, resumable) or remove it (finished or
 // failed). attachDone is closed last so the resume path can wait for the
-// verdict to be fully applied.
+// verdict to be fully applied. Once parked, the session may already be
+// adopted by a resume, so the channel to close is read beforehand.
 func (s *session) finishAttachment() {
+	done := s.attachDone
 	if s.gateOn {
 		s.gateOn = false
 		s.srv.metrics.ShedSessions.Add(-1)
@@ -503,7 +511,7 @@ func (s *session) finishAttachment() {
 		s.conn.Close()
 		s.srv.removeSession(s)
 	}
-	close(s.attachDone)
+	close(done)
 }
 
 // read is the reader loop: decode frames, enqueue work. It exits on drain,

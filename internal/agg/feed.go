@@ -95,7 +95,10 @@ type FeedConfig struct {
 	// Logf receives one line per epoch lifecycle event; nil disables.
 	Logf func(format string, args ...any)
 	// OnEpoch, when non-nil, observes every closed epoch (telemetry). It
-	// is called with the feed unlocked, in close order.
+	// is called in close order, under the feed's lock, as each epoch
+	// closes and before any subscriber can receive it — so a subscriber
+	// never sees an epoch its telemetry has not counted. It must be quick
+	// and must not call back into the feed.
 	OnEpoch func(Epoch)
 	// OnReport, when non-nil, observes every accepted report: the member,
 	// its epoch, and its lag behind the frontier in epochs (telemetry).
@@ -256,24 +259,19 @@ func (f *Feed) JoinAt(name string, start uint64) {
 // Reports for closed epochs — a straggler arriving after its deadline —
 // are counted and dropped; an epoch, once closed, is immutable.
 func (f *Feed) Report(name string, epoch uint64, counts map[event.Tuple]uint64, missing []string) {
-	epochs := f.report(name, epoch, counts, missing)
-	f.deliver(epochs)
-}
-
-func (f *Feed) report(name string, epoch uint64, counts map[event.Tuple]uint64, missing []string) []Epoch {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil
+		return
 	}
 	m := f.members[name]
 	if m == nil {
 		f.cfg.Logf("agg: report from unknown member %s dropped", name)
-		return nil
+		return
 	}
 	if epoch < m.next {
 		f.lateLocked(name, epoch)
-		return nil
+		return
 	}
 	m.next = epoch + 1
 	if epoch+1 > f.frontier {
@@ -284,7 +282,8 @@ func (f *Feed) report(name string, epoch uint64, counts map[event.Tuple]uint64, 
 		// arrived. Its counts are unmergeable now; the partial marker
 		// already named it missing.
 		f.lateLocked(name, epoch)
-		return f.advanceLocked()
+		f.advanceLocked()
+		return
 	}
 	op := f.open[epoch]
 	if op == nil {
@@ -305,7 +304,7 @@ func (f *Feed) report(name string, epoch uint64, counts map[event.Tuple]uint64, 
 	if f.cfg.OnReport != nil {
 		f.cfg.OnReport(name, epoch, f.frontier-m.next)
 	}
-	return f.advanceLocked()
+	f.advanceLocked()
 }
 
 // lateLocked accounts one dropped late/duplicate report.
@@ -322,25 +321,21 @@ func (f *Feed) lateLocked(name string, epoch uint64) {
 // the lost span instead of stalling it. The skipped epochs close with the
 // member in their Missing list.
 func (f *Feed) Skip(name string, to uint64) {
-	f.deliver(f.skip(name, to))
-}
-
-func (f *Feed) skip(name string, to uint64) []Epoch {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil
+		return
 	}
 	m := f.members[name]
 	if m == nil || to <= m.next {
-		return nil
+		return
 	}
 	f.cfg.Logf("agg: member %s skipped epochs [%d, %d)", name, m.next, to)
 	m.next = to
 	if to > f.frontier {
 		f.frontier = to
 	}
-	return f.advanceLocked()
+	f.advanceLocked()
 }
 
 // Leave removes a member. A clean leave (the member drained: everything it
@@ -349,18 +344,14 @@ func (f *Feed) skip(name string, to uint64) []Epoch {
 // member's in-progress epoch as missing it forever, so the loss surfaces
 // as a typed partial epoch rather than a silently smaller count.
 func (f *Feed) Leave(name string, clean bool) {
-	f.deliver(f.leave(name, clean))
-}
-
-func (f *Feed) leave(name string, clean bool) []Epoch {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.closed {
-		return nil
+		return
 	}
 	m := f.members[name]
 	if m == nil {
-		return nil
+		return
 	}
 	delete(f.members, name)
 	if !clean && m.next >= f.next {
@@ -377,30 +368,27 @@ func (f *Feed) leave(name string, clean bool) []Epoch {
 	} else {
 		f.cfg.Logf("agg: member %s left at epoch %d", name, m.next)
 	}
-	return f.advanceLocked()
+	f.advanceLocked()
 }
 
 // advanceLocked closes every epoch the watermark protocol says is done —
 // settled epochs as they are, window overflows as partial — and re-arms
-// the straggler deadline. It returns the closed epochs for delivery after
-// the lock drops.
-func (f *Feed) advanceLocked() []Epoch {
-	var closed []Epoch
+// the straggler deadline.
+func (f *Feed) advanceLocked() {
 	for f.next < f.frontier {
 		e := f.next
 		if f.settledLocked(e) {
-			closed = append(closed, f.closeLocked(e))
+			f.closeLocked(e)
 			continue
 		}
 		if f.frontier-e > uint64(f.cfg.Window) {
 			f.cfg.Logf("agg: epoch %d force-closed: open window %d exceeded", e, f.cfg.Window)
-			closed = append(closed, f.closeLocked(e))
+			f.closeLocked(e)
 			continue
 		}
 		break
 	}
 	f.armDeadlineLocked()
-	return closed
 }
 
 // settledLocked reports whether nothing more can arrive for epoch e: every
@@ -416,8 +404,9 @@ func (f *Feed) settledLocked(e uint64) bool {
 
 // closeLocked closes epoch e: merged counts sealed, missing members
 // computed (expected-but-silent, ghosts, and child-propagated names
-// unioned), the epoch retained and returned for delivery.
-func (f *Feed) closeLocked(e uint64) Epoch {
+// unioned), the epoch retained, observed by OnEpoch, and only then handed
+// to subscribers.
+func (f *Feed) closeLocked(e uint64) {
 	op := f.open[e]
 	delete(f.open, e)
 	counts := map[event.Tuple]uint64{}
@@ -467,6 +456,9 @@ func (f *Feed) closeLocked(e uint64) Epoch {
 	if ep.Partial {
 		f.cfg.Logf("agg: epoch %d closed partial: missing %v", e, names)
 	}
+	if f.cfg.OnEpoch != nil {
+		f.cfg.OnEpoch(ep)
+	}
 	for sub := range f.subs {
 		if ep.Epoch < sub.start {
 			continue
@@ -481,17 +473,6 @@ func (f *Feed) closeLocked(e uint64) Epoch {
 			close(sub.ch)
 			f.cfg.Logf("agg: subscriber overflowed at epoch %d, dropped", e)
 		}
-	}
-	return ep
-}
-
-// deliver invokes the OnEpoch hook for closed epochs, outside the lock.
-func (f *Feed) deliver(epochs []Epoch) {
-	if f.cfg.OnEpoch == nil {
-		return
-	}
-	for _, ep := range epochs {
-		f.cfg.OnEpoch(ep)
 	}
 }
 
@@ -520,19 +501,16 @@ func (f *Feed) armDeadlineLocked() {
 // still the lowest open epoch.
 func (f *Feed) onDeadline(e uint64, gen int) {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed || gen != f.timerGen {
-		f.mu.Unlock()
 		return
 	}
 	f.armed = false
-	var closed []Epoch
 	if f.next == e && f.next < f.frontier {
 		f.cfg.Logf("agg: epoch %d force-closed: straggler deadline %v fired", e, f.cfg.Deadline)
-		closed = append(closed, f.closeLocked(e))
-		closed = append(closed, f.advanceLocked()...)
+		f.closeLocked(e)
+		f.advanceLocked()
 	}
-	f.mu.Unlock()
-	f.deliver(closed)
 }
 
 // Subscribe attaches a subscriber wanting epochs from `start` on. Epochs

@@ -573,12 +573,11 @@ func (s *Session) admitProfile(m wire.ProfileMsg) (Profile, bool) {
 }
 
 // applyNotice re-anchors the session's position arithmetic at the
-// announced geometry and surfaces the notice to the caller. Notices are
-// absolute snapshots, so applying one twice (a resend across a resume) is
-// a no-op.
+// announced geometry and surfaces the notice to the caller. After a resume
+// the daemon redelivers every notice from the boundary the session may
+// have missed on, so one it already holds can arrive again: that copy is
+// dropped, keeping NoticeTrail and Resizes exact.
 func (s *Session) applyNotice(n wire.Notice) {
-	s.lastShed.Store(n.Shed)
-	s.rung.Store(int32(n.Rung))
 	nt := Notice{
 		Kind:           n.Kind,
 		Rung:           int(n.Rung),
@@ -592,7 +591,15 @@ func (s *Session) applyNotice(n wire.Notice) {
 		Reason:         n.Reason,
 	}
 	s.mu.Lock()
-	// A notice for a boundary older than the current anchor is a staged
+	for i := len(s.noticeTrail) - 1; i >= 0 && s.noticeTrail[i].Index >= nt.Index; i-- {
+		if s.noticeTrail[i] == nt {
+			s.mu.Unlock()
+			return
+		}
+	}
+	s.lastShed.Store(n.Shed)
+	s.rung.Store(int32(n.Rung))
+	// A notice for a boundary older than the current anchor is a
 	// redelivery after a resume whose ack already resynchronized the
 	// geometry: record it in the trail (it carries the timeline detail the
 	// ack lacks) but leave the counter and anchor alone.

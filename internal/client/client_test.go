@@ -229,3 +229,169 @@ func TestReconnectResumes(t *testing.T) {
 		})
 	}
 }
+
+// helloAck answers a scripted attachment's Hello with a resumable session.
+func helloAck(wc *wire.Conn) error {
+	if _, err := expect(wc, wire.MsgHello); err != nil {
+		return err
+	}
+	ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4}
+	return wc.WriteFrame(wire.MsgHelloAck, wire.AppendHelloAck(nil, ack))
+}
+
+// resumeAck answers a scripted attachment's Resume at interval 1 and
+// stream position L, under the given interval length.
+func resumeAck(wc *wire.Conn, cfg core.Config, length uint64) error {
+	if _, err := expect(wc, wire.MsgResume); err != nil {
+		return err
+	}
+	ack := wire.ResumeAck{Intervals: 1, StreamPos: cfg.IntervalLength, IntervalLength: length,
+		TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1}
+	return wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack))
+}
+
+// finish serves the tail of a scripted attachment: profile idx, then the
+// drain reply and goodbye.
+func finish(wc *wire.Conn, idx uint64) error {
+	if err := sendProfile(wc, idx, false); err != nil {
+		return err
+	}
+	if _, err := expect(wc, wire.MsgDrain); err != nil {
+		return err
+	}
+	if err := sendProfile(wc, idx+1, true); err != nil {
+		return err
+	}
+	return wc.WriteFrame(wire.MsgGoodbye, nil)
+}
+
+// TestResumeDropsResentProfile: a daemon that resends profile 0 after a
+// resume at interval 1 (a profile below the expected index) must not
+// deliver it to the caller a second time.
+func TestResumeDropsResentProfile(t *testing.T) {
+	cfg := testConfig()
+	L := cfg.IntervalLength
+	drop := make(chan struct{})
+	f := &fakeDaemon{t: t}
+	f.script = []func(*wire.Conn) error{
+		func(wc *wire.Conn) error {
+			if err := helloAck(wc); err != nil {
+				return err
+			}
+			if err := readEvents(wc, L); err != nil {
+				return err
+			}
+			if err := sendProfile(wc, 0, false); err != nil {
+				return err
+			}
+			<-drop
+			return nil
+		},
+		func(wc *wire.Conn) error {
+			if err := resumeAck(wc, cfg, L); err != nil {
+				return err
+			}
+			// A pipe has no buffer: the resend a daemon would write right
+			// after the ack waits for the client's replay here.
+			if err := readEvents(wc, L); err != nil {
+				return err
+			}
+			if err := sendProfile(wc, 0, false); err != nil {
+				return err
+			}
+			return finish(wc, 1)
+		},
+	}
+
+	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe(t, s, L)
+	if p := <-s.Profiles(); p.Index != 0 {
+		t.Fatalf("first profile has index %d, want 0", p.Index)
+	}
+	close(drop)
+	observe(t, s, L)
+	if p := <-s.Profiles(); p.Index != 1 || p.Final {
+		t.Fatalf("profile after the resume = index %d final %v, want index 1: the resent profile 0 was delivered again", p.Index, p.Final)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// TestResumeDropsRedeliveredNotice: after a resume the daemon redelivers
+// the notice for the boundary the client may have missed. A client that
+// already holds it must record it once in NoticeTrail, surface it once,
+// and count its resize once.
+func TestResumeDropsRedeliveredNotice(t *testing.T) {
+	cfg := testConfig()
+	L := cfg.IntervalLength
+	notice := wire.AppendNotice(nil, wire.Notice{Kind: wire.NoticeResize, Index: 0, Observed: L,
+		IntervalLength: 2 * L, TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1,
+		Reason: "operator resize"})
+	drop := make(chan struct{})
+	f := &fakeDaemon{t: t}
+	f.script = []func(*wire.Conn) error{
+		func(wc *wire.Conn) error {
+			if err := helloAck(wc); err != nil {
+				return err
+			}
+			if err := readEvents(wc, L); err != nil {
+				return err
+			}
+			if err := sendProfile(wc, 0, false); err != nil {
+				return err
+			}
+			if err := wc.WriteFrame(wire.MsgNotice, notice); err != nil {
+				return err
+			}
+			<-drop
+			return nil
+		},
+		func(wc *wire.Conn) error {
+			if err := resumeAck(wc, cfg, 2*L); err != nil {
+				return err
+			}
+			if err := readEvents(wc, 2*L); err != nil {
+				return err
+			}
+			if err := wc.WriteFrame(wire.MsgNotice, notice); err != nil {
+				return err
+			}
+			return finish(wc, 1)
+		},
+	}
+
+	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observe(t, s, L)
+	if p := <-s.Profiles(); p.Index != 0 {
+		t.Fatalf("first profile has index %d, want 0", p.Index)
+	}
+	if n := <-s.Notices(); n.Index != 0 || n.IntervalLength != 2*L {
+		t.Fatalf("notice = %+v, want the resize at boundary 0", n)
+	}
+	close(drop)
+	observe(t, s, 2*L)
+	if p := <-s.Profiles(); p.Index != 1 || p.Final {
+		t.Fatalf("profile after the resume = index %d final %v, want index 1", p.Index, p.Final)
+	}
+	if trail := s.NoticeTrail(); len(trail) != 1 {
+		t.Fatalf("notice trail holds %d notices, want the redelivered one once: %+v", len(trail), trail)
+	}
+	select {
+	case n := <-s.Notices():
+		t.Fatalf("redelivered notice surfaced again: %+v", n)
+	default:
+	}
+	if got := s.Resizes(); got != 1 {
+		t.Fatalf("Resizes = %d, want 1", got)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}

@@ -298,7 +298,8 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 
 // sendNotice writes a MsgNotice snapshot of the boundary the worker just
 // placed: interval s.interval-1 closed, the current geometry in force from
-// s.interval on. A write failure on a resumable session flips the
+// s.interval on. A resumable session keeps the frame for redelivery on
+// resume, written or not. A write failure on a resumable session flips the
 // attachment into connDead mode exactly as a failed profile write would.
 func (s *session) sendNotice(kind byte, a adaptive.Action) {
 	n := wire.Notice{
@@ -314,14 +315,15 @@ func (s *session) sendNotice(kind byte, a adaptive.Action) {
 		Reason:         a.Reason,
 	}
 	s.enc = wire.AppendNotice(s.enc[:0], n)
+	if s.srv.cfg.resumeEnabled() {
+		s.notices = append(s.notices, keptNotice{index: n.Index, frame: append([]byte(nil), s.enc...)})
+	}
 	if s.connDead {
-		s.stageNotice()
 		return
 	}
 	if err := s.wc.WriteFrame(wire.MsgNotice, s.enc); err != nil {
 		s.srv.logf("session %d: writing notice: %v", s.id, err)
 		if s.parkable() {
-			s.stageNotice()
 			s.connDead = true
 			s.parkNext.Store(true)
 			s.conn.Close()
@@ -330,18 +332,6 @@ func (s *session) sendNotice(kind byte, a adaptive.Action) {
 		s.srv.metrics.SessionErrors.Inc()
 		s.conn.Close()
 	}
-}
-
-// stageNotice retains the notice frame in s.enc for redelivery on resume.
-// Capped so a pathological boundary loop on a long-dead attachment cannot
-// grow without bound; shedding the oldest is safe because the resume ack
-// re-anchors the client regardless — only the timeline detail is lost.
-func (s *session) stageNotice() {
-	const maxPendingNotices = 256
-	if len(s.pendingNotices) >= maxPendingNotices {
-		s.pendingNotices = s.pendingNotices[1:]
-	}
-	s.pendingNotices = append(s.pendingNotices, append([]byte(nil), s.enc...))
 }
 
 // setRung moves the session to ladder rung r, keeping the per-rung and

@@ -228,3 +228,56 @@ func TestResumeRacesPark(t *testing.T) {
 	m := srv.Metrics()
 	waitFor(t, "every resume to be counted", func() bool { return m.ResumesTotal.Load() == cycles })
 }
+
+// TestResumeRedeliversWrittenNotice loses a notice the daemon did write:
+// the client reads profile 0 and the resize notice after it, then the
+// connection drops. The daemon cannot tell what the client read, so a
+// resume at interval 1 must resend the notice for boundary 0 right after
+// the ack — notices are redelivered by boundary index, like profiles —
+// and the client drops the copy it already holds.
+func TestResumeRedeliversWrittenNotice(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	conn, wc := rawSession(t, addr, testConfig(5))
+	if err := srv.ResizeSession(1, 2000, 256, 1); err != nil { // first session the daemon issued
+		t.Fatal(err)
+	}
+	batch := make([]event.Tuple, 1000)
+	for i := range batch {
+		batch[i] = event.Tuple{A: uint64(i % 13), B: 1}
+	}
+	if err := wc.WriteFrame(wire.MsgBatch, wire.AppendBatch(nil, batch)); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []byte{wire.MsgProfile, wire.MsgNotice} {
+		typ, _, err := wc.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != want {
+			t.Fatalf("frame type %d, want %d", typ, want)
+		}
+	}
+	conn.Close()
+
+	conn, wc, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: 1, Floor: 1000})
+	defer conn.Close()
+	if typ != wire.MsgResumeAck {
+		e, _ := wire.DecodeError(payload)
+		t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload, err := wc.ReadFrame()
+	if err != nil {
+		t.Fatalf("no frame after the resume ack: %v", err)
+	}
+	if typ != wire.MsgNotice {
+		t.Fatalf("frame type %d after the resume ack, want the notice", typ)
+	}
+	n, err := wire.DecodeNotice(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.Kind != wire.NoticeResize || n.Index != 0 || n.Observed != 1000 || n.IntervalLength != 2000 {
+		t.Fatalf("redelivered notice = %+v, want the resize to interval 2000 at boundary 0, observed 1000", n)
+	}
+}

@@ -38,12 +38,12 @@ type item struct {
 // Ownership: the attachment fields (conn, wc, queue, attachDone) are
 // replaced only between attachments, under the resume path's
 // synchronization (srv.mu plus the previous attachment's attachDone).
-// events, interval, ring and enc belong to the worker goroutine during an
-// attachment; the park/resume path reads them only after the attachment is
-// fully done. Publishing the tombstone (parkSession, under srv.mu) hands
-// the session to the next resume, which may adopt it at once: the parking
-// attachment touches no session field after that. streamPos, shed,
-// parkNext and draining are shared and atomic.
+// events, interval, ring, notices and enc belong to the worker goroutine
+// during an attachment; the park/resume path reads them only after the
+// attachment is fully done. Publishing the tombstone (parkSession, under
+// srv.mu) hands the session to the next resume, which may adopt it at
+// once: the parking attachment touches no session field after that.
+// streamPos, shed, parkNext and draining are shared and atomic.
 type session struct {
 	srv *Server
 	id  uint64
@@ -97,14 +97,15 @@ type session struct {
 	observed uint64   // total events observed into the engine (shed excluded)
 	interval uint64   // completed intervals, = next profile index
 	ring     [][]byte // recent encoded profiles, oldest first, for resend on resume
-	// pendingNotices holds encoded notice frames the worker could not
-	// deliver to a dead attachment (a resize or ladder move committed while
-	// the queue drained disconnected). The resume path replays them, in
-	// order, right after the ack — so the client's notice trail stays a
-	// complete geometry timeline across outages, not just a re-anchored one.
-	pendingNotices [][]byte
-	streamPos      atomic.Uint64 // client-stream events consumed: observed + shed
-	shed           atomic.Uint64 // cumulative events dropped under shed policy
+	// notices holds every notice frame sent, oldest first, for as long as
+	// the ring keeps its boundary. The resume path resends the ones the
+	// client may have missed by boundary index, exactly as it resends
+	// profiles — whether the frame was lost with a cut connection or never
+	// written to a dead one — so the client's notice trail stays a complete
+	// geometry timeline across outages, not just a re-anchored one.
+	notices   []keptNotice
+	streamPos atomic.Uint64 // client-stream events consumed: observed + shed
+	shed      atomic.Uint64 // cumulative events dropped under shed policy
 
 	// Crash durability: every engine-observed batch and interval boundary
 	// is mirrored here before the client learns of it, so a restarted
@@ -123,6 +124,13 @@ type session struct {
 	gateOn   bool // reader-local: hysteresis shed gate engaged
 
 	enc []byte // reused frame-encoding buffer (worker goroutine only)
+}
+
+// keptNotice is an encoded notice frame kept for redelivery, with the
+// boundary it announced: interval index closed under the old geometry.
+type keptNotice struct {
+	index uint64
+	frame []byte
 }
 
 // release discards the session's engine and returns its admission cost.
@@ -428,22 +436,23 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 		close(done)
 		return
 	}
-	// Notices the previous attachment could not deliver come first: the
-	// ack already re-anchored the client's arithmetic, but only the notice
-	// frames carry the boundary positions and reasons a verifying client
-	// needs for its geometry timeline. Kept until actually written, so a
-	// resume that dies mid-flush retries them on the next one (duplicates
-	// are harmless: a geometry-identical notice changes nothing).
-	for i, frame := range sess.pendingNotices {
-		if err := wc.WriteFrame(wire.MsgNotice, frame); err != nil {
+	// Redeliver by boundary index, notices first: the ack already
+	// re-anchored the client's arithmetic, but only the notice frames carry
+	// the boundary positions and reasons a verifying client needs for its
+	// geometry timeline. A notice for boundary r.Intervals−1 follows that
+	// interval's profile on the wire, so it may have been lost even though
+	// the profile arrived; the client drops the ones it already has.
+	for _, n := range sess.notices {
+		if n.index+1 < r.Intervals {
+			continue
+		}
+		if err := wc.WriteFrame(wire.MsgNotice, n.frame); err != nil {
 			s.logf("session %d: resending notice: %v", sess.id, err)
-			sess.pendingNotices = sess.pendingNotices[i:]
 			s.parkSession(sess)
 			close(done)
 			return
 		}
 	}
-	sess.pendingNotices = nil
 	resend := int(sess.interval - r.Intervals)
 	for i := len(sess.ring) - resend; i < len(sess.ring); i++ {
 		if err := wc.WriteFrame(wire.MsgProfile, sess.ring[i]); err != nil {
@@ -843,6 +852,10 @@ func (s *session) emitProfile(final bool) bool {
 			} else {
 				copy(s.ring, s.ring[1:])
 				s.ring[len(s.ring)-1] = buf
+			}
+			oldest := s.interval + 1 - uint64(len(s.ring))
+			for len(s.notices) > 0 && s.notices[0].index < oldest {
+				s.notices = s.notices[1:]
 			}
 		}
 		if s.jw != nil {

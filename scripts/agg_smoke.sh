@@ -71,9 +71,21 @@ wait_log "$MID2PID" "$WORKDIR/mid2.log" "serving merged epochs" "aggd mid2"
 wait_log "$ROOTPID" "$WORKDIR/root.log" "serving merged epochs" "aggd root"
 
 echo "== tree run: union stream across the fleet, hangup on first connections"
+cat > "$WORKDIR/fleet.scn" <<SCN
+scenario fleet
+seed 1
+interval $EPOCH
+entries 2048
+shards 4
+
+phase run 50000 {
+	source workload gcc
+}
+
+fault hangup 12000..14000
+SCN
 "$WORKDIR/loadgen" -tree-daemons "$D0,$D1,$D2,$D3" -tree-root "$ROOT" \
-    -events 50000 -interval "$EPOCH" \
-    -hangup-every 2 -hangup-bytes 20000 \
+    -scenario "$WORKDIR/fleet.scn" \
     | tee "$WORKDIR/tree.out"
 
 grep -q "bit-identical to single-engine union run" "$WORKDIR/tree.out" \

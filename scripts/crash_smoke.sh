@@ -20,6 +20,18 @@ go build -o "$WORKDIR/loadgen" ./cmd/loadgen
 LISTEN=127.0.0.1:19143
 TELEMETRY=127.0.0.1:19144
 
+cat > "$WORKDIR/crash.scn" <<'SCN'
+scenario crash
+seed 1
+interval 10000
+entries 2048
+shards 2
+
+phase run 60000 {
+	source workload gcc
+}
+SCN
+
 for SYNC in batch interval; do
     JOURNAL="$WORKDIR/journal-$SYNC"
     echo "== crash run (sync $SYNC): 4 sessions, SIGKILL mid-epoch, restart, resume"
@@ -27,7 +39,7 @@ for SYNC in batch interval; do
         -kill-daemon-at 25000 -daemon-bin "$WORKDIR/profiled" \
         -daemon-journal-dir "$JOURNAL" -daemon-journal-sync "$SYNC" \
         -daemon-telemetry "$TELEMETRY" \
-        -sessions 4 -events 60000 -interval 10000 -shards 2 \
+        -sessions 4 -scenario "$WORKDIR/crash.scn" \
         2>"$WORKDIR/daemon-$SYNC.log" | tee "$WORKDIR/loadgen-$SYNC.out"
 
     grep -q "crash: PASS" "$WORKDIR/loadgen-$SYNC.out" \

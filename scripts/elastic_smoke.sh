@@ -50,10 +50,25 @@ for i in $(seq 1 50); do
 done
 
 echo "== chaos run: 4 verified sessions vs the resizing daemon, hangup + corruption injection"
+cat > "$WORKDIR/elastic.scn" <<'SCN'
+scenario elastic-chaos
+seed 1
+interval 2000
+entries 2048
+
+phase run 300000 {
+	source workload gcc
+}
+
+fault hangup 6000..7000
+fault corrupt 14000..15000
+fault hangup 30000..31000
+fault corrupt 60000..61000
+fault hangup 120000..121000
+fault corrupt 200000..201000
+SCN
 "$WORKDIR/loadgen" -addr "$LISTEN" -metrics "http://$TELEMETRY/metrics" \
-    -sessions 4 -events 300000 -interval 2000 -entries 2048 \
-    -hangup-every 3 -hangup-bytes 60000 \
-    -flip-every 4 -flip-bytes 30000 \
+    -sessions 4 -scenario "$WORKDIR/elastic.scn" \
     -max-attempts 20 -verify \
     | tee "$WORKDIR/loadgen.out"
 

@@ -31,9 +31,21 @@ for i in $(seq 1 50); do
 done
 
 echo "== chaos run: 6 sessions over a 4-session budget, disconnect injection"
+cat > "$WORKDIR/overload.scn" <<'SCN'
+scenario overload
+seed 1
+interval 10000
+entries 2048
+
+phase run 150000 {
+	source workload gcc
+}
+
+fault hangup 8000..9000
+fault hangup 80000..81000
+SCN
 "$WORKDIR/loadgen" -addr "$LISTEN" -metrics "http://$TELEMETRY/metrics" \
-    -sessions 6 -events 150000 -interval 10000 \
-    -hangup-every 2 -hangup-bytes 60000 \
+    -sessions 6 -scenario "$WORKDIR/overload.scn" \
     | tee "$WORKDIR/loadgen.out"
 
 grep -q " 0 failed" "$WORKDIR/loadgen.out" || { echo "FAIL: a session failed outright"; exit 1; }
@@ -45,9 +57,21 @@ grep -Eq "hwprof_events_shed_total [1-9]" "$WORKDIR/loadgen.out" || { echo "FAIL
 grep -Eq "hwprof_admission_refused_cost_total 2" "$WORKDIR/loadgen.out" || { echo "FAIL: daemon did not count the admission refusals"; exit 1; }
 
 echo "== chaos run: frame corruption must park and resume, not kill"
+cat > "$WORKDIR/corrupt.scn" <<'SCN'
+scenario corrupt
+seed 1
+interval 10000
+entries 2048
+
+phase run 60000 {
+	source workload gcc
+}
+
+fault corrupt 4000..5000
+fault corrupt 30000..31000
+SCN
 "$WORKDIR/loadgen" -addr "$LISTEN" -metrics "http://$TELEMETRY/metrics" \
-    -sessions 2 -events 60000 -interval 10000 \
-    -flip-every 2 -flip-bytes 30000 \
+    -sessions 2 -scenario "$WORKDIR/corrupt.scn" \
     | tee "$WORKDIR/loadgen2.out"
 grep -q " 0 failed" "$WORKDIR/loadgen2.out" || { echo "FAIL: corruption killed a session instead of parking it"; exit 1; }
 grep -Eq "hwprof_frames_corrupt_total [1-9]" "$WORKDIR/loadgen2.out" || { echo "FAIL: daemon counted no corrupt frames"; exit 1; }

@@ -13,6 +13,9 @@
 // — and the profiler hardware is rebuilt at each adaptation, modeling a
 // reconfiguration (retained candidates are deliberately dropped: the old
 // threshold no longer means the same thing).
+//
+// The rule itself lives only in Elastic's accuracy axis (elastic.go): the
+// offline Profiler and the daemon's session controller both run it.
 package adaptive
 
 import (
@@ -37,8 +40,10 @@ type Config struct {
 	ShrinkAbove, GrowBelow float64
 
 	// Settle is how many interval boundaries must pass after an
-	// adaptation before the controller adapts again (damping). Zero
-	// means adapt freely.
+	// adaptation before the controller adapts again (damping). The
+	// boundary right after an adaptation is the first at the new length
+	// and has no variation to act on, so adaptations are always at least
+	// two boundaries apart: Settle 0 and Settle 1 behave the same.
 	Settle int
 }
 
@@ -90,14 +95,14 @@ type Boundary struct {
 }
 
 // Profiler is an interval-length-adapting wrapper around the multi-hash
-// profiler.
+// profiler. Its decisions are Elastic's accuracy axis at one shard with no
+// queue: nothing reads as pressure, so only the §5.6.1 rule ever proposes.
 type Profiler struct {
-	cfg    Config
-	cur    uint64
-	inner  *core.MultiHash
-	events uint64
-	prev   map[event.Tuple]bool
-	cool   int
+	cfg     Config
+	cur     uint64
+	inner   *core.MultiHash
+	events  uint64
+	elastic *Elastic
 }
 
 // New builds an adaptive profiler.
@@ -106,10 +111,26 @@ func New(cfg Config) (*Profiler, error) {
 		return nil, err
 	}
 	a := &Profiler{cfg: cfg, cur: cfg.Base.IntervalLength}
+	a.elastic = NewElastic(ElasticConfig{
+		Admitted:    a.geometry(),
+		Tables:      cfg.Base.NumTables,
+		MinLength:   cfg.MinLength,
+		MaxLength:   cfg.MaxLength,
+		ShrinkAbove: cfg.ShrinkAbove,
+		GrowBelow:   cfg.GrowBelow,
+		HighWater:   1, // QueueLen is always 0: never pressure
+		Engage:      1,
+		Settle:      max(cfg.Settle, 1), // Elastic reads 0 as its default of 4
+	})
 	if err := a.rebuild(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// geometry is the profiler's current shape in the controller's terms.
+func (a *Profiler) geometry() Geometry {
+	return Geometry{IntervalLength: a.cur, TotalEntries: a.cfg.Base.TotalEntries, Shards: 1}
 }
 
 // rebuild constructs the inner profiler for the current length.
@@ -121,7 +142,6 @@ func (a *Profiler) rebuild() error {
 		return fmt.Errorf("adaptive: rebuilding at length %d: %w", a.cur, err)
 	}
 	a.inner = inner
-	a.prev = nil
 	return nil
 }
 
@@ -147,51 +167,37 @@ func (a *Profiler) Observe(tp event.Tuple) (*Boundary, error) {
 
 	thresh := a.ThresholdCount()
 	profile := a.inner.EndInterval()
-	cands := make(map[event.Tuple]bool)
-	for t, n := range profile {
-		if n >= thresh {
-			cands[t] = true
-		}
-	}
+	_, variation := a.elastic.ObserveProfile(profile, thresh)
 	b := &Boundary{
 		Profile:        profile,
 		Length:         a.cur,
 		ThresholdCount: thresh,
-		Adapted:        Kept,
+		Variation:      max(variation, 0),
 	}
-	first := a.prev == nil
-	if !first {
-		b.Variation = variationPct(a.prev, cands)
-	}
-	a.prev = cands
-
-	if a.cool > 0 {
-		a.cool--
+	cur := a.geometry()
+	act, ok := a.elastic.Boundary(Signals{Cur: cur, Variation: variation})
+	if !ok {
 		return b, nil
 	}
-	if first {
-		return b, nil
-	}
-	switch {
-	case b.Variation > a.cfg.ShrinkAbove && a.cur/2 >= a.cfg.MinLength:
-		a.cur /= 2
+	switch act.Op {
+	case OpShrinkInterval:
 		b.Adapted = Shrunk
-	case b.Variation < a.cfg.GrowBelow && a.cur*2 <= a.cfg.MaxLength:
-		a.cur *= 2
+	case OpGrowInterval:
 		b.Adapted = Grown
-	default:
-		return b, nil
 	}
-	a.cool = a.cfg.Settle
+	a.elastic.Commit(act, cur)
+	a.cur = act.Geometry.IntervalLength
 	if err := a.rebuild(); err != nil {
 		return nil, err
 	}
 	return b, nil
 }
 
-// variationPct is |symmetric difference| / |union| × 100 (0 for two empty
-// sets).
-func variationPct(prev, next map[event.Tuple]bool) float64 {
+// VariationPct is the percentage of the combined candidate set that
+// changed across a boundary — |symmetric difference| / |union| × 100, the
+// Figure 6 quantity. Identical sets give 0, disjoint sets 100, and two
+// empty sets 0.
+func VariationPct(prev, next map[event.Tuple]bool) float64 {
 	if len(prev) == 0 && len(next) == 0 {
 		return 0
 	}

@@ -198,21 +198,59 @@ func TestBoundariesCarryProfiles(t *testing.T) {
 }
 
 func TestSettleDamping(t *testing.T) {
-	cfg := baseConfig(10_000)
-	cfg.Settle = 3
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := run(t, a, stableSource(7, 300_000), 300_000)
-	// No two adaptations may be closer than Settle boundaries apart.
-	last := -10
-	for i, b := range bs {
-		if b.Adapted != Kept {
-			if i-last <= cfg.Settle {
-				t.Fatalf("adaptations at boundaries %d and %d despite settle %d", last, i, cfg.Settle)
+	// No two adaptations may be closer than Settle+1 boundaries apart. The
+	// boundary after an adaptation is the first at the new length and has
+	// no variation to act on, so Settle 0 spaces them like Settle 1: two
+	// apart. On a stable workload the closest pair is exactly that far.
+	for _, settle := range []int{3, 0} {
+		cfg := baseConfig(10_000)
+		cfg.Settle = settle
+		a, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs := run(t, a, stableSource(7, 300_000), 300_000)
+		gap := max(settle, 1) + 1
+		last, closest := -10, len(bs)
+		for i, b := range bs {
+			if b.Adapted != Kept {
+				if i-last < gap {
+					t.Fatalf("adaptations at boundaries %d and %d despite settle %d", last, i, settle)
+				}
+				closest = min(closest, i-last)
+				last = i
 			}
-			last = i
+		}
+		if closest != gap {
+			t.Fatalf("settle %d: closest adaptations %d boundaries apart, want %d", settle, closest, gap)
+		}
+	}
+}
+
+// TestStreak pins the consecutive-run counting every controller judgment
+// reads.
+func TestStreak(t *testing.T) {
+	type obs struct{ high, low bool }
+	for _, tc := range []struct {
+		name   string
+		seq    []obs
+		hi, lo int
+	}{
+		{"empty", nil, 0, 0},
+		{"highs count", []obs{{true, false}, {true, false}, {true, false}}, 3, 0},
+		{"lows count", []obs{{false, true}, {false, true}}, 0, 2},
+		{"low breaks high", []obs{{true, false}, {true, false}, {false, true}}, 0, 1},
+		{"high breaks low", []obs{{false, true}, {false, true}, {true, false}}, 1, 0},
+		{"neither breaks both", []obs{{true, false}, {true, false}, {false, false}}, 0, 0},
+		{"run restarts after a break", []obs{{false, true}, {false, false}, {false, true}}, 0, 1},
+		{"high wins a tie", []obs{{false, true}, {true, true}}, 1, 0},
+	} {
+		var s streak
+		for _, o := range tc.seq {
+			s.observe(o.high, o.low)
+		}
+		if s.hi != tc.hi || s.lo != tc.lo {
+			t.Errorf("%s: streak = {hi %d, lo %d}, want {hi %d, lo %d}", tc.name, s.hi, s.lo, tc.hi, tc.lo)
 		}
 	}
 }
@@ -234,5 +272,25 @@ func TestOnRealAnalog(t *testing.T) {
 	run(t, a, g, 800_000)
 	if a.IntervalLength() <= 40_000 {
 		t.Fatalf("no growth on phase-averaging analog: %d", a.IntervalLength())
+	}
+}
+
+func TestVariationPct(t *testing.T) {
+	a := map[event.Tuple]bool{{A: 1}: true, {A: 2}: true}
+	b := map[event.Tuple]bool{{A: 1}: true, {A: 2}: true}
+	if v := VariationPct(a, b); v != 0 {
+		t.Fatalf("identical sets vary %v", v)
+	}
+	c := map[event.Tuple]bool{{A: 3}: true}
+	if v := VariationPct(a, c); v != 100 {
+		t.Fatalf("disjoint sets vary %v", v)
+	}
+	d := map[event.Tuple]bool{{A: 1}: true}
+	// union 2, symdiff 1 → 50%.
+	if v := VariationPct(a, d); v != 50 {
+		t.Fatalf("half-overlap sets vary %v", v)
+	}
+	if v := VariationPct(nil, nil); v != 0 {
+		t.Fatalf("empty sets vary %v", v)
 	}
 }

@@ -6,16 +6,18 @@ import (
 	"hwprof/internal/event"
 )
 
-// This file lifts the package's offline adaptive-interval idea (§5.6.1)
-// into the decision core of an online per-session elastic controller. The
-// controller is transport-free and engine-free: the serving layer feeds it
-// one Signals observation per interval boundary and applies the Actions it
-// proposes — rebuilding the engine, journaling the resize, notifying the
-// client. Every judgment uses the same engage/disengage hysteresis shape
-// as the shed gate: a signal must persist for Engage consecutive
-// boundaries to trigger, the opposite signal for Release boundaries to
-// relax, and Settle boundaries of cooldown follow every committed action
-// so the controller never flaps an engine it just rebuilt.
+// This file holds the package's one decision core: the §5.6.1
+// adaptive-interval rule together with the online per-session elastic
+// controller built around it. The controller is transport-free and
+// engine-free: a driver (the serving layer, or the offline Profiler) feeds
+// it one Signals observation per interval boundary and applies the Actions
+// it proposes — rebuilding the engine and, in the daemon, journaling the
+// resize and notifying the client. Every judgment reads a streak: a signal
+// must persist for Engage consecutive boundaries to trigger, the opposite
+// signal for Release boundaries to relax, and Settle boundaries of
+// cooldown follow every committed action so the controller never flaps an
+// engine it just rebuilt. (The daemon's shed gate is not a streak but a
+// latch over queue length, checked per batch: it counts no boundaries.)
 
 // Degradation-ladder rungs, in escalation order. Rung 1 is observational —
 // the shed gate (reader-side, with its own hysteresis) is already dropping
@@ -112,9 +114,6 @@ type ElasticConfig struct {
 	// MinLength and MaxLength bound the adapted interval length.
 	MinLength, MaxLength uint64
 
-	// MinEntries floors table shrinking; MaxEntries caps table growth.
-	MinEntries, MaxEntries int
-
 	// MaxShards caps shard scale-up.
 	MaxShards int
 
@@ -124,12 +123,9 @@ type ElasticConfig struct {
 	HighWater, LowWater int
 
 	// ShrinkAbove and GrowBelow are the candidate-variation percentages
-	// (§5.6.1) beyond which the interval shrinks or grows.
+	// (§5.6.1) beyond which the interval shrinks or grows. They default as
+	// a pair, so a set band may have GrowBelow 0: never grow.
 	ShrinkAbove, GrowBelow float64
-
-	// OccupancyHigh is the distinct-tuples/TotalEntries ratio above which
-	// the tables grow (hash pressure costs accuracy).
-	OccupancyHigh float64
 
 	// Engage is how many consecutive boundaries a signal must persist
 	// before the controller acts; Release how many calm boundaries before
@@ -165,25 +161,11 @@ func (c ElasticConfig) withElasticDefaults() ElasticConfig {
 	if c.MaxLength == 0 {
 		c.MaxLength = c.Admitted.IntervalLength * 16
 	}
-	if c.MinEntries == 0 {
-		if c.MinEntries = c.Admitted.TotalEntries / 8; c.MinEntries < c.Tables {
-			c.MinEntries = c.Tables
-		}
-	}
-	if c.MaxEntries == 0 {
-		c.MaxEntries = c.Admitted.TotalEntries * 8
-	}
 	if c.MaxShards == 0 {
 		c.MaxShards = c.Admitted.Shards
 	}
 	if c.ShrinkAbove == 0 {
-		c.ShrinkAbove = 60
-	}
-	if c.GrowBelow == 0 {
-		c.GrowBelow = 10
-	}
-	if c.OccupancyHigh == 0 {
-		c.OccupancyHigh = 1
+		c.ShrinkAbove, c.GrowBelow = 60, 10
 	}
 	if c.Engage == 0 {
 		c.Engage = 3
@@ -197,6 +179,26 @@ func (c ElasticConfig) withElasticDefaults() ElasticConfig {
 	return c
 }
 
+// entriesSpan bounds table resizes to within this factor of the admitted
+// entries either way.
+const entriesSpan = 8
+
+// streak counts the consecutive boundaries on which a signal read high,
+// or low. A boundary that reads neither breaks both runs, so a streak is
+// always consecutive.
+type streak struct{ hi, lo int }
+
+func (s *streak) observe(high, low bool) {
+	switch {
+	case high:
+		s.hi, s.lo = s.hi+1, 0
+	case low:
+		s.hi, s.lo = 0, s.lo+1
+	default:
+		*s = streak{}
+	}
+}
+
 // Elastic is one session's controller state. It is not safe for concurrent
 // use; the serving layer drives it from the session's worker goroutine.
 type Elastic struct {
@@ -204,9 +206,11 @@ type Elastic struct {
 	rung int
 	cool int
 
-	hi, lo           int // pressure / calm streaks
-	varHi, varLo     int // variation streaks (accuracy axis)
-	occHi            int // occupancy streak
+	// pressure reads the queue and the shed count (high: pressure, low:
+	// calm); variation the candidate-set change (high: shrink the
+	// interval, low: grow it); occupancy distinct tuples over entries.
+	pressure, variation, occupancy streak
+
 	pendingRung      int // rung a proposed action moves to, applied on Commit
 	pendingValid     bool
 	prevCands        map[event.Tuple]bool
@@ -240,7 +244,7 @@ func (e *Elastic) ObserveProfile(profile map[event.Tuple]uint64, threshold uint6
 	}
 	variation = -1
 	if e.prevCands != nil {
-		variation = variationPct(e.prevCands, next)
+		variation = VariationPct(e.prevCands, next)
 	}
 	e.prevCandsStorage = e.prevCands
 	e.prevCands = next
@@ -252,33 +256,11 @@ func (e *Elastic) ObserveProfile(profile map[event.Tuple]uint64, threshold uint6
 // next Boundary call.
 func (e *Elastic) Boundary(sig Signals) (Action, bool) {
 	cfg := &e.cfg
-	pressure := sig.QueueLen >= cfg.HighWater || sig.ShedDelta > 0
-	calm := sig.QueueLen <= cfg.LowWater && sig.ShedDelta == 0
-	switch {
-	case pressure:
-		e.hi, e.lo = e.hi+1, 0
-	case calm:
-		e.hi, e.lo = 0, e.lo+1
-	default:
-		e.hi, e.lo = 0, 0 // between the watermarks: streaks must be consecutive
-	}
-	if sig.Variation >= 0 {
-		switch {
-		case sig.Variation > cfg.ShrinkAbove:
-			e.varHi, e.varLo = e.varHi+1, 0
-		case sig.Variation < cfg.GrowBelow:
-			e.varHi, e.varLo = 0, e.varLo+1
-		default:
-			e.varHi, e.varLo = 0, 0
-		}
-	} else {
-		e.varHi, e.varLo = 0, 0
-	}
-	if float64(sig.Distinct) > cfg.OccupancyHigh*float64(sig.Cur.TotalEntries) {
-		e.occHi++
-	} else {
-		e.occHi = 0
-	}
+	e.pressure.observe(sig.QueueLen >= cfg.HighWater || sig.ShedDelta > 0,
+		sig.QueueLen <= cfg.LowWater && sig.ShedDelta == 0)
+	known := sig.Variation >= 0
+	e.variation.observe(known && sig.Variation > cfg.ShrinkAbove, known && sig.Variation < cfg.GrowBelow)
+	e.occupancy.observe(sig.Distinct > sig.Cur.TotalEntries, false)
 
 	// Rung 1 is observational and free — no engine rebuild — so it is not
 	// gated by the cooldown.
@@ -294,17 +276,17 @@ func (e *Elastic) Boundary(sig Signals) (Action, bool) {
 		return Action{}, false
 	}
 
-	if e.hi >= cfg.Engage {
+	if e.pressure.hi >= cfg.Engage {
 		return e.escalate(sig)
 	}
-	if e.lo >= cfg.Release {
+	if e.pressure.lo >= cfg.Release {
 		if a, ok := e.deescalate(sig); ok {
 			return a, true
 		}
 	}
 	// The accuracy and occupancy axes act only at full service with no
 	// pressure building: degradation owns the geometry above rung 1.
-	if e.rung <= RungShed && e.hi == 0 {
+	if e.rung <= RungShed && e.pressure.hi == 0 {
 		return e.adapt(sig)
 	}
 	return Action{}, false
@@ -325,7 +307,7 @@ func (e *Elastic) escalate(sig Signals) (Action, bool) {
 			return e.propose(Action{
 				Op: OpGrowShards, Geometry: g, Rung: e.rung,
 				Reason: fmt.Sprintf("queue pressure %d ≥ %d for %d boundaries: %d → %d shard(s)",
-					sig.QueueLen, cfg.HighWater, e.hi, cur.Shards, ns),
+					sig.QueueLen, cfg.HighWater, e.pressure.hi, cur.Shards, ns),
 			})
 		}
 	}
@@ -353,10 +335,10 @@ func (e *Elastic) escalate(sig Signals) (Action, bool) {
 	}
 	// Rung 3: shrink the tables — less storage and per-event work, and a
 	// guaranteed cost reduction.
-	if e.rung < RungShrunk && shrinkableEntries(cur.TotalEntries, cfg.Tables, cfg.MinEntries) {
+	if e.rung < RungShrunk && shrinkableEntries(cur.TotalEntries, cfg.Tables, cfg.Admitted.TotalEntries/entriesSpan) {
 		g := cur
 		g.TotalEntries = cur.TotalEntries / 2
-		g.Shards = clampShards(cur.Shards, g.TotalEntries)
+		g.Shards = ClampShards(cur.Shards, g.TotalEntries)
 		return e.propose(Action{
 			Op: OpShrinkTables, Geometry: g, Rung: RungShrunk,
 			Reason: fmt.Sprintf("sustained pressure (queue %d, shed +%d): entries %d → %d",
@@ -371,7 +353,7 @@ func (e *Elastic) escalate(sig Signals) (Action, bool) {
 				sig.QueueLen, sig.ShedDelta),
 		})
 	}
-	e.hi = 0 // fully degraded and still hot; retry after another streak
+	e.pressure.hi = 0 // fully degraded and still hot; retry after another streak
 	return Action{}, false
 }
 
@@ -393,9 +375,9 @@ func (e *Elastic) deescalate(sig Signals) (Action, bool) {
 		if g.TotalEntries > cfg.Admitted.TotalEntries {
 			g.TotalEntries = cfg.Admitted.TotalEntries
 		}
-		g.Shards = clampShards(cur.Shards, g.TotalEntries)
+		g.Shards = ClampShards(cur.Shards, g.TotalEntries)
 		if !e.afford(g) {
-			e.lo = 0
+			e.pressure.lo = 0
 			return Action{}, false
 		}
 		rung := RungShrunk
@@ -404,7 +386,7 @@ func (e *Elastic) deescalate(sig Signals) (Action, bool) {
 		}
 		return e.propose(Action{
 			Op: OpRestore, Geometry: g, Rung: rung,
-			Reason: fmt.Sprintf("calm for %d boundaries: entries %d → %d", e.lo, cur.TotalEntries, g.TotalEntries),
+			Reason: fmt.Sprintf("calm for %d boundaries: entries %d → %d", e.pressure.lo, cur.TotalEntries, g.TotalEntries),
 		})
 	case e.rung == RungShrunk: // entries already back; skip the rung
 		return e.propose(Action{Op: OpRestore, Geometry: cur, Rung: RungCoarse, Reason: "calm; tables already restored"})
@@ -412,12 +394,12 @@ func (e *Elastic) deescalate(sig Signals) (Action, bool) {
 		g := cur
 		g.IntervalLength = cfg.Admitted.IntervalLength
 		if !e.afford(g) {
-			e.lo = 0
+			e.pressure.lo = 0
 			return Action{}, false
 		}
 		return e.propose(Action{
 			Op: OpRestore, Geometry: g, Rung: RungFull,
-			Reason: fmt.Sprintf("calm for %d boundaries: interval %d → %d", e.lo, cur.IntervalLength, g.IntervalLength),
+			Reason: fmt.Sprintf("calm for %d boundaries: interval %d → %d", e.pressure.lo, cur.IntervalLength, g.IntervalLength),
 		})
 	case e.rung == RungCoarse:
 		return e.propose(Action{Op: OpRestore, Geometry: cur, Rung: RungFull, Reason: "calm; interval already restored"})
@@ -426,15 +408,15 @@ func (e *Elastic) deescalate(sig Signals) (Action, bool) {
 	case cur.Shards > cfg.Admitted.Shards:
 		// Fully serviced with scale-up still held: give the shards back.
 		g := cur
-		g.Shards = clampShards(cfg.Admitted.Shards, cur.TotalEntries)
+		g.Shards = ClampShards(cfg.Admitted.Shards, cur.TotalEntries)
 		if g.Shards != cur.Shards {
 			return e.propose(Action{
 				Op: OpShrinkShards, Geometry: g, Rung: e.rung,
-				Reason: fmt.Sprintf("calm for %d boundaries: %d → %d shard(s)", e.lo, cur.Shards, g.Shards),
+				Reason: fmt.Sprintf("calm for %d boundaries: %d → %d shard(s)", e.pressure.lo, cur.Shards, g.Shards),
 			})
 		}
 	}
-	e.lo = 0
+	e.pressure.lo = 0
 	return Action{}, false
 }
 
@@ -444,37 +426,37 @@ func (e *Elastic) deescalate(sig Signals) (Action, bool) {
 func (e *Elastic) adapt(sig Signals) (Action, bool) {
 	cfg := &e.cfg
 	cur := sig.Cur
-	if e.occHi >= cfg.Engage && cur.TotalEntries*2 <= cfg.MaxEntries {
+	if e.occupancy.hi >= cfg.Engage && cur.TotalEntries*2 <= cfg.Admitted.TotalEntries*entriesSpan {
 		g := cur
 		g.TotalEntries = cur.TotalEntries * 2
 		if e.afford(g) {
 			return e.propose(Action{
 				Op: OpGrowTables, Geometry: g, Rung: e.rung,
 				Reason: fmt.Sprintf("%d distinct tuples over %d entries for %d boundaries: entries → %d",
-					sig.Distinct, cur.TotalEntries, e.occHi, g.TotalEntries),
+					sig.Distinct, cur.TotalEntries, e.occupancy.hi, g.TotalEntries),
 			})
 		}
 	}
 	if cfg.FixedInterval {
 		return Action{}, false
 	}
-	if e.varHi >= cfg.Engage && cur.IntervalLength/2 >= cfg.MinLength {
+	if e.variation.hi >= cfg.Engage && cur.IntervalLength/2 >= cfg.MinLength {
 		g := cur
 		g.IntervalLength = cur.IntervalLength / 2
 		return e.propose(Action{
 			Op: OpShrinkInterval, Geometry: g, Rung: e.rung,
 			Reason: fmt.Sprintf("candidate variation %.1f%% > %.1f%% for %d boundaries: interval → %d",
-				sig.Variation, cfg.ShrinkAbove, e.varHi, g.IntervalLength),
+				sig.Variation, cfg.ShrinkAbove, e.variation.hi, g.IntervalLength),
 		})
 	}
-	if e.varLo >= cfg.Engage && cur.IntervalLength*2 <= cfg.MaxLength {
+	if e.variation.lo >= cfg.Engage && cur.IntervalLength*2 <= cfg.MaxLength {
 		g := cur
 		g.IntervalLength = cur.IntervalLength * 2
 		if e.afford(g) {
 			return e.propose(Action{
 				Op: OpGrowInterval, Geometry: g, Rung: e.rung,
 				Reason: fmt.Sprintf("candidate variation %.1f%% < %.1f%% for %d boundaries: interval → %d",
-					sig.Variation, cfg.GrowBelow, e.varLo, g.IntervalLength),
+					sig.Variation, cfg.GrowBelow, e.variation.lo, g.IntervalLength),
 			})
 		}
 	}
@@ -489,14 +471,13 @@ func (e *Elastic) propose(a Action) (Action, bool) {
 
 // Commit applies a proposed action's ladder transition and starts the
 // cooldown. The candidate history resets when the geometry changed — the
-// old threshold no longer means the same thing (the offline controller
-// makes the same call).
+// old threshold no longer means the same thing.
 func (e *Elastic) Commit(a Action, cur Geometry) {
 	if e.pendingValid {
 		e.rung = e.pendingRung
 		e.pendingValid = false
 	}
-	e.hi, e.lo, e.varHi, e.varLo, e.occHi = 0, 0, 0, 0, 0
+	e.pressure, e.variation, e.occupancy = streak{}, streak{}, streak{}
 	e.cool = e.cfg.Settle
 	if a.Resizes(cur) {
 		e.prevCands, e.prevCandsStorage = nil, nil
@@ -508,7 +489,7 @@ func (e *Elastic) Commit(a Action, cur Geometry) {
 // the controller does not hammer a refusing budget every boundary.
 func (e *Elastic) Refuse() {
 	e.pendingValid = false
-	e.hi, e.lo = 0, 0
+	e.pressure = streak{}
 	e.cool = e.cfg.Settle
 }
 
@@ -516,24 +497,16 @@ func (e *Elastic) afford(g Geometry) bool {
 	return e.cfg.CanAfford == nil || e.cfg.CanAfford(g)
 }
 
-// growShards doubles the shard count, clamped to max and to divisibility
-// of the counter storage (the same fallback loop admission runs).
-func growShards(cur, entries, max int) int {
-	ns := cur * 2
-	if ns > max {
-		ns = max
-	}
-	for ns > cur && entries%ns != 0 {
-		ns--
-	}
-	if ns < cur {
-		return cur
-	}
-	return ns
+// growShards doubles the shard count, clamped to limit and fitted to the
+// counter storage; it never returns fewer than cur.
+func growShards(cur, entries, limit int) int {
+	return max(ClampShards(min(cur*2, limit), entries), cur)
 }
 
-// clampShards reduces a shard count until it divides the counter storage.
-func clampShards(shards, entries int) int {
+// ClampShards fits a shard count to the counter storage: at least one, and
+// reduced until it divides entries, as the sharded engine requires. Every
+// path that sets a session's shard count runs it.
+func ClampShards(shards, entries int) int {
 	if shards < 1 {
 		return 1
 	}

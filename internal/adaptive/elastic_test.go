@@ -304,7 +304,7 @@ func TestElasticOccupancyAxis(t *testing.T) {
 	var ok bool
 	for i := 0; i < 10 && !ok; i++ {
 		s := calmSig(cur)
-		s.Distinct = cur.TotalEntries * 2 // occupancy 2.0 > OccupancyHigh 1.0
+		s.Distinct = cur.TotalEntries * 2 // occupancy 2.0 > 1.0
 		act, ok = e.Boundary(s)
 	}
 	if !ok || act.Op != OpGrowTables || act.Geometry.TotalEntries != cur.TotalEntries*2 {
@@ -343,11 +343,11 @@ func TestElasticGeometryHelpers(t *testing.T) {
 	if got := growShards(4, 4, 4); got != 4 {
 		t.Errorf("growShards at the cap = %d, want 4", got)
 	}
-	if got := clampShards(4, 6); got != 3 {
-		t.Errorf("clampShards(4, 6) = %d, want 3", got)
+	if got := ClampShards(4, 6); got != 3 {
+		t.Errorf("ClampShards(4, 6) = %d, want 3", got)
 	}
-	if got := clampShards(0, 8); got != 1 {
-		t.Errorf("clampShards(0, 8) = %d, want 1", got)
+	if got := ClampShards(0, 8); got != 1 {
+		t.Errorf("ClampShards(0, 8) = %d, want 1", got)
 	}
 	if !shrinkableEntries(256, 4, 4) {
 		t.Error("shrinkableEntries(256, 4, 4) = false, want true")

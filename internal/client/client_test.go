@@ -395,3 +395,79 @@ func TestResumeDropsRedeliveredNotice(t *testing.T) {
 		t.Fatalf("Drain: %v", err)
 	}
 }
+
+// TestReplayFloorAcrossResizeAndShed checks pruning by implicit acks
+// within one attachment: each profile proves the daemon consumed its
+// interval's observed events plus everything shed so far, and a resize
+// notice re-anchors that arithmetic at the new interval length. The daemon
+// reads ahead into the next interval before profile 1, so the floor cannot
+// hide behind the cap at everything sent.
+func TestReplayFloorAcrossResizeAndShed(t *testing.T) {
+	cfg := testConfig()
+	L := cfg.IntervalLength
+	const shed, ahead = 37, 100
+	profile := func(wc *wire.Conn, index uint64) error {
+		counts := map[event.Tuple]uint64{{A: 1, B: index}: 100}
+		return wc.WriteFrame(wire.MsgProfile, wire.AppendProfile(nil, wire.ProfileMsg{Index: index, Shed: shed, Counts: counts}))
+	}
+	f := &fakeDaemon{t: t}
+	f.script = []func(*wire.Conn) error{
+		func(wc *wire.Conn) error {
+			if err := helloAck(wc); err != nil {
+				return err
+			}
+			if err := readEvents(wc, L+shed); err != nil {
+				return err
+			}
+			if err := profile(wc, 0); err != nil {
+				return err
+			}
+			notice := wire.Notice{Kind: wire.NoticeResize, Index: 0, Observed: L, Shed: shed,
+				IntervalLength: 2 * L, TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1,
+				Reason: "operator resize"}
+			if err := wc.WriteFrame(wire.MsgNotice, wire.AppendNotice(nil, notice)); err != nil {
+				return err
+			}
+			if err := readEvents(wc, 2*L+ahead); err != nil {
+				return err
+			}
+			if err := profile(wc, 1); err != nil {
+				return err
+			}
+			if _, err := expect(wc, wire.MsgDrain); err != nil {
+				return err
+			}
+			if err := sendProfile(wc, 2, true); err != nil {
+				return err
+			}
+			return wc.WriteFrame(wire.MsgGoodbye, nil)
+		},
+	}
+
+	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := func() uint64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.replayBase
+	}
+	observe(t, s, L+shed)
+	if p := <-s.Profiles(); p.Index != 0 {
+		t.Fatalf("first profile has index %d, want 0", p.Index)
+	}
+	if got := floor(); got != L+shed {
+		t.Fatalf("replay floor %d after profile 0, want %d", got, L+shed)
+	}
+	observe(t, s, 2*L+ahead)
+	if p := <-s.Profiles(); p.Index != 1 {
+		t.Fatalf("second profile has index %d, want 1", p.Index)
+	}
+	if got := floor(); got != 3*L+shed {
+		t.Fatalf("replay floor %d after profile 1, want %d", got, 3*L+shed)
+	}
+	if _, err := s.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}

@@ -11,11 +11,11 @@ import (
 
 // AdaptiveTable exercises the §5.6.1 extension: for each benchmark, start
 // the adaptive controller at the paper's 10K interval and let it pick a
-// length. Programs whose phases alternate faster than the interval
-// (m88ksim, vortex) should grow toward 1M — the paper's own conclusion
-// about which interval suits them — while slowly phase-shifting programs
-// stay short or oscillate. The table reports the chosen length and the
-// adaptation history over a 2M-event run per benchmark.
+// length. Phase-stable programs grow to 640K and stay; programs whose
+// phases alternate every 5–8K events (m88ksim, vortex) shrink instead and
+// lock onto their phase scale (1.25–2.5K), oscillating there — tracking
+// the phases rather than averaging over them. The table reports the chosen
+// length and the adaptation history over a 2M-event run per benchmark.
 func AdaptiveTable(opts Options) (Table, error) {
 	opts = opts.withDefaults()
 	t := Table{

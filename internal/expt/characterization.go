@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"hwprof/internal/adaptive"
 	"hwprof/internal/event"
 )
 
@@ -109,7 +110,7 @@ func Fig6(opts Options) (short, long []Series, err error) {
 			prev := candidateSet(profiles[0], thresh)
 			for _, p := range profiles[1:] {
 				next := candidateSet(p, thresh)
-				variations = append(variations, variationPct(prev, next))
+				variations = append(variations, adaptive.VariationPct(prev, next))
 				prev = next
 			}
 			sort.Float64s(variations)
@@ -131,28 +132,6 @@ func Fig6(opts Options) (short, long []Series, err error) {
 		return nil, nil, err
 	}
 	return short, long, nil
-}
-
-// variationPct is the percentage of the combined candidate set that
-// changed across a boundary: |symmetric difference| / |union| × 100.
-// Identical sets give 0, disjoint sets 100.
-func variationPct(prev, next map[event.Tuple]bool) float64 {
-	if len(prev) == 0 && len(next) == 0 {
-		return 0
-	}
-	union, inter := 0, 0
-	for tp := range prev {
-		union++
-		if next[tp] {
-			inter++
-		}
-	}
-	for tp := range next {
-		if !prev[tp] {
-			union++
-		}
-	}
-	return 100 * float64(union-inter) / float64(union)
 }
 
 // SeriesSummary condenses CDF series into a table of quartiles for text

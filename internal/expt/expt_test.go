@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,26 +50,6 @@ func TestSeriesString(t *testing.T) {
 	s := Series{Name: "x", Points: []float64{1, 2.5}}
 	if got := s.String(); !strings.Contains(got, "x:") || !strings.Contains(got, "2.50") {
 		t.Fatalf("Series.String() = %q", got)
-	}
-}
-
-func TestVariationPct(t *testing.T) {
-	a := map[event.Tuple]bool{{A: 1}: true, {A: 2}: true}
-	b := map[event.Tuple]bool{{A: 1}: true, {A: 2}: true}
-	if v := variationPct(a, b); v != 0 {
-		t.Fatalf("identical sets vary %v", v)
-	}
-	c := map[event.Tuple]bool{{A: 3}: true}
-	if v := variationPct(a, c); v != 100 {
-		t.Fatalf("disjoint sets vary %v", v)
-	}
-	d := map[event.Tuple]bool{{A: 1}: true}
-	// union 2, symdiff 1 → 50%.
-	if v := variationPct(a, d); v != 50 {
-		t.Fatalf("half-overlap sets vary %v", v)
-	}
-	if v := variationPct(nil, nil); v != 0 {
-		t.Fatalf("empty sets vary %v", v)
 	}
 }
 
@@ -296,6 +277,26 @@ func TestAdaptiveTableStructure(t *testing.T) {
 	}
 	if tab.Rows[0][5] == "0" {
 		t.Fatal("no boundaries recorded")
+	}
+}
+
+// TestAdaptiveTableRows pins the §5.6.1 table's rows, as committed in
+// experiments_output.txt at the cmd/experiments defaults, for a
+// phase-stable analog that grows and for the two phase-tracking analogs
+// that lock onto their phase scale.
+func TestAdaptiveTableRows(t *testing.T) {
+	tab, err := AdaptiveTable(Options{Seed: 1, Benchmarks: []string{"gcc", "m88ksim", "vortex"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		// benchmark, start, final, grows, shrinks, boundaries
+		{"gcc", "10000", "640000", "6", "0", "17"},
+		{"m88ksim", "10000", "2500", "49", "51", "1083"},
+		{"vortex", "10000", "1250", "75", "78", "1221"},
+	}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("AdaptiveTable rows = %v, want %v", tab.Rows, want)
 	}
 }
 

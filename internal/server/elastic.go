@@ -112,26 +112,16 @@ func (s *Server) ResizeSession(id, intervalLength uint64, entries, shards int) e
 	if sess.marked {
 		return fmt.Errorf("server: session %d is marked; its boundaries belong to the client", id)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > s.cfg.MaxShards {
-		shards = s.cfg.MaxShards
-	}
 	g := adaptive.Geometry{IntervalLength: intervalLength, TotalEntries: entries, Shards: shards}
 	sess.pendingResize.Store(&g)
 	return nil
 }
 
 // validGeometry normalizes and validates a staged geometry against the
-// session's fixed configuration. Worker goroutine only (reads s.cfg).
+// session's fixed configuration, fitting the shard count the way admission
+// does. Worker goroutine only (reads s.cfg).
 func (s *session) validGeometry(g *adaptive.Geometry) (ok bool, why string) {
-	for g.Shards > 1 && g.TotalEntries%g.Shards != 0 {
-		g.Shards--
-	}
-	if g.Shards < 1 {
-		g.Shards = 1
-	}
+	g.Shards = adaptive.ClampShards(min(g.Shards, s.srv.cfg.MaxShards), g.TotalEntries)
 	cfg := s.cfg
 	cfg.IntervalLength = g.IntervalLength
 	cfg.TotalEntries = g.TotalEntries

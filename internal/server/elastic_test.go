@@ -453,6 +453,77 @@ func TestElasticResizeRefusedByTenantBudget(t *testing.T) {
 	assertSameProfiles(t, want, remote, "refused resize")
 }
 
+// TestShardCountFit drives both server paths that set a session's shard
+// count from a request: a Hello at admission and an operator resize. Each
+// clamps the request to MaxShards and then fits it to divide the entries,
+// so 16 and 12 requested both run as 4 under MaxShards 6 with 256 entries.
+func TestShardCountFit(t *testing.T) {
+	srv, addr := startServer(t, server.Config{MaxShards: 6, ResumeGrace: 20 * time.Second})
+	ccfg := testConfig(11) // 256 entries: only powers of two divide them
+
+	t.Run("hello", func(t *testing.T) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wc := wire.NewConn(conn)
+		if err := wc.ClientHandshake(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: ccfg, Shards: 16})); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := wc.ReadFrame()
+		if err != nil || typ != wire.MsgHelloAck {
+			t.Fatalf("hello-ack: type %d, err %v", typ, err)
+		}
+		ack, err := wire.DecodeHelloAck(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		waitFor(t, "the session to park", func() bool {
+			return srv.Metrics().SessionsParked.Load() == 1
+		})
+		// The resume ack reports the geometry the session runs.
+		conn2, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: ack.SessionID})
+		defer conn2.Close()
+		if typ != wire.MsgResumeAck {
+			t.Fatalf("resume: expected resume-ack, got type %d", typ)
+		}
+		ra, err := wire.DecodeResumeAck(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ra.Shards != 4 {
+			t.Fatalf("hello asking 16 shards runs %d, want 4", ra.Shards)
+		}
+	})
+
+	t.Run("resize", func(t *testing.T) {
+		sess, err := client.Dial(addr, ccfg, client.Options{Shards: 1, BatchSize: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Staged before the first event, so it lands at boundary 0.
+		if err := srv.ResizeSession(sess.ID(), ccfg.IntervalLength, ccfg.TotalEntries, 12); err != nil {
+			t.Fatal(err)
+		}
+		src, err := hwprof.NewWorkload("gcc", hwprof.KindValue, ccfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(hwprof.Limit(src, 3*ccfg.IntervalLength), func(int, map[event.Tuple]uint64) {}); err != nil {
+			t.Fatal(err)
+		}
+		resizes := resizeNotices(sess.NoticeTrail())
+		if len(resizes) != 1 || resizes[0].Shards != 4 {
+			t.Fatalf("resize asking 12 shards left notices %+v, want one to 4 shards", resizes)
+		}
+	})
+}
+
 // TestTenantRateResumeExemption: a tenant that exhausted its session-open
 // rate must still be able to Resume a parked session — resumption continues
 // an already-admitted session and costs no new admission — while a fresh

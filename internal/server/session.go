@@ -190,18 +190,9 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 			fmt.Sprintf("admission refused: tenant %s exceeded session rate %.3g/s", tenant, s.cfg.TenantRate))
 		return
 	}
-	shards := h.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > s.cfg.MaxShards {
-		shards = s.cfg.MaxShards
-	}
-	// Shard counts must divide the counter storage; fall back to
-	// sequential rather than refusing a stream we could serve.
-	for shards > 1 && h.Config.TotalEntries%shards != 0 {
-		shards--
-	}
+	// Fit the requested shard count rather than refuse a stream we could
+	// serve.
+	shards := adaptive.ClampShards(min(h.Shards, s.cfg.MaxShards), h.Config.TotalEntries)
 
 	cost := sessionCost(h.Config, shards)
 	s.mu.Lock()

@@ -31,10 +31,11 @@
 // -shed-low. Disconnected sessions stay resumable for -resume-grace, so
 // clients reconnect and continue bit-identically.
 //
-// With -elastic each v3 session runs an online controller that resizes its
-// engine live — interval length, table size, shard count — under queue and
-// shed pressure, descending an explicit degradation ladder (shed → coarsen
-// → shrink → park) and restoring when calm. Every resize happens at an
+// With -elastic each unmarked session (its client does not place the
+// interval boundaries) runs an online controller that resizes its engine
+// live — interval length, table size, shard count — under queue and shed
+// pressure, descending an explicit degradation ladder (shed → coarsen →
+// shrink → park) and restoring when calm. Every resize happens at an
 // interval boundary through a journaled park-and-restage cycle, so the
 // profile stream stays bit-identical to a cold start at that offset.
 //
@@ -100,7 +101,7 @@ func main() {
 		tenantBurst    = flag.Float64("tenant-burst", 0, "per-tenant admission burst (0: ceil of -tenant-rate)")
 		tenantBudget   = flag.Float64("tenant-budget", 0, "per-tenant slice of the cost budget in reference-session units (0 disables)")
 
-		elastic        = flag.Bool("elastic", false, "run the per-session online controller: live resizes and the degradation ladder (requires resume and v3 clients)")
+		elastic        = flag.Bool("elastic", false, "run the per-session online controller: live resizes and the degradation ladder (requires resume; marked sessions are left alone)")
 		elasticEngage  = flag.Int("elastic-engage", 0, "boundaries of sustained pressure before the controller acts (0: default)")
 		elasticRelease = flag.Int("elastic-release", 0, "calm boundaries before the controller de-escalates (0: default)")
 		elasticSettle  = flag.Int("elastic-settle", 0, "cooldown boundaries after every committed action (0: default)")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hwprof/internal/telemetry"
@@ -115,14 +114,8 @@ type Aggregator struct {
 	metrics *Metrics
 	subs    []*Subscriber
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	draining atomic.Bool
-
-	linkWg sync.WaitGroup // child-link runners
-	connWg sync.WaitGroup // upstream connection handlers
+	listener wire.Listener  // upstream subscriber connections
+	linkWg   sync.WaitGroup // child-link runners
 }
 
 // New builds an aggregator from cfg. Children are registered as feed
@@ -147,7 +140,7 @@ func New(cfg Config) (*Aggregator, error) {
 	if cfg.UpstreamWriteTimeout == 0 {
 		cfg.UpstreamWriteTimeout = cfg.WriteTimeout
 	}
-	a := &Aggregator{cfg: cfg, metrics: newMetrics(), conns: make(map[net.Conn]struct{})}
+	a := &Aggregator{cfg: cfg, metrics: newMetrics()}
 	m := a.metrics
 	a.feed = NewFeed(FeedConfig{
 		Source:      cfg.Source,
@@ -244,68 +237,15 @@ func (a *Aggregator) Start() {
 	}
 }
 
-// Addr returns the upstream listener's address, or nil before Serve.
-func (a *Aggregator) Addr() net.Addr {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.ln == nil {
-		return nil
-	}
-	return a.ln.Addr()
-}
-
-// ListenAndServe listens on addr (TCP) and serves upstream subscribers
-// until Shutdown.
-func (a *Aggregator) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("agg: listen %s: %w", addr, err)
-	}
-	return a.Serve(ln)
-}
-
 // Serve accepts upstream subscribers on ln until Shutdown. It returns nil
 // after a clean Shutdown and the accept error otherwise.
 func (a *Aggregator) Serve(ln net.Listener) error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		ln.Close()
-		return errors.New("agg: already shut down")
-	}
-	a.ln = ln
-	a.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if a.draining.Load() {
-				return nil
-			}
-			return fmt.Errorf("agg: accept: %w", err)
-		}
-		a.mu.Lock()
-		if a.closed {
-			a.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		a.conns[conn] = struct{}{}
-		a.connWg.Add(1)
-		a.mu.Unlock()
-		go a.handleConn(conn)
-	}
+	return a.listener.Serve(ln, a.handleConn)
 }
 
 // handleConn owns one upstream connection: handshake, then exactly one
 // Subscribe answered with the epoch stream.
 func (a *Aggregator) handleConn(conn net.Conn) {
-	defer a.connWg.Done()
-	defer func() {
-		a.mu.Lock()
-		delete(a.conns, conn)
-		a.mu.Unlock()
-		conn.Close()
-	}()
 	wc := wire.NewConn(wire.WithDeadlines(conn, a.cfg.UpstreamReadTimeout, a.cfg.UpstreamWriteTimeout))
 	if err := wc.ServerHandshake(); err != nil {
 		a.cfg.Logf("agg: conn %s: handshake: %v", conn.RemoteAddr(), err)
@@ -333,34 +273,11 @@ func (a *Aggregator) handleConn(conn net.Conn) {
 // awaited. When ctx expires first, remaining connections are force-closed
 // and ctx.Err() returned.
 func (a *Aggregator) Shutdown(ctx context.Context) error {
-	a.draining.Store(true)
-	a.mu.Lock()
-	a.closed = true
-	if a.ln != nil {
-		a.ln.Close()
-	}
-	a.mu.Unlock()
+	a.listener.Close()
 	for _, sub := range a.subs {
 		sub.Close()
 	}
 	a.linkWg.Wait()
 	a.feed.Close()
-
-	done := make(chan struct{})
-	go func() {
-		a.connWg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		a.mu.Lock()
-		for conn := range a.conns {
-			conn.Close()
-		}
-		a.mu.Unlock()
-		<-done
-		return ctx.Err()
-	}
+	return a.listener.Wait(ctx)
 }

@@ -880,6 +880,80 @@ func readHeader(f io.Reader) error {
 	return nil
 }
 
+// segEnd is where a scan stopped in the last segment it kept.
+type segEnd struct {
+	idx    int
+	valid  int64 // body bytes after the header
+	blocks uint64
+	crc    uint32
+}
+
+// scan replays the segments idxs of dir through r in order and stops at
+// the first torn or corrupt tail: everything before it is delivered, the
+// discarded bytes are counted in Stats, and the rotated successors of a
+// torn segment, which describe state no longer reachable, are counted as
+// dropped. With repair set it also makes the directory match what was
+// delivered — the torn tail truncated, a header-less last segment and the
+// dropped successors deleted — so Replay stops at exactly the prefix
+// Recover preserves. It returns the last segment kept.
+func scan(dir string, idxs []int, r *replayer, repair bool) (segEnd, Stats, error) {
+	var last segEnd
+	var stats Stats
+	for i, idx := range idxs {
+		path := segPath(dir, idx)
+		f, err := os.Open(path)
+		if err != nil {
+			return last, stats, fmt.Errorf("journal: opening segment %d: %w", idx, err)
+		}
+		stats.Segments++
+		if hdrErr := readHeader(f); hdrErr != nil {
+			f.Close()
+			// A header-less last segment can only be the torn first write
+			// of a rotation; it carries nothing. A mis-headed earlier
+			// segment is real damage.
+			if i < len(idxs)-1 || !errors.Is(hdrErr, trace.ErrTruncated) {
+				return last, stats, fmt.Errorf("journal: segment %d: %w", idx, hdrErr)
+			}
+			stats.TornSegments++
+			if repair {
+				if err := os.Remove(path); err != nil {
+					return last, stats, fmt.Errorf("journal: dropping empty segment %d: %w", idx, err)
+				}
+			}
+			break
+		}
+		res, err := trace.ScanBlocks(f, r.record)
+		f.Close()
+		if err != nil {
+			return last, stats, fmt.Errorf("journal: segment %d: %w", idx, err)
+		}
+		last = segEnd{idx: idx, valid: res.Valid, blocks: res.Blocks, crc: res.CRC}
+		if res.Clean {
+			continue
+		}
+		// An unfinished segment is the active one — expected after any
+		// crash or graceful close; only actually discarded bytes (a torn
+		// final write, or trailing corruption) count as a truncation.
+		if fi, statErr := os.Stat(path); statErr == nil && fi.Size() > 6+res.Valid {
+			stats.TornBytes += fi.Size() - (6 + res.Valid)
+			stats.TornSegments++
+		}
+		stats.DroppedSegments = len(idxs) - i - 1
+		if repair {
+			if err := os.Truncate(path, 6+res.Valid); err != nil {
+				return last, stats, fmt.Errorf("journal: truncating segment %d: %w", idx, err)
+			}
+			for _, lateIdx := range idxs[i+1:] {
+				if err := os.Remove(segPath(dir, lateIdx)); err != nil {
+					return last, stats, fmt.Errorf("journal: dropping segment %d: %w", lateIdx, err)
+				}
+			}
+		}
+		break
+	}
+	return last, stats, nil
+}
+
 // Recover replays one session's journal through h and returns a Writer
 // positioned to continue appending, the replayed stream position, and
 // repair statistics. A torn or trailing-corrupt tail is truncated at the
@@ -919,61 +993,9 @@ func Recover(opts Options, id uint64, h Handler) (*Writer, State, Stats, error) 
 	}
 
 	r := &replayer{h: h}
-	type segEnd struct {
-		idx    int
-		valid  int64 // body bytes after the header
-		blocks uint64
-		crc    uint32
-		clean  bool
-	}
-	var last segEnd
-	for i, idx := range idxs {
-		f, err := os.Open(segPath(dir, idx))
-		if err != nil {
-			return nil, State{}, stats, fmt.Errorf("journal: opening segment %d: %w", idx, err)
-		}
-		stats.Segments++
-		hdrErr := readHeader(f)
-		if hdrErr != nil {
-			f.Close()
-			// A header-less or mis-headed segment can only be the torn
-			// first write of a rotation; it carries nothing.
-			if i == len(idxs)-1 && errors.Is(hdrErr, trace.ErrTruncated) {
-				stats.TornSegments++
-				if err := os.Remove(segPath(dir, idx)); err != nil {
-					return nil, State{}, stats, fmt.Errorf("journal: dropping empty segment %d: %w", idx, err)
-				}
-				break
-			}
-			return nil, State{}, stats, fmt.Errorf("journal: segment %d: %w", idx, hdrErr)
-		}
-		res, err := trace.ScanBlocks(f, r.record)
-		f.Close()
-		if err != nil {
-			return nil, State{}, stats, fmt.Errorf("journal: segment %d: %w", idx, err)
-		}
-		last = segEnd{idx: idx, valid: res.Valid, blocks: res.Blocks, crc: res.CRC, clean: res.Clean}
-		if !res.Clean {
-			// An unfinished segment is the active one — expected after any
-			// crash or graceful close; only actually discarded bytes (a torn
-			// final write, or trailing corruption) count as a truncation.
-			// A torn earlier segment means its rotated successors describe
-			// state we can no longer reach, so they are dropped too.
-			if fi, statErr := os.Stat(segPath(dir, idx)); statErr == nil && fi.Size() > 6+res.Valid {
-				stats.TornBytes += fi.Size() - (6 + res.Valid)
-				stats.TornSegments++
-			}
-			if err := os.Truncate(segPath(dir, idx), 6+res.Valid); err != nil {
-				return nil, State{}, stats, fmt.Errorf("journal: truncating segment %d: %w", idx, err)
-			}
-			for _, lateIdx := range idxs[i+1:] {
-				if err := os.Remove(segPath(dir, lateIdx)); err != nil {
-					return nil, State{}, stats, fmt.Errorf("journal: dropping segment %d: %w", lateIdx, err)
-				}
-				stats.DroppedSegments++
-			}
-			break
-		}
+	last, stats, err := scan(dir, idxs, r, true)
+	if err != nil {
+		return nil, State{}, stats, err
 	}
 	if r.clean {
 		return nil, r.cur, stats, nil
@@ -1038,37 +1060,8 @@ func Replay(opts Options, id uint64, h Handler) (State, Stats, error) {
 		return State{}, stats, fmt.Errorf("journal: session %d has no segments", id)
 	}
 	r := &replayer{h: h}
-	for i, idx := range idxs {
-		f, err := os.Open(segPath(dir, idx))
-		if err != nil {
-			return State{}, stats, fmt.Errorf("journal: opening segment %d: %w", idx, err)
-		}
-		stats.Segments++
-		if hdrErr := readHeader(f); hdrErr != nil {
-			f.Close()
-			// The torn first write of a rotation carries nothing; a
-			// mis-headed earlier segment is real damage.
-			if i == len(idxs)-1 && errors.Is(hdrErr, trace.ErrTruncated) {
-				stats.TornSegments++
-				break
-			}
-			return State{}, stats, fmt.Errorf("journal: segment %d: %w", idx, hdrErr)
-		}
-		res, err := trace.ScanBlocks(f, r.record)
-		f.Close()
-		if err != nil {
-			return State{}, stats, fmt.Errorf("journal: segment %d: %w", idx, err)
-		}
-		if !res.Clean {
-			if fi, statErr := os.Stat(segPath(dir, idx)); statErr == nil && fi.Size() > 6+res.Valid {
-				stats.TornBytes += fi.Size() - (6 + res.Valid)
-				stats.TornSegments++
-			}
-			// Rotated successors of a torn segment describe unreachable
-			// state; report how many the replay ignored.
-			stats.DroppedSegments += len(idxs) - i - 1
-			break
-		}
+	if _, stats, err = scan(dir, idxs, r, false); err != nil {
+		return State{}, stats, err
 	}
 	if !r.started {
 		// A journal holding only meta (and perhaps a checkpoint) still

@@ -690,3 +690,68 @@ func TestJournalReplayReadOnly(t *testing.T) {
 			len(full.events()), st3.Interval, len(events))
 	}
 }
+
+// TestJournalDroppedSegments corrupts the middle segment of a three-segment
+// Retain journal: Replay and Recover must deliver the same prefix and
+// position, both counting the later segment as dropped, while only
+// Recover deletes it.
+func TestJournalDroppedSegments(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), Sync: SyncInterval, SegmentBytes: 2048}
+	w, err := Create(opts, testMeta(23, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSession(t, w, rand.New(rand.NewSource(9)), 0, 24, 60)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(opts.Dir, "session-23")
+	if segs, err := segIndexes(dir); err != nil || !reflect.DeepEqual(segs, []int{1, 2, 3}) {
+		t.Fatalf("segments %v (err %v), want [1 2 3]", segs, err)
+	}
+	seg2 := segPath(dir, 2)
+	b, err := os.ReadFile(seg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	if err := os.WriteFile(seg2, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := snapshotDir(t, dir)
+	var rep recording
+	st, stats, err := Replay(opts, 23, &rep)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if stats.DroppedSegments != 1 {
+		t.Fatalf("replay stats = %+v, want one dropped segment", stats)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatal("replay modified the journal")
+	}
+
+	var rec recording
+	w2, st2, stats2, err := Recover(opts, 23, &rec)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	w2.Abandon()
+	if stats2.DroppedSegments != 1 {
+		t.Fatalf("recover stats = %+v, want one dropped segment", stats2)
+	}
+	if !reflect.DeepEqual(st, st2) {
+		t.Fatalf("replay position %+v, recover position %+v", st, st2)
+	}
+	if !reflect.DeepEqual(rep.batches, rec.batches) || !reflect.DeepEqual(rep.boundaries, rec.boundaries) {
+		t.Fatalf("replay saw %d batches / %d boundaries, recover saw %d / %d",
+			len(rep.batches), len(rep.boundaries), len(rec.batches), len(rec.boundaries))
+	}
+	if st.Interval >= 24 || len(rep.boundaries) == 0 {
+		t.Fatalf("replay stopped at interval %d with %d boundaries; the corruption was not in the replayed history", st.Interval, len(rep.boundaries))
+	}
+	if segs, err := segIndexes(dir); err != nil || !reflect.DeepEqual(segs, []int{1, 2}) {
+		t.Fatalf("after recover: segments %v (err %v), want [1 2]", segs, err)
+	}
+}

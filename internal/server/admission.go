@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hwprof/internal/core"
+	"hwprof/internal/telemetry"
 )
 
 // Admission cost model. A session's cost estimates the engine work and
@@ -49,15 +50,30 @@ func sessionCost(cfg core.Config, shards int) float64 {
 // against both ledgers, before the new engine is committed.
 type admission struct {
 	budget       float64
-	tenantBudget float64 // 0 = per-tenant quotas disabled
+	tenantBudget float64  // 0 = per-tenant quotas disabled
+	metrics      *Metrics // cost-in-use gauges, set on every charge
 
 	mu      sync.Mutex
 	used    float64
 	tenants map[string]float64 // cost in use per tenant key
 }
 
-func newAdmission(budget, tenantBudget float64) *admission {
-	return &admission{budget: budget, tenantBudget: tenantBudget, tenants: make(map[string]float64)}
+func newAdmission(budget, tenantBudget float64, m *Metrics) *admission {
+	return &admission{budget: budget, tenantBudget: tenantBudget, metrics: m, tenants: make(map[string]float64)}
+}
+
+// admitLocked admits a session of cost for tenant against the session
+// limit and the cost budget, charging the budget on success. On refusal it
+// returns the counter naming the reason — the caller decides whether the
+// refusal counts — and the client-facing reason. Callers hold s.mu.
+func (s *Server) admitLocked(tenant string, cost float64) (refused *telemetry.Counter, reason string) {
+	if len(s.sessions)+len(s.tombs) >= s.cfg.MaxSessions {
+		return s.metrics.AdmissionRefusedLimit, fmt.Sprintf("admission refused: session limit %d reached", s.cfg.MaxSessions)
+	}
+	if ok, reason := s.admission.tryAcquire(tenant, cost); !ok {
+		return s.metrics.AdmissionRefusedCost, reason
+	}
+	return nil, ""
 }
 
 // tryAcquire admits cost against the remaining global budget and, when
@@ -127,7 +143,8 @@ func (a *admission) fits(tenant string, old, new float64) bool {
 	return true
 }
 
-// charge adjusts both ledgers by delta (may be negative). Callers hold mu.
+// charge adjusts both ledgers by delta (may be negative) and sets their
+// gauges, so a gauge never lags its ledger. Callers hold mu.
 func (a *admission) charge(tenant string, delta float64) {
 	a.used += delta
 	if a.used < 0 {
@@ -135,10 +152,13 @@ func (a *admission) charge(tenant string, delta float64) {
 	}
 	t := a.tenants[tenant] + delta
 	if t <= 0 {
+		t = 0
 		delete(a.tenants, tenant)
 	} else {
 		a.tenants[tenant] = t
 	}
+	a.metrics.AdmissionCostUsed.Set(milli(a.used))
+	a.metrics.TenantCostUsed.With(tenant).Set(milli(t))
 }
 
 // release returns cost to the budget (and the tenant's slice).

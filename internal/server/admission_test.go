@@ -28,7 +28,7 @@ func TestSessionCost(t *testing.T) {
 }
 
 func TestAdmissionAccounting(t *testing.T) {
-	a := newAdmission(1.0, 0)
+	a := newAdmission(1.0, 0, newMetrics())
 	for i := 0; i < 2; i++ {
 		if ok, reason := a.tryAcquire("t1", 0.5); !ok {
 			t.Fatalf("acquire %d refused: %s", i, reason)
@@ -56,7 +56,7 @@ func TestAdmissionAccounting(t *testing.T) {
 }
 
 func TestAdmissionTenantQuota(t *testing.T) {
-	a := newAdmission(10, 1.0)
+	a := newAdmission(10, 1.0, newMetrics())
 	// A tenant saturating its slice is refused with the tenant arithmetic
 	// while the global budget still has room for everyone else.
 	if ok, reason := a.tryAcquire("hog", 1.0); !ok {
@@ -83,7 +83,7 @@ func TestAdmissionTenantQuota(t *testing.T) {
 }
 
 func TestAdmissionReprice(t *testing.T) {
-	a := newAdmission(2.0, 1.0)
+	a := newAdmission(2.0, 1.0, newMetrics())
 	if ok, reason := a.tryAcquire("t", 0.5); !ok {
 		t.Fatalf("acquire refused: %s", reason)
 	}

@@ -265,8 +265,6 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 	s.cfg = newCfg
 	s.shards = newShards
 	s.cost = newCost
-	m.AdmissionCostUsed.Set(milli(s.srv.admission.inUse()))
-	m.TenantCostUsed.With(s.tenant).Set(milli(s.srv.admission.tenantUse(s.tenant)))
 
 	kind := byte(wire.NoticeResize)
 	switch a.Op {

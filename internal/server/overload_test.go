@@ -155,27 +155,25 @@ type pipeAddr struct{}
 func (pipeAddr) Network() string { return "pipe" }
 func (pipeAddr) String() string  { return "pipe" }
 
-// TestShutdownBoundedByWriteDeadline wedges a session's worker on a profile
-// write to a client that has stopped reading — over an unbuffered pipe, so
-// the write can never complete — and checks Shutdown is bounded by the
-// write deadline instead of hanging until the context force-closes.
-func TestShutdownBoundedByWriteDeadline(t *testing.T) {
-	srv := server.New(server.Config{
-		WriteTimeout: 300 * time.Millisecond,
-		ResumeGrace:  -1, // resume off: the write failure must tear down, not park
-	})
+// wedgeWorker serves a daemon built from cfg over an unbuffered pipe and
+// wedges its one session's worker on a profile write to a client that has
+// stopped reading — the write can never complete. It returns the daemon
+// and the channel Serve's result arrives on.
+func wedgeWorker(t *testing.T, cfg server.Config) (*server.Server, chan error) {
+	t.Helper()
+	srv := server.New(cfg)
 	ln := newPipeListener()
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 
 	conn := ln.dial(t)
-	defer conn.Close()
+	t.Cleanup(func() { conn.Close() })
 	wc := wire.NewConn(conn)
 	if err := wc.ClientHandshake(); err != nil {
 		t.Fatal(err)
 	}
-	cfg := testConfig(1)
-	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: cfg, Shards: 1})); err != nil {
+	hello := testConfig(1)
+	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, wire.Hello{Config: hello, Shards: 1})); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := wc.ReadFrame(); err != nil || typ != wire.MsgHelloAck {
@@ -198,7 +196,19 @@ func TestShutdownBoundedByWriteDeadline(t *testing.T) {
 		}
 	}()
 	waitFor(t, "worker to reach the first interval boundary", func() bool {
-		return srv.Metrics().EventsTotal.Load() >= cfg.IntervalLength
+		return srv.Metrics().EventsTotal.Load() >= hello.IntervalLength
+	})
+	return srv, serveDone
+}
+
+// TestShutdownBoundedByWriteDeadline wedges a session's worker on a profile
+// write to a client that has stopped reading — over an unbuffered pipe, so
+// the write can never complete — and checks Shutdown is bounded by the
+// write deadline instead of hanging until the context force-closes.
+func TestShutdownBoundedByWriteDeadline(t *testing.T) {
+	srv, serveDone := wedgeWorker(t, server.Config{
+		WriteTimeout: 300 * time.Millisecond,
+		ResumeGrace:  -1, // resume off: the write failure must tear down, not park
 	})
 
 	start := time.Now()
@@ -209,6 +219,27 @@ func TestShutdownBoundedByWriteDeadline(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("shutdown took %v despite a 300ms write deadline", elapsed)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatalf("serve: %v", err)
+	}
+}
+
+// TestShutdownForceClosesAtDeadline wedges a worker with no write deadline
+// at all, so only Shutdown's context can end it: when the context expires,
+// the remaining connections must be force-closed and Shutdown must return
+// the context's error promptly, with Serve still returning nil.
+func TestShutdownForceClosesAtDeadline(t *testing.T) {
+	srv, serveDone := wedgeWorker(t, server.Config{WriteTimeout: -1, ResumeGrace: -1})
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("shutdown of a wedged worker = %v, want %v", err, context.DeadlineExceeded)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("shutdown took %v despite a 200ms context", elapsed)
 	}
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve: %v", err)

@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"hwprof/internal/event"
 	"hwprof/internal/journal"
-	"hwprof/internal/shard"
 	"hwprof/internal/wire"
 )
 
@@ -45,98 +43,70 @@ type recoveredReport struct {
 	counts map[event.Tuple]uint64
 }
 
-// recoverHandler replays one session's journal into a fresh engine,
-// implementing journal.Handler.
+// recoverHandler replays one session's journal into the session itself,
+// implementing journal.Handler: the engine is built and re-staged through
+// the Hello path's restage, and replayed frames are kept through the live
+// worker's keepProfile.
 type recoverHandler struct {
-	srv *Server
-	id  uint64
-
-	meta       journal.Meta
-	eng        *shard.Profiler
-	shards     int
-	pub        string // feed member name; "" when not publishing
+	sess       *session
 	firstEpoch uint64 // epoch of the replay entry point
-	ring       [][]byte
-	events     uint64 // events since the last replayed boundary
 	reports    []recoveredReport
-	enc        []byte
 }
 
 func (h *recoverHandler) Start(meta journal.Meta, state journal.State) error {
-	if err := meta.Hello.Config.Validate(); err != nil {
+	sess := h.sess
+	if err := sess.restage(meta.Hello); err != nil {
 		return fmt.Errorf("journaled config: %w", err)
 	}
-	shards := meta.Hello.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	eng, err := shard.New(shard.Config{Core: meta.Hello.Config, NumShards: shards})
-	if err != nil {
-		return fmt.Errorf("rebuilding engine: %w", err)
-	}
-	h.meta = meta
-	h.eng = eng
-	h.shards = shards
-	h.ring = state.Ring
-	if meta.Pub && h.srv.feed != nil {
-		h.pub = fmt.Sprintf("%s/s%d", h.srv.cfg.MachineID, meta.SessionID)
+	sess.marked = meta.Hello.Marked
+	sess.tenant = meta.Tenant
+	sess.pubBase = meta.PubBase
+	sess.ring = state.Ring
+	if meta.Pub && sess.srv.feed != nil {
+		sess.pub = sess.srv.pubName(meta.SessionID)
 		h.firstEpoch = meta.PubBase + state.Interval
 	}
 	return nil
 }
 
 func (h *recoverHandler) Batch(events []event.Tuple) error {
-	h.eng.ObserveBatch(events)
-	h.events += uint64(len(events))
-	return h.eng.Err()
+	h.sess.eng.ObserveBatch(events)
+	h.sess.events += uint64(len(events))
+	return h.sess.eng.Err()
 }
 
 // Resize re-stages the replay engine at the journaled geometry, exactly as
 // the crashed daemon's worker did at this boundary: the old engine (and its
 // retained candidates) is discarded outright and a fresh one continues.
 func (h *recoverHandler) Resize(hello wire.Hello) error {
-	if h.events != 0 {
-		return fmt.Errorf("resize record %d event(s) into an interval; resizes only happen at boundaries", h.events)
+	if h.sess.events != 0 {
+		return fmt.Errorf("resize record %d event(s) into an interval; resizes only happen at boundaries", h.sess.events)
 	}
-	if err := hello.Config.Validate(); err != nil {
-		return fmt.Errorf("journaled resize config: %w", err)
+	if err := h.sess.restage(hello); err != nil {
+		return fmt.Errorf("journaled resize: %w", err)
 	}
-	shards := hello.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	eng, err := shard.New(shard.Config{Core: hello.Config, NumShards: shards})
-	if err != nil {
-		return fmt.Errorf("rebuilding resized engine: %w", err)
-	}
-	h.eng.Close()
-	h.eng = eng
-	h.shards = shards
-	h.meta.Hello = hello
 	return nil
 }
 
 func (h *recoverHandler) Boundary(index, shed uint64, profile []byte) error {
-	prof := h.eng.EndInterval()
-	if err := h.eng.Err(); err != nil {
+	sess := h.sess
+	prof := sess.eng.EndInterval()
+	if err := sess.eng.Err(); err != nil {
 		return err
 	}
-	h.enc = wire.AppendProfile(h.enc[:0], wire.ProfileMsg{Index: index, Shed: shed, Counts: prof})
-	if !bytes.Equal(h.enc, profile) {
+	sess.enc = wire.AppendProfile(sess.enc[:0], wire.ProfileMsg{Index: index, Shed: shed, Counts: prof})
+	if !bytes.Equal(sess.enc, profile) {
 		// The replayed engine did not reproduce the profile the client was
 		// sent — resuming it would break the bit-identity contract.
 		return fmt.Errorf("replay diverged at interval %d: re-encoded profile does not match the journaled frame", index)
 	}
-	if h.pub != "" {
-		h.reports = append(h.reports, recoveredReport{pub: h.pub, epoch: h.meta.PubBase + index, counts: prof})
+	if sess.pub != "" {
+		h.reports = append(h.reports, recoveredReport{pub: sess.pub, epoch: sess.pubBase + index, counts: prof})
 	} else {
-		h.eng.Recycle(prof)
+		sess.eng.Recycle(prof)
 	}
-	h.ring = append(h.ring, profile)
-	if window := h.srv.cfg.ResumeWindow; len(h.ring) > window {
-		h.ring = h.ring[len(h.ring)-window:]
-	}
-	h.events = 0
+	sess.keepProfile(index, profile)
+	sess.events = 0
 	return nil
 }
 
@@ -158,11 +128,10 @@ func (s *Server) Recover() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	var sessions []*session
-	var firsts []uint64 // firstEpoch per recovered session, parallel
+	var recovered []*recoverHandler
 	var reports []recoveredReport
 	for _, id := range ids {
-		sess, h, err := s.recoverSession(id)
+		h, err := s.recoverSession(id)
 		if err != nil {
 			s.metrics.JournalRecoverFailures.Inc()
 			s.logf("session %d: recovery failed: %v", id, err)
@@ -171,15 +140,14 @@ func (s *Server) Recover() (int, error) {
 			}
 			continue
 		}
-		if sess == nil {
+		if h == nil {
 			// The journal records a clean end: the client got everything.
 			if rmErr := journal.Remove(s.journal.Dir, id); rmErr != nil {
 				s.logf("session %d: removing ended journal: %v", id, rmErr)
 			}
 			continue
 		}
-		sessions = append(sessions, sess)
-		firsts = append(firsts, h.firstEpoch)
+		recovered = append(recovered, h)
 		reports = append(reports, h.reports...)
 	}
 
@@ -188,9 +156,9 @@ func (s *Server) Recover() (int, error) {
 	// epoch may only close once everyone who will contribute to it has
 	// both joined and reported.
 	if s.feed != nil {
-		for i, sess := range sessions {
-			if sess.pub != "" {
-				s.feed.JoinAt(sess.pub, firsts[i])
+		for _, h := range recovered {
+			if h.sess.pub != "" {
+				s.feed.JoinAt(h.sess.pub, h.firstEpoch)
 			}
 		}
 		sort.SliceStable(reports, func(i, j int) bool { return reports[i].epoch < reports[j].epoch })
@@ -199,31 +167,22 @@ func (s *Server) Recover() (int, error) {
 		}
 	}
 
-	for _, sess := range sessions {
-		s.parkRecovered(sess)
+	n := 0
+	for _, h := range recovered {
+		s.logf("session %d: recovered from its journal", h.sess.id)
+		if s.entomb(h.sess, false) {
+			s.metrics.JournalRecovered.Inc()
+			n++
+		}
 	}
-	return len(sessions), nil
+	return n, nil
 }
 
-// parkRecovered registers a recovered session as a tombstone in the
-// resume-grace window, exactly as if its connection had just dropped.
-func (s *Server) parkRecovered(sess *session) {
-	s.mu.Lock()
-	sess.parkEpoch++
-	epoch := sess.parkEpoch
-	s.tombs[sess.id] = sess
-	s.mu.Unlock()
-	s.metrics.SessionsParked.Add(1)
-	s.metrics.JournalRecovered.Inc()
-	s.logf("session %d: recovered at interval %d+%d events (stream pos %d), grace %v",
-		sess.id, sess.interval, sess.events, sess.streamPos.Load(), s.cfg.ResumeGrace)
-	time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireTombstone(sess.id, epoch) })
-}
-
-// recoverSession replays one journal into a parked session. A nil session
-// with nil error means the journal recorded a clean end.
-func (s *Server) recoverSession(id uint64) (*session, *recoverHandler, error) {
-	h := &recoverHandler{srv: s, id: id}
+// recoverSession replays one journal into a session and admits it. A nil
+// handler with nil error means the journal recorded a clean end.
+func (s *Server) recoverSession(id uint64) (*recoverHandler, error) {
+	sess := &session{srv: s, id: id, variation: -1}
+	h := &recoverHandler{sess: sess}
 	w, st, stats, err := journal.Recover(s.journal, id, h)
 	if stats.TornSegments > 0 {
 		s.metrics.JournalTornTruncations.Add(uint64(stats.TornSegments))
@@ -231,68 +190,45 @@ func (s *Server) recoverSession(id uint64) (*session, *recoverHandler, error) {
 			id, stats.TornSegments, stats.TornBytes, stats.DroppedSegments)
 	}
 	if err != nil {
-		if h.eng != nil {
-			h.eng.Close()
+		if sess.eng != nil {
+			sess.eng.Close()
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	if w == nil {
-		return nil, nil, nil
+		return nil, nil
 	}
 
 	// Recovered sessions pass the same admission the original did: the
 	// restarted daemon may be configured tighter than the one that crashed.
-	// The cost prices the journal's CURRENT geometry — the replayer tracks
-	// resize records through meta.Hello, so a session that crashed resized
-	// re-admits at its resized price.
-	tenant := h.meta.Tenant
-	cost := sessionCost(h.meta.Hello.Config, h.shards)
+	// The cost prices the journal's CURRENT geometry — replayed resize
+	// records re-staged the engine — so a session that crashed resized
+	// re-admits at its resized price. A refusal counts only as a failed
+	// recovery, never as a refused admission.
+	cost := sessionCost(sess.cfg, sess.shards)
 	s.mu.Lock()
-	if len(s.sessions)+len(s.tombs) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		h.eng.Close()
-		w.Abandon()
-		return nil, nil, fmt.Errorf("admission refused: session limit %d reached", s.cfg.MaxSessions)
-	}
-	ok, reason := s.admission.tryAcquire(tenant, cost)
-	if ok && id > s.nextID {
+	refused, reason := s.admitLocked(sess.tenant, cost)
+	if refused == nil && id > s.nextID {
 		s.nextID = id
 	}
 	s.mu.Unlock()
-	if !ok {
-		h.eng.Close()
+	if refused != nil {
+		sess.eng.Close()
 		w.Abandon()
-		return nil, nil, fmt.Errorf("admission refused: %s", reason)
+		return nil, errors.New(reason)
 	}
-	s.metrics.AdmissionCostUsed.Set(milli(s.admission.inUse()))
-	s.metrics.TenantCostUsed.With(tenant).Set(milli(s.admission.tenantUse(tenant)))
-
-	sess := &session{
-		srv:       s,
-		id:        id,
-		cfg:       h.meta.Hello.Config,
-		shards:    h.shards,
-		eng:       h.eng,
-		cost:      cost,
-		marked:    h.meta.Hello.Marked,
-		tenant:    tenant,
-		variation: -1,
-		pub:       h.pub,
-		pubBase:   h.meta.PubBase,
-		events:    h.events,
-		observed:  st.Observed,
-		interval:  st.Interval,
-		ring:      h.ring,
-		jw:        w,
-	}
+	sess.cost = cost
+	sess.jw = w
+	sess.observed = st.Observed
+	sess.interval = st.Interval
 	sess.lastShed = st.Shed
 	sess.streamPos.Store(st.StreamPos())
 	sess.shed.Store(st.Shed)
 	// The degradation rung resets to full across a crash: the rung is
 	// serving-pressure state, not stream state, and the restarted daemon's
-	// pressure is measured fresh. The controller (re-created at adoption)
+	// pressure is measured fresh. The controller (re-created at attach)
 	// re-admits the current geometry as its restore target.
-	s.metrics.TenantSessions.With(tenant).Add(1)
+	s.metrics.TenantSessions.With(sess.tenant).Add(1)
 	s.metrics.LadderRung.With(rungLabel(0)).Add(1)
-	return sess, h, nil
+	return h, nil
 }

@@ -1,9 +1,11 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,5 +227,77 @@ func TestRecoverAdmissionRefused(t *testing.T) {
 	}
 	if ids, err := journal.ScanDir(dir); err != nil || len(ids) != 0 {
 		t.Errorf("refused journal not retired: ids=%v err=%v", ids, err)
+	}
+}
+
+// TestUnackedSessionLeavesNoJournal opens sessions from eight goroutines
+// while a graceful shutdown begins. A Hello refused by the drain, or one
+// whose ack was never written, reached no client, so its session must
+// leave no journal: a restarted daemon would otherwise recover a session
+// nobody will resume, holding a session slot and admission cost for the
+// whole resume grace.
+func TestUnackedSessionLeavesNoJournal(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		cfg := server.Config{JournalDir: t.TempDir(), JournalSync: journal.SyncBatch}
+		srv, addr, served := crashServer(t, cfg, "127.0.0.1:0", 0)
+
+		var mu sync.Mutex
+		acked := map[uint64]bool{}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					sess, err := client.Dial(addr, testConfig(uint64(trial)), client.Options{})
+					if err != nil {
+						continue
+					}
+					mu.Lock()
+					acked[sess.ID()] = true
+					mu.Unlock()
+					sess.Close()
+				}
+			}()
+		}
+		// Shut down once the daemon is serving, while Hellos are in flight.
+		waitFor(t, "a first session", func() bool { return srv.Metrics().SessionsTotal.Load() > 0 })
+		time.Sleep(time.Duration(2+trial%5) * time.Millisecond)
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err := srv.Shutdown(ctx)
+		cancel()
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("trial %d: shutdown: %v", trial, err)
+		}
+		if err := <-served; err != nil {
+			t.Fatalf("trial %d: serve: %v", trial, err)
+		}
+
+		ids, err := journal.ScanDir(cfg.JournalDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if !acked[id] {
+				t.Errorf("trial %d: session %d left a journal, but no client was acked for it", trial, id)
+			}
+		}
+		next := server.New(cfg)
+		n, err := next.Recover()
+		if err != nil {
+			t.Fatalf("trial %d: recover: %v", trial, err)
+		}
+		next.Shutdown(context.Background()) // release whatever was recovered
+		if n != 0 {
+			t.Fatalf("trial %d: recovered %d session(s) after a graceful shutdown, want 0", trial, n)
+		}
 	}
 }

@@ -281,3 +281,46 @@ func TestResumeRedeliversWrittenNotice(t *testing.T) {
 		t.Fatalf("redelivered notice = %+v, want the resize to interval 2000 at boundary 0, observed 1000", n)
 	}
 }
+
+// TestRefusedResumeStaysResumable refuses a resume of a known, parked
+// session — its replay floor is past the server's stream position — and
+// requires the session to go back among the tombstones, so a valid resume
+// still adopts it.
+func TestRefusedResumeStaysResumable(t *testing.T) {
+	srv, addr := startServer(t, server.Config{})
+	conn, wc := rawSession(t, addr, testConfig(13))
+	batch := make([]event.Tuple, 1000)
+	for i := range batch {
+		batch[i] = event.Tuple{A: uint64(i % 13), B: 1}
+	}
+	if err := wc.WriteFrame(wire.MsgBatch, wire.AppendBatch(nil, batch)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wc.ReadFrame(); err != nil || typ != wire.MsgProfile {
+		t.Fatalf("profile 0: type %d, err %v", typ, err)
+	}
+	conn.Close()
+	m := srv.Metrics()
+	waitFor(t, "the session to park", func() bool { return m.SessionsParked.Load() == 1 })
+
+	conn, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Floor: 5000}) // first session the daemon issued
+	conn.Close()
+	if typ != wire.MsgError {
+		t.Fatalf("frame type %d, want the refusal", typ)
+	}
+	e, err := wire.DecodeError(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Code != wire.CodeProtocol || !strings.Contains(e.Msg, "replay floor 5000 is beyond the server's stream position 1000") {
+		t.Fatalf("refusal = %+v, want a protocol error naming floor 5000 and position 1000", e)
+	}
+	waitFor(t, "the refused session to park again", func() bool { return m.SessionsParked.Load() == 1 })
+
+	conn, _, typ, payload = rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: 1, Floor: 1000})
+	defer conn.Close()
+	if typ != wire.MsgResumeAck {
+		e, _ := wire.DecodeError(payload)
+		t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
+	}
+}

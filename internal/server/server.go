@@ -62,7 +62,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -505,28 +504,25 @@ type Server struct {
 	journal   journal.Options // per-session journal options; Dir empty unless journaling
 	limiter   *rateLimiter    // per-tenant admission rate limit; nil unless TenantRate
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[uint64]*session   // attached sessions
-	tombs    map[uint64]*session   // parked sessions awaiting resume
-	conns    map[net.Conn]struct{} // every accepted conn not yet released
-	nextID   uint64
-	draining atomic.Bool
-	closed   bool
+	listener wire.Listener // accept loop and connection tracking
 
-	wg sync.WaitGroup // one per connection handler
+	mu       sync.Mutex
+	sessions map[uint64]*session // attached sessions
+	tombs    map[uint64]*session // parked sessions awaiting resume
+	nextID   uint64
+	draining atomic.Bool // set first by Shutdown and Kill; read under mu to register
 }
 
 // New builds a daemon from cfg.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	m := newMetrics()
 	s := &Server{
 		cfg:       cfg,
-		metrics:   newMetrics(),
-		admission: newAdmission(cfg.CostBudget, cfg.TenantBudget),
+		metrics:   m,
+		admission: newAdmission(cfg.CostBudget, cfg.TenantBudget, m),
 		sessions:  make(map[uint64]*session),
 		tombs:     make(map[uint64]*session),
-		conns:     make(map[net.Conn]struct{}),
 	}
 	s.metrics.AdmissionCostBudget.Set(milli(cfg.CostBudget))
 	s.batchPool.New = func() any {
@@ -534,7 +530,6 @@ func New(cfg Config) *Server {
 		return &buf
 	}
 	if cfg.JournalDir != "" {
-		m := s.metrics
 		s.journal = journal.Options{
 			Dir:          cfg.JournalDir,
 			Sync:         cfg.JournalSync,
@@ -547,7 +542,6 @@ func New(cfg Config) *Server {
 		s.limiter = newRateLimiter(cfg.TenantRate, cfg.TenantBurst, nil)
 	}
 	if cfg.Publish {
-		m := s.metrics
 		s.feed = agg.NewFeed(agg.FeedConfig{
 			Source:      cfg.MachineID,
 			EpochLength: cfg.EpochLength,
@@ -574,55 +568,10 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Feed returns the daemon's epoch feed, nil unless publishing is enabled.
 func (s *Server) Feed() *agg.Feed { return s.feed }
 
-// Addr returns the listener's address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// ListenAndServe listens on addr (TCP) and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts sessions on ln until the listener is closed (by Shutdown).
 // It returns nil after a clean Shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return errors.New("server: already shut down")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.draining.Load() {
-				return nil
-			}
-			return fmt.Errorf("server: accept: %w", err)
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
+	return s.listener.Serve(ln, s.handleConn)
 }
 
 // wireConn frames conn with the daemon's per-operation deadlines.
@@ -634,18 +583,14 @@ func (s *Server) wireConn(conn net.Conn) *wire.Conn {
 // opening frame — Hello opens a session, Resume reattaches a parked one.
 // The goroutine lives for the whole attachment.
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.forgetConn(conn)
 	wc := s.wireConn(conn)
 	if err := wc.ServerHandshake(); err != nil {
 		s.logf("conn %s: handshake: %v", conn.RemoteAddr(), err)
-		conn.Close()
 		return
 	}
 	typ, payload, err := wc.ReadFrame()
 	if err != nil {
 		s.logf("conn %s: reading opening frame: %v", conn.RemoteAddr(), err)
-		conn.Close()
 		return
 	}
 	switch typ {
@@ -658,7 +603,6 @@ func (s *Server) handleConn(conn net.Conn) {
 	default:
 		wc.WriteFrame(wire.MsgError, wire.AppendError(nil,
 			wire.ErrorMsg{Code: wire.CodeProtocol, Msg: fmt.Sprintf("expected hello, resume or subscribe, got frame type %d", typ)}))
-		conn.Close()
 	}
 }
 
@@ -678,14 +622,6 @@ func (s *Server) serveSubscriber(conn net.Conn, wc *wire.Conn, payload []byte) {
 	if err := agg.ServeSubscription(conn, wc, s.feed, payload, s.cfg.Logf); err != nil {
 		s.logf("subscriber %s: %v", conn.RemoteAddr(), err)
 	}
-	conn.Close()
-}
-
-// forgetConn drops conn from the force-close set.
-func (s *Server) forgetConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
 }
 
 // refuseConn answers a connection the server will not serve with one typed
@@ -706,34 +642,43 @@ func (s *Server) removeSession(sess *session) {
 	s.metrics.SessionsActive.Add(-1)
 }
 
-// parkSession converts a live session whose connection failed into a
-// tombstone: engine and stream position retained, attachment released,
-// grace timer armed. During a drain there is no one to resume for, so the
-// session is discarded instead.
+// entomb parks sess as a tombstone with a fresh grace timer: engine and
+// stream position retained for a resume. live says sess is leaving the
+// live set because its attachment's connection failed — that connection is
+// closed and the failure counted — rather than coming back from a refused
+// resume or a replayed journal. During a drain there is no one to resume
+// for, so the session is released instead; entomb reports whether it
+// parked. A live session leaves sessions in the same critical section in
+// which it enters tombs, so a racing resume finds it in one map or the
+// other.
 //
 // Publishing the tombstone hands the session to whichever resume adopts
 // it, so nothing here touches the session after the insert.
-func (s *Server) parkSession(sess *session) {
-	sess.conn.Close()
-	s.metrics.SessionErrors.Inc()
+func (s *Server) entomb(sess *session, live bool) bool {
 	id, interval, events, pos := sess.id, sess.interval, sess.events, sess.streamPos.Load()
+	if live {
+		sess.conn.Close()
+		s.metrics.SessionErrors.Inc()
+		s.metrics.SessionsActive.Add(-1)
+	}
 	s.mu.Lock()
-	delete(s.sessions, id)
-	if s.draining.Load() || s.closed {
+	if live {
+		delete(s.sessions, id)
+	}
+	if s.draining.Load() {
 		s.mu.Unlock()
 		sess.release()
-		s.metrics.SessionsActive.Add(-1)
-		return
+		return false
 	}
 	sess.parkEpoch++
 	epoch := sess.parkEpoch
 	s.tombs[id] = sess
 	s.mu.Unlock()
-	s.metrics.SessionsActive.Add(-1)
 	s.metrics.SessionsParked.Add(1)
 	s.logf("session %d: parked at interval %d+%d events (stream pos %d), grace %v",
 		id, interval, events, pos, s.cfg.ResumeGrace)
 	time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireTombstone(id, epoch) })
+	return true
 }
 
 // expireTombstone discards a parked session whose grace period lapsed
@@ -777,11 +722,8 @@ func (s *Server) closeTombstones() {
 // connections are force-closed and ctx.Err() returned.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
+	s.listener.Close()
 	s.mu.Lock()
-	s.closed = true
-	if s.ln != nil {
-		s.ln.Close()
-	}
 	live := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
 		live = append(live, sess)
@@ -792,32 +734,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.closeTombstones()
 	if s.feed != nil {
-		// Ending the feed ends every epoch subscription, which wg.Wait
-		// covers. Epochs a draining session would still have reported are
-		// dropped — this daemon is leaving the fleet; its aggregator will
-		// close those epochs partial, naming it missing.
+		// Ending the feed ends every epoch subscription, which Wait covers.
+		// Epochs a draining session would still have reported are dropped —
+		// this daemon is leaving the fleet; its aggregator will close those
+		// epochs partial, naming it missing.
 		s.feed.Close()
 	}
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		s.closeTombstones() // a session may have parked while we drained
-		return nil
-	case <-ctx.Done():
-		s.mu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-		s.closeTombstones()
-		return ctx.Err()
-	}
+	err := s.listener.Wait(ctx)
+	s.closeTombstones() // a session may have parked while we drained
+	return err
 }
 
 // journaling reports whether session journaling is enabled.
@@ -832,10 +757,8 @@ func (s *Server) journaling() bool { return s.journal.Dir != "" }
 // down afterwards so the test process does not leak goroutines; a real
 // crash gets that for free.
 func (s *Server) Kill() {
-	s.draining.Store(true) // Serve returns nil once the listener dies
+	s.draining.Store(true)
 	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
 	all := make([]*session, 0, len(s.sessions)+len(s.tombs))
 	for _, sess := range s.sessions {
 		all = append(all, sess)
@@ -844,26 +767,18 @@ func (s *Server) Kill() {
 		all = append(all, sess)
 		delete(s.tombs, id)
 	}
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
 	s.mu.Unlock()
 	for _, sess := range all {
 		if sess.jw != nil {
 			sess.jw.Abandon()
 		}
 	}
-	if ln != nil {
-		ln.Close()
-	}
-	for _, conn := range conns {
-		conn.Close()
-	}
+	s.listener.Close()
+	s.listener.CloseConns()
 	if s.feed != nil {
 		s.feed.Close()
 	}
-	s.wg.Wait()
+	s.listener.Wait(context.Background())
 	// Free surviving engines (the crashed process's memory); their journals
 	// are dead already, so release keeps the on-disk state intact.
 	for _, sess := range all {

@@ -36,11 +36,11 @@ type item struct {
 // through it.
 //
 // Ownership: the attachment fields (conn, wc, queue, attachDone) are
-// replaced only between attachments, under the resume path's
+// replaced only by attach, between attachments, under the resume path's
 // synchronization (srv.mu plus the previous attachment's attachDone).
 // events, interval, ring, notices and enc belong to the worker goroutine
 // during an attachment; the park/resume path reads them only after the
-// attachment is fully done. Publishing the tombstone (parkSession, under
+// attachment is fully done. Publishing the tombstone (entomb, under
 // srv.mu) hands the session to the next resume, which may adopt it at
 // once: the parking attachment touches no session field after that.
 // streamPos, shed, parkNext and draining are shared and atomic.
@@ -157,8 +157,6 @@ func (s *session) release() {
 		s.eng.Close()
 		s.srv.admission.release(s.tenant, s.cost)
 		m := s.srv.metrics
-		m.AdmissionCostUsed.Set(milli(s.srv.admission.inUse()))
-		m.TenantCostUsed.With(s.tenant).Set(milli(s.srv.admission.tenantUse(s.tenant)))
 		m.TenantSessions.With(s.tenant).Add(-1)
 		if rung := int(s.rung.Load()); rung > 0 {
 			m.TenantDegraded.With(s.tenant).Add(-1)
@@ -192,60 +190,34 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 	}
 	// Fit the requested shard count rather than refuse a stream we could
 	// serve.
-	shards := adaptive.ClampShards(min(h.Shards, s.cfg.MaxShards), h.Config.TotalEntries)
+	h.Shards = adaptive.ClampShards(min(h.Shards, s.cfg.MaxShards), h.Config.TotalEntries)
 
-	cost := sessionCost(h.Config, shards)
+	cost := sessionCost(h.Config, h.Shards)
 	s.mu.Lock()
-	if s.closed || s.draining.Load() {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		s.metrics.AdmissionRefusedLimit.Inc()
 		s.refuseConn(conn, wc, wire.CodeOverload, "server draining")
 		return
 	}
-	if len(s.sessions)+len(s.tombs) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		s.metrics.AdmissionRefusedLimit.Inc()
-		s.metrics.TenantRefused.With(tenant).Inc()
-		s.refuseConn(conn, wc, wire.CodeOverload,
-			fmt.Sprintf("admission refused: session limit %d reached", s.cfg.MaxSessions))
-		return
+	refused, reason := s.admitLocked(tenant, cost)
+	if refused == nil {
+		s.nextID++
 	}
-	ok, reason := s.admission.tryAcquire(tenant, cost)
-	if !ok {
-		s.mu.Unlock()
-		s.metrics.AdmissionRefusedCost.Inc()
+	id := s.nextID
+	s.mu.Unlock()
+	if refused != nil {
+		refused.Inc()
 		s.metrics.TenantRefused.With(tenant).Inc()
 		s.refuseConn(conn, wc, wire.CodeOverload, reason)
 		return
 	}
-	s.nextID++
-	id := s.nextID
-	s.mu.Unlock()
-	s.metrics.AdmissionCostUsed.Set(milli(s.admission.inUse()))
-	s.metrics.TenantCostUsed.With(tenant).Set(milli(s.admission.tenantUse(tenant)))
 
-	eng, err := shard.New(shard.Config{Core: h.Config, NumShards: shards})
-	if err != nil {
+	sess := &session{srv: s, id: id, cost: cost, marked: h.Marked, tenant: tenant, variation: -1}
+	if err := sess.restage(h); err != nil {
 		s.admission.release(tenant, cost)
-		s.metrics.AdmissionCostUsed.Set(milli(s.admission.inUse()))
-		s.metrics.TenantCostUsed.With(tenant).Set(milli(s.admission.tenantUse(tenant)))
 		s.refuseConn(conn, wc, wire.CodeConfig, err.Error())
 		return
-	}
-	sess := &session{
-		srv:        s,
-		id:         id,
-		conn:       conn,
-		wc:         wc,
-		queue:      make(chan item, s.cfg.QueueDepth),
-		attachDone: make(chan struct{}),
-		cfg:        h.Config,
-		shards:     shards,
-		eng:        eng,
-		cost:       cost,
-		marked:     h.Marked,
-		tenant:     tenant,
-		variation:  -1,
 	}
 	s.metrics.TenantSessions.With(tenant).Add(1)
 	s.metrics.LadderRung.With(rungLabel(0)).Add(1)
@@ -255,13 +227,13 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 	// each interval profile into the epoch feed under a per-session member
 	// name. Its interval i is fleet epoch base+i.
 	if s.feed != nil && (h.Marked || h.Config.IntervalLength == s.cfg.EpochLength) {
-		sess.pub = fmt.Sprintf("%s/s%d", s.cfg.MachineID, id)
+		sess.pub = s.pubName(id)
 		sess.pubBase = s.feed.Join(sess.pub)
 	}
 	if s.journaling() {
 		jw, err := journal.Create(s.journalOptsFor(tenant), journal.Meta{
 			SessionID: id,
-			Hello:     wire.Hello{Config: h.Config, Shards: shards, Marked: h.Marked},
+			Hello:     h,
 			Pub:       sess.pub != "",
 			PubBase:   sess.pubBase,
 			Tenant:    tenant,
@@ -276,24 +248,18 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 		}
 		sess.jw = jw
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// Until the HelloAck is written no client knows this session, so a
+	// session refused or failed before then ends its journal: a restarted
+	// daemon must not recover a session nobody will resume.
+	if !s.attach(sess, conn, wc) {
+		sess.endJournal()
 		sess.release()
 		s.refuseConn(conn, wc, wire.CodeOverload, "server draining")
 		return
 	}
-	s.sessions[id] = sess
-	s.mu.Unlock()
 	s.metrics.SessionsTotal.Inc()
-	s.metrics.SessionsActive.Add(1)
-	// Elastic serving needs a worker that owns its boundaries (not marked)
-	// and somewhere for rung 4 to park into (resume).
-	if s.cfg.Elastic && !h.Marked && s.cfg.resumeEnabled() {
-		sess.elastic = s.newElastic(sess)
-	}
 	s.logf("session %d: open from %s: %v, %d shard(s), cost %.3f, marked %v, publish %q",
-		id, conn.RemoteAddr(), h.Config, shards, cost, h.Marked, sess.pub)
+		id, conn.RemoteAddr(), h.Config, h.Shards, cost, h.Marked, sess.pub)
 
 	ack := wire.HelloAck{
 		SessionID:  id,
@@ -305,12 +271,67 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 		s.logf("session %d: writing hello-ack: %v", id, err)
 		s.metrics.SessionErrors.Inc()
 		conn.Close()
+		sess.endJournal()
 		s.removeSession(sess)
 		close(sess.attachDone)
 		return
 	}
 	sess.serve()
 }
+
+// attach makes conn the session's current attachment — a fresh queue and
+// attachDone, the per-attachment state reset — and registers the session
+// as live. It reports false, leaving the session unregistered, when the
+// server is draining. The Hello and Resume paths both attach through here.
+func (s *Server) attach(sess *session, conn net.Conn, wc *wire.Conn) bool {
+	sess.conn, sess.wc = conn, wc
+	sess.queue = make(chan item, s.cfg.QueueDepth)
+	sess.attachDone = make(chan struct{})
+	sess.connDead = false
+	sess.gateOn = false
+	sess.parkNext.Store(false)
+	sess.draining.Store(false)
+	// Elastic serving needs a worker that owns its boundaries (not marked)
+	// and somewhere for rung 4 to park into (resume). A recovered session
+	// lost its controller in the crash; its first attachment rebuilds it,
+	// re-admitting the current (possibly resized) geometry as the restore
+	// target.
+	if s.cfg.Elastic && sess.elastic == nil && !sess.marked && s.cfg.resumeEnabled() {
+		sess.elastic = s.newElastic(sess)
+	}
+	s.mu.Lock()
+	if s.draining.Load() {
+		s.mu.Unlock()
+		return false
+	}
+	s.sessions[sess.id] = sess
+	s.mu.Unlock()
+	s.metrics.SessionsActive.Add(1)
+	return true
+}
+
+// restage validates h's configuration and swaps in a fresh engine built
+// from it, discarding the previous engine (and its retained candidates)
+// outright: a session's first engine, at Hello or at the start of a
+// journal replay, and every journaled resize the replay re-applies.
+func (s *session) restage(h wire.Hello) error {
+	if err := h.Config.Validate(); err != nil {
+		return err
+	}
+	shards := max(h.Shards, 1)
+	eng, err := shard.New(shard.Config{Core: h.Config, NumShards: shards})
+	if err != nil {
+		return err
+	}
+	if s.eng != nil {
+		s.eng.Close()
+	}
+	s.eng, s.cfg, s.shards = eng, h.Config, shards
+	return nil
+}
+
+// pubName is session id's member name in the daemon's epoch feed.
+func (s *Server) pubName(id uint64) string { return fmt.Sprintf("%s/s%d", s.cfg.MachineID, id) }
 
 // resumeSession reattaches a connection to a parked session named by its
 // Resume frame. If the session is still live (the server has not yet
@@ -386,32 +407,19 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	if refusal != "" {
 		s.metrics.ResumeFailures.Inc()
 		s.refuseConn(conn, wc, code, refusal)
-		s.retomb(sess)
+		s.entomb(sess, false)
 		return
 	}
-
-	// Each failure path below parks the session, after which a concurrent
-	// resume may adopt it and replace attachDone: close this attachment's
-	// channel through a local, never through the session.
-	done := make(chan struct{})
-	sess.conn, sess.wc = conn, wc
-	sess.queue = make(chan item, s.cfg.QueueDepth)
-	sess.attachDone = done
-	sess.connDead = false
-	sess.gateOn = false
-	sess.parkNext.Store(false)
-	sess.draining.Store(false)
-	s.mu.Lock()
-	if s.closed || s.draining.Load() {
-		s.mu.Unlock()
+	if !s.attach(sess, conn, wc) {
 		s.metrics.ResumeFailures.Inc()
 		s.refuseConn(conn, wc, wire.CodeOverload, "server draining")
 		sess.release()
 		return
 	}
-	s.sessions[sess.id] = sess
-	s.mu.Unlock()
-	s.metrics.SessionsActive.Add(1)
+	// Each failure path below parks the session, after which a concurrent
+	// resume may adopt it and replace attachDone: close this attachment's
+	// channel through a local, never through the session.
+	done := sess.attachDone
 
 	// The ack carries the session's current geometry: after an elastic
 	// resize the client's Hello-time geometry is stale, and the ack is what
@@ -423,7 +431,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	}
 	if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
 		s.logf("session %d: writing resume-ack: %v", sess.id, err)
-		s.parkSession(sess)
+		s.entomb(sess, true)
 		close(done)
 		return
 	}
@@ -439,7 +447,7 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 		}
 		if err := wc.WriteFrame(wire.MsgNotice, n.frame); err != nil {
 			s.logf("session %d: resending notice: %v", sess.id, err)
-			s.parkSession(sess)
+			s.entomb(sess, true)
 			close(done)
 			return
 		}
@@ -448,39 +456,16 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	for i := len(sess.ring) - resend; i < len(sess.ring); i++ {
 		if err := wc.WriteFrame(wire.MsgProfile, sess.ring[i]); err != nil {
 			s.logf("session %d: resending profile: %v", sess.id, err)
-			s.parkSession(sess)
+			s.entomb(sess, true)
 			close(done)
 			return
 		}
 		s.metrics.IntervalsTotal.Inc()
 	}
 	s.metrics.ResumesTotal.Inc()
-	// A recovered session lost its controller in the crash; rebuild it for
-	// this attachment, re-admitting the current (possibly resized) geometry
-	// as the restore target.
-	if s.cfg.Elastic && sess.elastic == nil && !sess.marked && s.cfg.resumeEnabled() {
-		sess.elastic = s.newElastic(sess)
-	}
 	s.logf("session %d: resumed from %s at interval %d+%d (stream pos %d), resent %d profile(s)",
 		sess.id, conn.RemoteAddr(), sess.interval, sess.events, pos, resend)
 	sess.serve()
-}
-
-// retomb puts a session whose resume attempt was refused back among the
-// tombstones with a fresh grace period.
-func (s *Server) retomb(sess *session) {
-	s.mu.Lock()
-	if s.closed || s.draining.Load() {
-		s.mu.Unlock()
-		sess.release()
-		return
-	}
-	sess.parkEpoch++
-	epoch := sess.parkEpoch
-	s.tombs[sess.id] = sess
-	s.mu.Unlock()
-	s.metrics.SessionsParked.Add(1)
-	time.AfterFunc(s.cfg.ResumeGrace, func() { s.expireTombstone(sess.id, epoch) })
 }
 
 // serve runs one attachment to completion: the worker spun off, the reader
@@ -506,7 +491,7 @@ func (s *session) finishAttachment() {
 		s.srv.metrics.ShedSessions.Add(-1)
 	}
 	if s.parkNext.Load() {
-		s.srv.parkSession(s)
+		s.srv.entomb(s, true)
 	} else {
 		s.conn.Close()
 		s.srv.removeSession(s)
@@ -837,17 +822,7 @@ func (s *session) emitProfile(final bool) bool {
 	s.enc = wire.AppendProfile(s.enc[:0], msg)
 	if !final {
 		if s.srv.cfg.resumeEnabled() {
-			buf := append([]byte(nil), s.enc...)
-			if len(s.ring) < s.srv.cfg.ResumeWindow {
-				s.ring = append(s.ring, buf)
-			} else {
-				copy(s.ring, s.ring[1:])
-				s.ring[len(s.ring)-1] = buf
-			}
-			oldest := s.interval + 1 - uint64(len(s.ring))
-			for len(s.notices) > 0 && s.notices[0].index < oldest {
-				s.notices = s.notices[1:]
-			}
+			s.keepProfile(s.interval, append([]byte(nil), s.enc...))
 		}
 		if s.jw != nil {
 			// The boundary must be durable (per the sync policy) before the
@@ -896,6 +871,21 @@ func (s *session) emitProfile(final bool) bool {
 	return true
 }
 
+// keepProfile retains the encoded profile of interval index in the resume
+// ring, evicting the oldest past the resume window, and forgets notices
+// for boundaries the ring no longer holds. The live worker and the journal
+// replay both keep frames through here.
+func (s *session) keepProfile(index uint64, frame []byte) {
+	s.ring = append(s.ring, frame)
+	if n := len(s.ring) - s.srv.cfg.ResumeWindow; n > 0 {
+		s.ring = s.ring[:copy(s.ring, s.ring[n:])]
+	}
+	oldest := index + 1 - uint64(len(s.ring))
+	for len(s.notices) > 0 && s.notices[0].index < oldest {
+		s.notices = s.notices[1:]
+	}
+}
+
 // journalBatch mirrors an engine-observed slice into the session journal,
 // reporting whether the worker should continue. A journal append failure
 // is an internal session failure: the daemon promised durability for this
@@ -915,7 +905,9 @@ func (s *session) journalBatch(events []event.Tuple) bool {
 // endJournal closes out the session journal after a clean end (goodbye or
 // drain): the client acknowledged everything there was to deliver, so
 // there is nothing left for a restarted daemon to recover. Errors are
-// logged only — the session itself ended fine.
+// logged only — the session itself ended fine. jw stays set: Kill reads it
+// from another goroutine, and an ended writer's Close and Abandon are
+// no-ops.
 func (s *session) endJournal() {
 	if s.jw == nil {
 		return
@@ -926,7 +918,6 @@ func (s *session) endJournal() {
 	if err := journal.Remove(s.srv.journal.Dir, s.id); err != nil {
 		s.srv.logf("session %d: removing journal: %v", s.id, err)
 	}
-	s.jw = nil
 }
 
 // finish is the graceful end: drain the engine, send the final partial

@@ -86,12 +86,6 @@ func WithEngine(hw StreamProfiler) Option {
 	return func(o *options) { o.eng = hw }
 }
 
-// WithReconnect enables automatic reconnect/resume on remote links
-// (Connect's default, stated explicitly).
-func WithReconnect() Option {
-	return func(o *options) { o.noReconnect = false }
-}
-
 // WithoutReconnect disables automatic reconnect: a broken link surfaces as
 // an error instead of being redialed.
 func WithoutReconnect() Option {

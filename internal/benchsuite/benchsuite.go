@@ -18,6 +18,7 @@ import (
 	"hwprof/internal/core"
 	"hwprof/internal/event"
 	"hwprof/internal/hashfn"
+	"hwprof/internal/wire"
 	"hwprof/internal/xrand"
 )
 
@@ -213,6 +214,55 @@ func hashIndexCase() func(b *testing.B) {
 	}
 }
 
+// batchFrame is the event count of the wire codec cases' frames.
+const batchFrame = 512
+
+// batchEncodeCase measures wire.AppendBatch: per op one 512-event frame of
+// the canned stream is encoded into a reused buffer. It also reports the
+// encoded size in B/event.
+func batchEncodeCase() func(b *testing.B) {
+	return func(b *testing.B) {
+		tuples := Tuples(streamLen, workloadSeed)
+		enc := wire.AppendBatch(nil, tuples[:batchFrame])
+		size := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (i * batchFrame) & (streamLen - 1)
+			enc = wire.AppendBatch(enc[:0], tuples[off:off+batchFrame])
+			size += len(enc)
+		}
+		b.StopTimer()
+		events := float64(b.N) * batchFrame
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+		b.ReportMetric(float64(size)/events, "B/event")
+	}
+}
+
+// batchDecodeCase measures wire.DecodeBatch: per op one 512-event frame of
+// the canned stream, encoded before the timer starts, is decoded into a
+// reused buffer.
+func batchDecodeCase() func(b *testing.B) {
+	return func(b *testing.B) {
+		tuples := Tuples(streamLen, workloadSeed)
+		frames := make([][]byte, streamLen/batchFrame)
+		for i := range frames {
+			frames[i] = wire.AppendBatch(nil, tuples[i*batchFrame:(i+1)*batchFrame])
+		}
+		dec := make([]event.Tuple, batchFrame)
+		var err error
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if dec, err = wire.DecodeBatch(frames[i%len(frames)], dec[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*batchFrame), "ns/event")
+	}
+}
+
 // deepConfig returns the deepest fusable plain-update geometry — 4×32768
 // = 128Ki counters (512 KB of words) at the short-interval regime — where
 // the counter set no longer fits in L1 and the ordered commit pays for
@@ -233,7 +283,8 @@ func deepConfig() core.Config {
 // driven through ObserveBatch exactly as RunBatched drives it. The
 // multi-lenN cases sweep the batch length across the staged pipeline's
 // break-even point, and the deep case measures the ordered pipeline on a
-// cache-hostile counter set.
+// cache-hostile counter set. The wire cases time the batch codec that a
+// remote session runs on every event before the engine sees it.
 func Suite() []Case {
 	short := core.ShortIntervalConfig()
 	long := core.LongIntervalConfig()
@@ -250,5 +301,7 @@ func Suite() []Case {
 		{Name: "accum/inc", F: accumIncCase()},
 		{Name: "accum/insert-evict", F: accumInsertCase()},
 		{Name: "hashfn/index", F: hashIndexCase()},
+		{Name: "wire/batch-encode", F: batchEncodeCase()},
+		{Name: "wire/batch-decode", F: batchDecodeCase()},
 	}
 }

@@ -89,16 +89,18 @@ import (
 const Magic = "HWPJ"
 
 // Version is the journal format version. v2 added the tenant key to the
-// meta record and the resize record; v1 journals are refused (recovery
-// across a daemon upgrade is not a supported path — drain before
-// upgrading).
-const Version = 2
+// meta record and the resize record; v3 carries batch records in the wire
+// codec's fixed-width layout (wire.AppendBatch). Journals at any other
+// version are refused (recovery across a daemon upgrade is not a supported
+// path — drain before upgrading).
+const Version = 3
 
 // DefaultSegmentBytes is the rotation threshold for journal segments.
 const DefaultSegmentBytes = 8 << 20
 
 // batchChunk bounds events per batch record so every record fits the
-// block layer's payload limit (worst-case varint encoding ≈ 20 B/event).
+// block layer's payload limit (worst case 16 B/event plus the batch's
+// header of a few bytes).
 const batchChunk = 1024
 
 // ErrCorrupt reports a journal whose surviving bytes are inconsistent —

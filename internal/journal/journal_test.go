@@ -755,3 +755,34 @@ func TestJournalDroppedSegments(t *testing.T) {
 		t.Fatalf("after recover: segments %v (err %v), want [1 2]", segs, err)
 	}
 }
+
+// TestJournalRefusesOtherVersions: a segment at any other format version
+// is refused before any of its records is replayed. A v2 segment's batch
+// records hold the wire codec's earlier varint batches, which the current
+// codec would misread.
+func TestJournalRefusesOtherVersions(t *testing.T) {
+	for _, v := range []byte{Version - 1, Version + 1} {
+		opts := Options{Dir: t.TempDir(), Sync: SyncInterval}
+		w, err := Create(opts, testMeta(5, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		writeSession(t, w, rand.New(rand.NewSource(4)), 0, 1, 30)
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seg := segPath(filepath.Join(opts.Dir, "session-5"), 1)
+		b, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(Magic)] = v
+		if err := os.WriteFile(seg, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var rec recording
+		if _, _, err := Replay(opts, 5, &rec); err == nil || rec.started {
+			t.Fatalf("version %d segment: replay err %v, started %v; want a refusal before any record", v, err, rec.started)
+		}
+	}
+}

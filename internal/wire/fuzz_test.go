@@ -2,12 +2,57 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"hwprof/internal/event"
 )
+
+// FuzzBatch reads its input two ways. As a batch payload, it must decode
+// the same way twice — the same tuples or ErrCorrupt both times — and
+// accepted tuples must re-encode to a payload that decodes to them again.
+// As a tuple list (16 little-endian bytes each), it must survive
+// AppendBatch then DecodeBatch unchanged.
+func FuzzBatch(f *testing.F) {
+	f.Add(AppendBatch(nil, []event.Tuple{{A: 1, B: 2}, {A: 5, B: 5}}))
+	f.Add(AppendBatch(nil, []event.Tuple{{A: math.MaxUint64, B: 3}, {A: 0, B: 1 << 40}, {A: 9, B: 9}}))
+	f.Add(AppendBatch(nil, nil))
+	f.Add([]byte{0x02, 0x91, 0x01, 0x02})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b1, err1 := DecodeBatch(data, nil)
+		b2, err2 := DecodeBatch(data, make([]event.Tuple, 0, 8))
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("decode verdict flipped between calls: %v vs %v", err1, err2)
+		}
+		if err1 != nil {
+			if !errors.Is(err1, ErrCorrupt) || !errors.Is(err2, ErrCorrupt) {
+				t.Fatalf("unclassified decode errors: %v, %v", err1, err2)
+			}
+		} else {
+			if !slices.Equal(b1, b2) {
+				t.Fatal("batch decoded differently twice")
+			}
+			re, err := DecodeBatch(AppendBatch(nil, b1), nil)
+			if err != nil || !slices.Equal(re, b1) {
+				t.Fatalf("re-encoded batch decodes to %v (%v), want %v", re, err, b1)
+			}
+		}
+
+		ts := make([]event.Tuple, len(data)/16)
+		for i := range ts {
+			ts[i] = event.Tuple{A: binary.LittleEndian.Uint64(data[16*i:]), B: binary.LittleEndian.Uint64(data[16*i+8:])}
+		}
+		got, err := DecodeBatch(AppendBatch(nil, ts), nil)
+		if err != nil || !slices.Equal(got, ts) {
+			t.Fatalf("tuples %v round-trip to %v (%v)", ts, got, err)
+		}
+	})
+}
 
 // FuzzWire feeds arbitrary bytes to the frame reader and the message
 // decoders: whatever the bytes, the reader must classify every failure as a

@@ -44,10 +44,13 @@
 // for the same reason: a client that missed a Notice across an outage is
 // resynchronized by the ack.
 //
-// All encodings are deterministic: profile entries are sorted by tuple, and
-// both batches and profiles use the same delta+zigzag+uvarint record coding
-// as the trace format, with the delta base reset at every frame so each
-// frame is self-contained.
+// All encodings are deterministic, and both batches and profiles code each
+// tuple as a zigzagged delta from the frame's previous one, with the delta
+// base reset at every frame so each frame is self-contained. Profiles,
+// whose entries are sorted by tuple, store the deltas as uvarints like the
+// trace format. Batches, the per-event path, store them in fixed-width
+// records, one width per field per frame (AppendBatch), so coding an event
+// takes two word stores and decoding it two word loads.
 package wire
 
 import (
@@ -58,6 +61,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"hwprof/internal/core"
@@ -68,8 +73,9 @@ import (
 const Magic = "HWPS"
 
 // Version is the protocol version this package speaks, and the only one:
-// both handshake sides refuse a peer at any other version.
-const Version = 4
+// both handshake sides refuse a peer at any other version. v5 replaced the
+// batch payload's uvarint records with fixed-width ones.
+const Version = 5
 
 // MaxPayload bounds a frame payload. Batches and interval profiles are both
 // far smaller in practice; the bound exists so a corrupt length prefix
@@ -159,7 +165,8 @@ var ErrProtocol = errors.New("wire: protocol violation")
 // crcTable is the frame checksum polynomial, shared with the trace format.
 var crcTable = crc32.IEEETable
 
-// zigzag encodes a signed delta as an unsigned varint-friendly value.
+// zigzag maps a signed delta to an unsigned value that is small when the
+// delta's magnitude is, so it fits a short varint or a narrow record.
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 // unzigzag inverts zigzag.
@@ -551,46 +558,102 @@ func DecodeResumeAck(p []byte) (ResumeAck, error) {
 	return a, nil
 }
 
-// AppendBatch encodes a batch of tuples onto dst: uvarint count, then
-// delta+zigzag+uvarint records with the delta base reset for the frame.
+// byteWidth is the number of bytes, from 1 to 8, that hold v.
+func byteWidth(v uint64) int {
+	return max(1, (bits.Len64(v)+7)/8)
+}
+
+// widthMask keeps the low w bytes of a word.
+func widthMask(w int) uint64 { return ^uint64(0) >> (64 - 8*w) }
+
+// AppendBatch encodes a batch of tuples onto dst:
+//
+//	uvarint(count) | widths byte (wA<<4 | wB) | count × (wA+wB)-byte records
+//
+// A record holds zigzag(A − prevA) in wA little-endian bytes, then
+// zigzag(B − prevB) in wB bytes, with the delta base reset for the frame.
+// wA and wB are the smallest widths in 1..8 that hold every delta of the
+// frame, so each field is one word store here and one masked word load in
+// DecodeBatch. Like append, it may write into dst's spare capacity: here up
+// to 8 bytes past the end of the returned slice.
 func AppendBatch(dst []byte, batch []event.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	var orA, orB uint64
 	var prev event.Tuple
 	for _, tp := range batch {
-		dst = binary.AppendUvarint(dst, zigzag(int64(tp.A)-int64(prev.A)))
-		dst = binary.AppendUvarint(dst, zigzag(int64(tp.B)-int64(prev.B)))
+		orA |= zigzag(int64(tp.A - prev.A))
+		orB |= zigzag(int64(tp.B - prev.B))
 		prev = tp
 	}
-	return dst
+	wA, wB := byteWidth(orA), byteWidth(orB)
+	dst = append(dst, byte(wA<<4|wB))
+	// Every field is stored as a full 8-byte word whose high bytes the next
+	// store overwrites; the last store runs into 8 bytes of slack, trimmed
+	// on return.
+	rec, start := wA+wB, len(dst)
+	end := start + len(batch)*rec
+	dst = slices.Grow(dst, end+8-start)[:end+8]
+	prev = event.Tuple{}
+	for i, tp := range batch {
+		off := start + i*rec
+		binary.LittleEndian.PutUint64(dst[off:], zigzag(int64(tp.A-prev.A)))
+		binary.LittleEndian.PutUint64(dst[off+wA:], zigzag(int64(tp.B-prev.B)))
+		prev = tp
+	}
+	return dst[:end]
 }
 
 // DecodeBatch decodes a batch payload into buf (grown as needed, reused
 // when capacity allows) and returns the decoded tuples.
 func DecodeBatch(p []byte, buf []event.Tuple) ([]event.Tuple, error) {
-	d := decoder{p: p}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.fail("batch")
+	n, k := binary.Uvarint(p)
+	if k <= 0 {
+		return nil, fmt.Errorf("batch: %w: bad varint at offset 0", ErrCorrupt)
 	}
-	// Each record is at least two bytes, so a count beyond half the
-	// remaining payload is corrupt, not a huge allocation request.
-	if n > uint64(len(p)-d.pos)/2+1 {
-		return nil, fmt.Errorf("%w: batch declares %d records in %d bytes", ErrCorrupt, n, len(p))
+	if k == len(p) {
+		return nil, fmt.Errorf("batch: %w: payload ends before the widths byte", ErrCorrupt)
+	}
+	wA, wB := int(p[k]>>4), int(p[k]&0xf)
+	if wA < 1 || wA > 8 || wB < 1 || wB > 8 {
+		return nil, fmt.Errorf("batch: %w: record widths %d+%d outside 1..8", ErrCorrupt, wA, wB)
+	}
+	body, rec := p[k+1:], wA+wB
+	// The body must hold exactly count records, checked before anything is
+	// allocated for them (and without forming count × rec, which a corrupt
+	// count could overflow).
+	if n > uint64(len(body)/rec) || int(n)*rec != len(body) {
+		return nil, fmt.Errorf("batch: %w: %d records of %d bytes declared in a %d-byte body", ErrCorrupt, n, rec, len(body))
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]event.Tuple, n)
 	}
 	buf = buf[:n]
-	var prev event.Tuple
-	for i := range buf {
-		prev.A = uint64(int64(prev.A) + unzigzag(d.uvarint()))
-		prev.B = uint64(int64(prev.B) + unzigzag(d.uvarint()))
-		buf[i] = prev
+	// A record is read with two 8-byte loads, the second ending wA+8 bytes
+	// past its start; records whose loads would run past the body are read
+	// from a zero-padded copy of the body's tail.
+	whole := 0
+	if len(body) >= wA+8 {
+		whole = (len(body)-wA-8)/rec + 1
 	}
-	if err := d.finish("batch"); err != nil {
-		return nil, err
-	}
+	prev := decodeRecords(buf[:whole], body, event.Tuple{}, wA, wB)
+	var tail [32]byte
+	copy(tail[:], body[whole*rec:])
+	decodeRecords(buf[whole:], tail[:], prev, wA, wB)
 	return buf, nil
+}
+
+// decodeRecords fills out from the (wA+wB)-byte records at the start of src,
+// continuing the delta chain from prev, and returns the last tuple. src must
+// extend at least wA+8 bytes past the start of the last record.
+func decodeRecords(out []event.Tuple, src []byte, prev event.Tuple, wA, wB int) event.Tuple {
+	rec, mA, mB := wA+wB, widthMask(wA), widthMask(wB)
+	for i := range out {
+		off := i * rec
+		prev.A += uint64(unzigzag(binary.LittleEndian.Uint64(src[off:]) & mA))
+		prev.B += uint64(unzigzag(binary.LittleEndian.Uint64(src[off+wA:]) & mB))
+		out[i] = prev
+	}
+	return prev
 }
 
 // ProfileMsg is one interval's profile as carried on the wire.

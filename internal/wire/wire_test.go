@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,6 +63,7 @@ func TestHandshakeNegotiation(t *testing.T) {
 		{1, ErrProtocol},
 		{2, ErrProtocol},
 		{3, ErrProtocol},
+		{4, ErrProtocol},
 		{Version + 1, ErrProtocol},
 	} {
 		theirs := Magic + string([]byte{tc.peer})
@@ -400,6 +403,111 @@ func TestBatchRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBatchEncodingPinned pins the batch bytes. Session journals store
+// batch payloads in their batch records, so a change to these bytes must
+// come with a journal.Version bump.
+func TestBatchEncodingPinned(t *testing.T) {
+	for _, tc := range []struct {
+		batch []event.Tuple
+		want  string
+	}{
+		// Widths 8 (A: the last delta is 2^63-3) and 1 (B); A's second delta
+		// is negative, so its zigzag is odd.
+		{[]event.Tuple{{A: 5, B: 1}, {A: 3, B: 2}, {A: 1 << 63, B: 3}},
+			"03" + "81" + "0a00000000000000" + "02" + "0300000000000000" + "02" + "faffffffffffffff" + "02"},
+		// A one-tuple frame, widths 1 and 2.
+		{[]event.Tuple{{A: 7, B: 0x1234}}, "01" + "12" + "0e" + "6824"},
+		{nil, "00" + "11"},
+	} {
+		if got := hex.EncodeToString(AppendBatch(nil, tc.batch)); got != tc.want {
+			t.Fatalf("batch %v = %s, want %s", tc.batch, got, tc.want)
+		}
+	}
+}
+
+// TestBatchWidths round-trips frames whose deltas need exactly wA and wB
+// bytes, for every width pair and for frames short enough that every record
+// is read from the zero-padded tail copy as well as longer ones.
+func TestBatchWidths(t *testing.T) {
+	rng := xrand.New(11)
+	// delta returns a signed delta whose zigzag needs exactly w bytes.
+	delta := func(w int, top bool) int64 {
+		z := rng.Uint64() & widthMask(w)
+		if top {
+			z |= 1 << (8*w - 1)
+		}
+		return unzigzag(z)
+	}
+	for wA := 1; wA <= 8; wA++ {
+		for wB := 1; wB <= 8; wB++ {
+			for _, n := range []int{1, 2, 3, 17} {
+				batch := make([]event.Tuple, n)
+				var prev event.Tuple
+				for i := range batch {
+					// The last record carries the widest deltas, so the tail
+					// copy is what must read them back.
+					prev.A += uint64(delta(wA, i == n-1))
+					prev.B += uint64(delta(wB, i == n-1))
+					batch[i] = prev
+				}
+				p := AppendBatch(nil, batch)
+				if want := 2 + n*(wA+wB); len(p) != want || p[1] != byte(wA<<4|wB) {
+					t.Fatalf("widths %d+%d, %d tuples: %d bytes with widths byte %#x, want %d bytes and %#x",
+						wA, wB, n, len(p), p[1], want, wA<<4|wB)
+				}
+				got, err := DecodeBatch(p, nil)
+				if err != nil {
+					t.Fatalf("widths %d+%d, %d tuples: %v", wA, wB, n, err)
+				}
+				if !reflect.DeepEqual(got, batch) {
+					t.Fatalf("widths %d+%d, %d tuples: %v != %v", wA, wB, n, got, batch)
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeBatchRejectsMalformedBodies feeds DecodeBatch widths outside
+// 1..8 and bodies that do not hold exactly the declared records. Each must
+// fail with ErrCorrupt before anything is allocated for the declared count.
+func TestDecodeBatchRejectsMalformedBodies(t *testing.T) {
+	const count = 1 << 16 // 1 MiB of tuples if the decoder allocated them
+	payload := func(count uint64, widths byte, body int) []byte {
+		return append(append(binary.AppendUvarint(nil, count), widths), make([]byte, body)...)
+	}
+	for _, tc := range []struct {
+		name string
+		p    []byte
+	}{
+		{"width 0 on A", payload(count, 0x01, count)},
+		{"width 0 on B", payload(count, 0x10, count)},
+		{"width 9 on A", payload(count, 0x91, count*10)},
+		{"width 9 on B", payload(count, 0x19, count*10)},
+		{"body one byte short", payload(count, 0x11, count*2-1)},
+		{"body one byte long", payload(count, 0x11, count*2+1)},
+		// 2^62 records of 4 bytes are 2^64 bytes: 0 once count × rec wraps.
+		{"count × rec overflows", payload(1<<62, 0x22, 0)},
+		{"no widths byte", binary.AppendUvarint(nil, count)},
+	} {
+		var err error
+		if b := allocatedBytes(func() { _, err = DecodeBatch(tc.p, nil) }); b > 4<<10 {
+			t.Errorf("%s: decoding allocated %d bytes", tc.name, b)
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// allocatedBytes reports the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestDecodeBatchReusesBuffer(t *testing.T) {

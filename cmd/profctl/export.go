@@ -1,6 +1,6 @@
 // Journal export: turn one session's write-ahead journal into a scenario
 // recording. The recording embeds the exact event stream the daemon
-// accepted (as a trace-v2 stream) and the digests of the profiles it
+// accepted (as a trace-v3 stream) and the digests of the profiles it
 // served, so `scenario replay` re-runs the engine over the stream and
 // proves the served profiles bit-identical — an offline audit of a
 // production session, with no daemon involved.

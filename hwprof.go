@@ -130,8 +130,8 @@ var ErrClosed = shard.ErrClosed
 var ErrTraceTruncated = trace.ErrTruncated
 
 // ErrTraceCorrupt matches (via errors.Is) trace-reader failures caused by
-// inconsistent bytes: checksum mismatches, record-count mismatches, or
-// undecodable framing.
+// inconsistent bytes: checksum mismatches, block-count mismatches,
+// undecodable framing or records, or bytes after the footer.
 var ErrTraceCorrupt = trace.ErrCorrupt
 
 // ShardedConfig describes a sharded engine: the aggregate profiler
@@ -327,7 +327,8 @@ func WriteTrace(w io.Writer, kind Kind, src Source, max uint64) (uint64, error) 
 }
 
 // OpenTrace wraps a binary trace stream as a Source. The returned reader
-// also exposes the trace's tuple kind. When the stream ends, the reader's
+// also exposes the trace's tuple kind, and is a BatchSource that decodes
+// one block of tuples per fill. When the stream ends, the reader's
 // Err method distinguishes a cleanly finished trace (nil) from truncation
 // or corruption (ErrTraceTruncated / ErrTraceCorrupt); Profile checks it
 // automatically and returns the failure.

@@ -99,7 +99,7 @@ func observe(t *testing.T, s *Session, n uint64) {
 // TestDialRefusesOtherVersion: a daemon that answers the handshake with
 // any version but wire.Version fails Dial with wire.ErrProtocol.
 func TestDialRefusesOtherVersion(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 3, 4, wire.Version + 1} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, wire.Version + 1} {
 		dialer := func(string, time.Duration) (net.Conn, error) {
 			client, server := net.Pipe()
 			go func() {

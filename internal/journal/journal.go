@@ -10,12 +10,14 @@
 // # Format
 //
 // A journal is a directory of segment files reusing the trace layer's
-// CRC-per-block framing (trace.BlockWriter/ScanBlocks): each segment is a
-// 6-byte header — magic "HWPJ", format version, a zero pad — followed by
-// CRC-framed blocks, one record per block. Rotated-away segments carry
-// the terminator+footer; the active segment does not, and a crash tears
-// at most its final frame, which recovery truncates at the last valid
-// CRC. Records are:
+// CRC-per-block framing (trace.BlockWriter/ScanBlocks), the framing trace
+// files use: each segment is a 6-byte header — magic "HWPJ", format
+// version, a zero pad — followed by CRC-framed blocks, one record per
+// block. Rotated-away segments carry the terminator+footer; the active
+// segment does not, and a crash tears at most its final frame, which
+// recovery truncates at the last valid CRC. A finished segment left last
+// by a crash inside a rotation is reopened before its footer. Records
+// are:
 //
 //	meta     session identity: id, publish base, tenant key, the admitted
 //	         Hello (config, post-clamp shards, marked) re-encoded with
@@ -90,10 +92,11 @@ const Magic = "HWPJ"
 
 // Version is the journal format version. v2 added the tenant key to the
 // meta record and the resize record; v3 carries batch records in the wire
-// codec's fixed-width layout (wire.AppendBatch). Journals at any other
-// version are refused (recovery across a daemon upgrade is not a supported
-// path — drain before upgrading).
-const Version = 3
+// codec's fixed-width layout (wire.AppendBatch), and v4 in its layout with
+// a base tuple per batch. Journals at any other version are refused
+// (recovery across a daemon upgrade is not a supported path — drain before
+// upgrading).
+const Version = 4
 
 // DefaultSegmentBytes is the rotation threshold for journal segments.
 const DefaultSegmentBytes = 8 << 20
@@ -527,11 +530,14 @@ func (w *Writer) Resize(h wire.Hello) error {
 }
 
 // rotate finishes the active segment and starts the next with a
-// checkpoint. The checkpoint is durable before the old segment's footer
-// lands and before any prefix is deleted, so a crash at any point leaves
-// either the full old chain or a complete new entry point. Prefix
-// truncation — deleting the pre-checkpoint segments — happens only for
-// restartable (Retain-off) sessions.
+// checkpoint. The old segment's footer is synced first, then the new
+// segment and its checkpoint are made durable, and only then is any prefix
+// deleted, so a crash at any point leaves either the full old chain or a
+// complete new entry point. A crash before the new segment's header is
+// durable leaves the finished segment last; Recover reopens it at its
+// scan's Valid, which stops before the footer. Prefix truncation —
+// deleting the pre-checkpoint segments — happens only for restartable
+// (Retain-off) sessions.
 func (w *Writer) rotate(ring [][]byte) error {
 	if err := w.bw.Finish(); err != nil {
 		return fmt.Errorf("journal: finishing segment %d: %w", w.seg, err)

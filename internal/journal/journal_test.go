@@ -757,9 +757,9 @@ func TestJournalDroppedSegments(t *testing.T) {
 }
 
 // TestJournalRefusesOtherVersions: a segment at any other format version
-// is refused before any of its records is replayed. A v2 segment's batch
-// records hold the wire codec's earlier varint batches, which the current
-// codec would misread.
+// is refused before any of its records is replayed. A v3 segment's batch
+// records hold the wire codec's earlier batches without a base tuple, which
+// the current codec would misread.
 func TestJournalRefusesOtherVersions(t *testing.T) {
 	for _, v := range []byte{Version - 1, Version + 1} {
 		opts := Options{Dir: t.TempDir(), Sync: SyncInterval}
@@ -783,6 +783,95 @@ func TestJournalRefusesOtherVersions(t *testing.T) {
 		var rec recording
 		if _, _, err := Replay(opts, 5, &rec); err == nil || rec.started {
 			t.Fatalf("version %d segment: replay err %v, started %v; want a refusal before any record", v, err, rec.started)
+		}
+	}
+}
+
+// TestRecoverReopensFinishedSegment covers a crash inside a rotation,
+// after segment k is finished and before segment k+1's header is durable:
+// the finished segment k is then the last one kept, and Recover must
+// reopen it before its terminator and footer. A boundary journaled after
+// that recovery must survive the next one, whether or not it rotates
+// again. Retain sessions keep every segment, so the torn successor is cut
+// to 3 bytes; Retain-off sessions delete their prefix only once the
+// successor exists, so the successor's creation fails instead.
+func TestRecoverReopensFinishedSegment(t *testing.T) {
+	// interval journals one batch of nev events and the boundary closing
+	// interval i.
+	interval := func(w *Writer, rng *rand.Rand, i, nev int) error {
+		if err := w.Batch(testEvents(rng, nev), 0); err != nil {
+			return err
+		}
+		prof := wire.AppendProfile(nil, wire.ProfileMsg{
+			Index:  uint64(i),
+			Counts: map[event.Tuple]uint64{{A: uint64(i), B: 1}: uint64(nev)},
+		})
+		return w.Boundary(uint64(i), 0, prof, [][]byte{prof})
+	}
+	for _, retain := range []bool{true, false} {
+		for _, segBytes := range []int64{2048, 1 << 20} {
+			t.Run(fmt.Sprintf("retain=%v/segment=%d", retain, segBytes), func(t *testing.T) {
+				opts := Options{Dir: t.TempDir(), Sync: SyncInterval, SegmentBytes: 2048}
+				dir := filepath.Join(opts.Dir, "session-31")
+				if !retain {
+					opts.Open = func(path string) (File, error) {
+						if path != segPath(dir, 1) {
+							return nil, faultinject.ErrInjected
+						}
+						return os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+					}
+				}
+				w, err := Create(opts, testMeta(31, retain))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(7))
+				if retain {
+					writeSession(t, w, rng, 0, 24, 60)
+					if err := w.Close(); err != nil {
+						t.Fatal(err)
+					}
+					segs, err := segIndexes(dir)
+					if err != nil || len(segs) < 2 {
+						t.Fatalf("segments %v (err %v), want a rotated journal", segs, err)
+					}
+					if err := os.Truncate(segPath(dir, segs[len(segs)-1]), 3); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for i := 0; ; i++ {
+						err := interval(w, rng, i, 60)
+						if errors.Is(err, faultinject.ErrInjected) {
+							break
+						}
+						if err != nil || i == 100 {
+							t.Fatalf("interval %d: err %v, want the rotation to fail", i, err)
+						}
+					}
+					w.Abandon()
+				}
+
+				ropts := Options{Dir: opts.Dir, Sync: SyncInterval, SegmentBytes: segBytes}
+				w2, st, _, err := Recover(ropts, 31, &recording{})
+				if err != nil {
+					t.Fatalf("recover: %v", err)
+				}
+				if err := interval(w2, rng, int(st.Interval), 2); err != nil {
+					t.Fatalf("boundary %d after recovery: %v", st.Interval, err)
+				}
+				if err := w2.Close(); err != nil {
+					t.Fatal(err)
+				}
+				w3, st2, _, err := Recover(ropts, 31, &recording{})
+				if err != nil {
+					t.Fatalf("second recover: %v", err)
+				}
+				w3.Abandon()
+				if st2.Interval != st.Interval+1 || st2.Observed != st.Observed+2 {
+					t.Fatalf("second recovery at %+v, want interval %d and %d observed: boundary %d was durable",
+						st2, st.Interval+1, st.Observed+2, st.Interval)
+				}
+			})
 		}
 	}
 }

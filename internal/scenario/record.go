@@ -39,7 +39,9 @@ type Recording struct {
 // Artifact framing.
 var recordMagic = [4]byte{'H', 'W', 'S', 'R'}
 
-const recordVersion = 1
+// recordVersion is the artifact format version. Version 2 embeds a
+// version-3 trace; recordings at any other version are refused.
+const recordVersion = 2
 
 // ErrDigestMismatch is returned (wrapped, with the interval) when a
 // replayed profile differs from the recording.

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -101,6 +103,25 @@ func TestRecordingDigestCountOverflow(t *testing.T) {
 	body = binary.AppendUvarint(body, 1<<62)
 	if _, err := DecodeRecording(resealed(body)); err == nil {
 		t.Fatal("digest count 1<<62 with no digest bytes was accepted")
+	}
+}
+
+// TestRecordingRefusesOtherVersions: a correctly sealed recording at any
+// other version, such as a version-1 recording embedding a version-2
+// trace, is refused by DecodeRecording with the version named.
+func TestRecordingRefusesOtherVersions(t *testing.T) {
+	rec, _, err := Record(context.Background(), "scenario v\nseed 3\ninterval 64\nphase a 128 {\n    source workload gcc\n}\n")
+	if err != nil {
+		t.Fatalf("Record: %v", err)
+	}
+	enc := rec.Encode()
+	for _, v := range []byte{1, recordVersion + 1} {
+		bad := append([]byte(nil), enc[:len(enc)-4]...)
+		bad[len(recordMagic)] = v
+		_, err := DecodeRecording(resealed(bad))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Fatalf("version %d recording: err = %v, want a refusal naming the version", v, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,7 +53,7 @@ func collectBlocks(t *testing.T, stream []byte) (ScanResult, [][]byte) {
 func TestScanBlocksCleanStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	payloads := testPayloads(rng, 17)
-	stream, _ := buildBlocks(payloads)
+	stream, frameEnds := buildBlocks(payloads)
 	res, got := collectBlocks(t, stream)
 	if !res.Clean || res.Err != nil {
 		t.Fatalf("clean stream scanned as %+v", res)
@@ -65,8 +66,15 @@ func TestScanBlocksCleanStream(t *testing.T) {
 			t.Fatalf("block %d round-trip mismatch", i)
 		}
 	}
-	if res.Valid != int64(len(stream)) {
-		t.Fatalf("valid = %d, want full stream %d", res.Valid, len(stream))
+	// Valid excludes the terminator and footer, as on every other path.
+	if want := frameEnds[len(frameEnds)-1]; res.Valid != want {
+		t.Fatalf("valid = %d, want %d (the end of the last block)", res.Valid, want)
+	}
+
+	// Bytes after a verified footer are not the writer's output.
+	res, _ = collectBlocks(t, append(append([]byte(nil), stream...), 0))
+	if res.Clean || !errors.Is(res.Err, ErrCorrupt) || res.Valid != frameEnds[len(frameEnds)-1] {
+		t.Fatalf("stream with a trailing byte scanned as %+v", res)
 	}
 }
 
@@ -149,15 +157,14 @@ func TestScanBlocksEveryTornOffset(t *testing.T) {
 func TestScanBlocksReopenFinished(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	payloads := testPayloads(rng, 5)
-	stream, frameEnds := buildBlocks(payloads)
+	stream, _ := buildBlocks(payloads)
 	res, _ := collectBlocks(t, stream)
 	if !res.Clean {
 		t.Fatalf("scan = %+v, want clean", res)
 	}
-	bodyEnd := frameEnds[len(frameEnds)-1]
 
 	var buf bytes.Buffer
-	buf.Write(stream[:bodyEnd])
+	buf.Write(stream[:res.Valid])
 	bw := ResumeBlockWriter(&buf, res.Blocks, res.CRC)
 	if err := bw.Append([]byte("tail")); err != nil {
 		t.Fatal(err)
@@ -218,14 +225,20 @@ func TestBlockWriterRejects(t *testing.T) {
 }
 
 // FuzzScanBlocks feeds arbitrary bytes through the scanner: it must never
-// panic, never deliver a block that was not written, and classify every
-// non-clean tail as truncated or corrupt.
+// panic, never deliver a block that was not written, classify every
+// non-clean tail as truncated or corrupt, and call a stream clean only if
+// it ends with exactly the terminator and footer BlockWriter would write
+// after the blocks delivered.
 func FuzzScanBlocks(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	stream, _ := buildBlocks(testPayloads(rng, 4))
 	f.Add(stream)
 	f.Add(stream[:len(stream)/2])
 	f.Add([]byte{})
+	// An empty finished stream with one trailing byte, and one whose
+	// terminator is in a two-byte varint form.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0x30})
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := ScanBlocks(bytes.NewReader(data), func(p []byte) error {
 			if len(p) == 0 {
@@ -239,11 +252,16 @@ func FuzzScanBlocks(f *testing.F) {
 		if !res.Clean && res.Err == nil {
 			t.Fatal("unclean scan with nil Err")
 		}
-		if res.Clean && res.Valid != int64(len(data)) {
-			t.Fatalf("clean scan consumed %d of %d bytes", res.Valid, len(data))
-		}
 		if res.Valid > int64(len(data)) {
 			t.Fatalf("valid offset %d beyond input %d", res.Valid, len(data))
+		}
+		if res.Clean {
+			footer := binary.AppendUvarint([]byte{0}, res.Blocks)
+			footer = binary.LittleEndian.AppendUint32(footer, res.CRC)
+			if !bytes.Equal(data[res.Valid:], footer) {
+				t.Fatalf("clean scan: input after offset %d is %x, want terminator and footer %x",
+					res.Valid, data[res.Valid:], footer)
+			}
 		}
 	})
 }

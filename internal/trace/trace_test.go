@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"hwprof/internal/event"
+	"hwprof/internal/wire"
 	"hwprof/internal/xrand"
 )
 
@@ -145,7 +146,7 @@ func TestBadMagic(t *testing.T) {
 }
 
 func TestBadVersion(t *testing.T) {
-	for _, v := range []byte{0, 1, Version + 1, 0x7f} {
+	for _, v := range []byte{0, 1, 2, Version + 1, 0x7f} {
 		if _, err := NewReader(bytes.NewReader([]byte{'H', 'W', 'P', 'T', v, 0})); err == nil {
 			t.Fatalf("version %d accepted", v)
 		}
@@ -205,10 +206,10 @@ var truncationTuples = []event.Tuple{
 	{A: 1 << 40, B: 2}, {A: 1 << 41, B: 3}, {A: 5, B: 1 << 50},
 }
 
-// TestTruncatedV2 cuts a trace at every possible byte length and checks
+// TestTruncated cuts a trace at every possible byte length and checks
 // each prefix reports truncation — the framing makes any cut detectable,
-// including cuts at record boundaries.
-func TestTruncatedV2(t *testing.T) {
+// including cuts at block boundaries.
+func TestTruncated(t *testing.T) {
 	data := writeTrace(t, event.KindValue, truncationTuples)
 	for cut := 6; cut < len(data); cut++ {
 		if _, err := readAll(t, data[:cut]); !errors.Is(err, ErrTruncated) {
@@ -220,10 +221,10 @@ func TestTruncatedV2(t *testing.T) {
 	}
 }
 
-// TestBitFlipV2 flips one bit at a time across the whole file and checks
+// TestBitFlip flips one bit at a time across the whole file and checks
 // that no flip yields the original tuples with a nil error: every
 // corruption is either detected or confined to the header check.
-func TestBitFlipV2(t *testing.T) {
+func TestBitFlip(t *testing.T) {
 	orig := writeTrace(t, event.KindValue, truncationTuples)
 	want, err := readAll(t, orig)
 	if err != nil {
@@ -266,8 +267,8 @@ func TestPrefixReadDetectsCorruption(t *testing.T) {
 		in[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
 	}
 	data := writeTrace(t, event.KindGeneric, in)
-	if len(data) < 2*blockTarget {
-		t.Fatalf("need a multi-block trace, got %d bytes", len(data))
+	if n := blockCount(t, data); n < 2 {
+		t.Fatalf("need a multi-block trace, got %d blocks", n)
 	}
 	data[100] ^= 0x08 // inside the first block's payload
 
@@ -285,11 +286,14 @@ func TestPrefixReadDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestFooterCountMismatch hand-edits the footer's record count.
+// TestFooterCountMismatch hand-edits the footer's block count.
 func TestFooterCountMismatch(t *testing.T) {
 	data := writeTrace(t, event.KindValue, truncationTuples)
-	// Footer layout: ... 0x00 terminator | uvarint(count=3) | crc32. The
-	// count is the second-to-last-5th byte; with 3 records it is one byte.
+	// Footer layout: ... 0x00 terminator | uvarint(blocks=1) | crc32. The
+	// count is the fifth byte from the end; with 1 block it is one byte.
+	if data[len(data)-5] != 1 {
+		t.Fatalf("footer block count byte = %d, want 1", data[len(data)-5])
+	}
 	data[len(data)-5] = 7
 	if _, err := readAll(t, data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -325,13 +329,13 @@ func TestWriterCloseIdempotent(t *testing.T) {
 // the block framing is invisible to the reader.
 func TestMultiBlock(t *testing.T) {
 	r := xrand.New(3)
-	in := make([]event.Tuple, 40_000) // ~8-10 bytes/record ≫ one block
+	in := make([]event.Tuple, 40_000)
 	for i := range in {
 		in[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
 	}
 	data := writeTrace(t, event.KindGeneric, in)
-	if len(data) < 3*blockTarget {
-		t.Fatalf("expected multi-block trace, got %d bytes", len(data))
+	if n := blockCount(t, data); n < 3 {
+		t.Fatalf("expected multi-block trace, got %d blocks", n)
 	}
 	got, err := readAll(t, data)
 	if err != nil {
@@ -353,12 +357,134 @@ func TestReaderIsSource(t *testing.T) {
 	if !ok || tp != (event.Tuple{A: 5, B: 6}) {
 		t.Fatalf("Source read %v, %v", tp, ok)
 	}
+	if b, ok := event.Batched(r).(*Reader); !ok || b != r {
+		t.Fatal("event.Batched wrapped the reader instead of returning it")
+	}
 }
 
-func TestZigzagRoundTrip(t *testing.T) {
-	f := func(v int64) bool { return unzigzag(zigzag(v)) == v }
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+// blockCount returns the number of blocks in a finished serialized trace.
+func blockCount(t *testing.T, data []byte) uint64 {
+	t.Helper()
+	res, err := ScanBlocks(bytes.NewReader(data[6:]), nil)
+	if err != nil || !res.Clean {
+		t.Fatalf("scanning trace blocks: %+v, %v", res, err)
+	}
+	return res.Blocks
+}
+
+// TestNextBatchInterleaved reads a multi-block trace alternating Next and
+// NextBatch, with buffers shorter than, about as long as and longer than a
+// block: the two share one position, so together they must deliver exactly
+// the stream that was written.
+func TestNextBatchInterleaved(t *testing.T) {
+	r := xrand.New(5)
+	in := make([]event.Tuple, 3*blockTuples+123)
+	for i := range in {
+		in[i] = event.Tuple{A: r.Uint64n(1 << 20), B: r.Uint64()}
+	}
+	data := writeTrace(t, event.KindGeneric, in)
+	if n := blockCount(t, data); n != 4 {
+		t.Fatalf("trace has %d blocks, want 4", n)
+	}
+	for _, n := range []int{1, 7, 2047, 2049, 5000} {
+		rd, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]event.Tuple, n)
+		var got []event.Tuple
+		for {
+			tp, ok := rd.Next()
+			if !ok {
+				break
+			}
+			got = append(got, tp)
+			k := rd.NextBatch(buf)
+			if k == 0 {
+				break
+			}
+			got = append(got, buf[:k]...)
+		}
+		if k := rd.NextBatch(buf); k != 0 {
+			t.Fatalf("buffer %d: NextBatch delivered %d tuples after the end", n, k)
+		}
+		if rd.Err() != nil {
+			t.Fatalf("buffer %d: %v", n, rd.Err())
+		}
+		if !reflect.DeepEqual(got, in) || rd.Count() != uint64(len(in)) {
+			t.Fatalf("buffer %d: read %d tuples (count %d), want the %d written", n, len(got), rd.Count(), len(in))
+		}
+	}
+}
+
+// TestNextBatchReportsFaults reads a cut and a bit-flipped multi-block
+// trace through NextBatch alone: each delivers a prefix of the stream and
+// returns 0 only once the reader has ended with the fault's error.
+func TestNextBatchReportsFaults(t *testing.T) {
+	r := xrand.New(6)
+	in := make([]event.Tuple, 4*blockTuples)
+	for i := range in {
+		in[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
+	}
+	data := writeTrace(t, event.KindGeneric, in)
+	flipped := append([]byte(nil), data...)
+	flipped[len(flipped)/2] ^= 0x10
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want error
+	}{
+		{"truncated", data[:len(data)*2/3], ErrTruncated},
+		{"corrupt", flipped, ErrCorrupt},
+	} {
+		rd, err := NewReader(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]event.Tuple, 512)
+		var got []event.Tuple
+		for {
+			k := rd.NextBatch(buf)
+			if k == 0 {
+				break
+			}
+			got = append(got, buf[:k]...)
+		}
+		if !errors.Is(rd.Err(), tc.want) {
+			t.Fatalf("%s: Err = %v, want %v", tc.name, rd.Err(), tc.want)
+		}
+		if len(got) == 0 || len(got) >= len(in) || !reflect.DeepEqual(got, in[:len(got)]) {
+			t.Fatalf("%s: delivered %d tuples, want a proper prefix of the %d written", tc.name, len(got), len(in))
+		}
+	}
+}
+
+// TestUndecodableBlockIsCorrupt: a block whose CRC verifies but whose
+// payload is not a batch the Writer writes — no tuples, or record widths
+// outside 1..8 — is refused as corrupt, before the blocks after it.
+func TestUndecodableBlockIsCorrupt(t *testing.T) {
+	for _, payload := range [][]byte{wire.AppendBatch(nil, nil), {1, 0x09, 0}} {
+		var buf bytes.Buffer
+		buf.Write([]byte{'H', 'W', 'P', 'T', Version, byte(event.KindValue)})
+		bw := NewBlockWriter(&buf)
+		for _, p := range [][]byte{payload, wire.AppendBatch(nil, truncationTuples)} {
+			if err := bw.Append(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := NewReader(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k := rd.NextBatch(make([]event.Tuple, 8)); k != 0 {
+			t.Fatalf("payload %x: NextBatch delivered %d tuples", payload, k)
+		}
+		if !errors.Is(rd.Err(), ErrCorrupt) {
+			t.Fatalf("payload %x: Err = %v, want ErrCorrupt", payload, rd.Err())
+		}
 	}
 }
 
@@ -426,7 +552,7 @@ func TestReaderNeverPanicsOnGarbage(t *testing.T) {
 	r := xrand.New(99)
 	for trial := 0; trial < 200; trial++ {
 		n := int(r.Uint64n(64))
-		data := append([]byte("HWPT\x02\x00"), make([]byte, n)...)
+		data := append([]byte{'H', 'W', 'P', 'T', Version, 0}, make([]byte, n)...)
 		for i := 6; i < len(data); i++ {
 			data[i] = byte(r.Uint64())
 		}
@@ -454,7 +580,7 @@ func TestHeaderGarbage(t *testing.T) {
 			data[i] = byte(r.Uint64())
 		}
 		if rd, err := NewReader(bytes.NewReader(data)); err == nil {
-			// A 6+ byte random prefix matching "HWPT\x02" is astronomically
+			// A 6+ byte random prefix matching "HWPT\x03" is astronomically
 			// unlikely; if it happens the reader must still behave.
 			rd.Next()
 		}

@@ -9,11 +9,12 @@
 //	           and refuses a peer that sent any other byte)
 //	frames:    type byte | uvarint(payloadLen) | payload | CRC32(payload)
 //
-// The CRC32 (IEEE, little-endian, over the payload bytes only) reuses the
-// per-block framing discipline of the trace format (internal/trace): a
-// frame is verified before any of its content is interpreted, so a flipped
-// bit in transit or a desynchronized stream surfaces as ErrCorrupt at the
-// frame boundary instead of as garbage profiles.
+// The CRC32 (IEEE, little-endian, over the payload bytes only) follows the
+// per-block framing discipline of the trace and journal formats
+// (internal/trace): a frame is verified before any of its content is
+// interpreted, so a flipped bit in transit or a desynchronized stream
+// surfaces as ErrCorrupt at the frame boundary instead of as garbage
+// profiles.
 //
 // # Messages
 //
@@ -47,10 +48,12 @@
 // All encodings are deterministic, and both batches and profiles code each
 // tuple as a zigzagged delta from the frame's previous one, with the delta
 // base reset at every frame so each frame is self-contained. Profiles,
-// whose entries are sorted by tuple, store the deltas as uvarints like the
-// trace format. Batches, the per-event path, store them in fixed-width
-// records, one width per field per frame (AppendBatch), so coding an event
-// takes two word stores and decoding it two word loads.
+// whose entries are sorted by tuple, store the deltas as uvarints.
+// Batches, the per-event path, code their first tuple as a uvarint base
+// and every later one as a fixed-width record, one width per field per
+// frame (AppendBatch), so coding an event takes two word stores and
+// decoding it two word loads. AppendBatch is the one tuple codec: session
+// journals and trace files store its payloads too.
 package wire
 
 import (
@@ -74,8 +77,9 @@ const Magic = "HWPS"
 
 // Version is the protocol version this package speaks, and the only one:
 // both handshake sides refuse a peer at any other version. v5 replaced the
-// batch payload's uvarint records with fixed-width ones.
-const Version = 5
+// batch payload's uvarint records with fixed-width ones; v6 codes each
+// batch's first tuple as a uvarint base outside the records.
+const Version = 6
 
 // MaxPayload bounds a frame payload. Batches and interval profiles are both
 // far smaller in practice; the bound exists so a corrupt length prefix
@@ -568,33 +572,41 @@ func widthMask(w int) uint64 { return ^uint64(0) >> (64 - 8*w) }
 
 // AppendBatch encodes a batch of tuples onto dst:
 //
-//	uvarint(count) | widths byte (wA<<4 | wB) | count × (wA+wB)-byte records
+//	uvarint(count) | widths byte (wA<<4 | wB) | base | (count−1) × (wA+wB)-byte records
 //
-// A record holds zigzag(A − prevA) in wA little-endian bytes, then
-// zigzag(B − prevB) in wB bytes, with the delta base reset for the frame.
-// wA and wB are the smallest widths in 1..8 that hold every delta of the
-// frame, so each field is one word store here and one masked word load in
-// DecodeBatch. Like append, it may write into dst's spare capacity: here up
-// to 8 bytes past the end of the returned slice.
+// The base is the first tuple, as uvarint(A) | uvarint(B); the empty batch
+// has none, and its widths byte is 0x11. Each later tuple is one record:
+// zigzag(A − prevA) in wA little-endian bytes, then zigzag(B − prevB) in wB
+// bytes, the chain starting at the base. wA and wB are the smallest widths
+// in 1..8 that hold every delta of the frame, so each field is one word
+// store here and one masked word load in DecodeBatch, and a stream of
+// large values with small deltas pays only the deltas' width. Like append,
+// it may write into dst's spare capacity: here up to 8 bytes past the end
+// of the returned slice.
 func AppendBatch(dst []byte, batch []event.Tuple) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(batch)))
+	if len(batch) == 0 {
+		return append(dst, 0x11)
+	}
 	var orA, orB uint64
-	var prev event.Tuple
-	for _, tp := range batch {
+	prev := batch[0]
+	for _, tp := range batch[1:] {
 		orA |= zigzag(int64(tp.A - prev.A))
 		orB |= zigzag(int64(tp.B - prev.B))
 		prev = tp
 	}
 	wA, wB := byteWidth(orA), byteWidth(orB)
 	dst = append(dst, byte(wA<<4|wB))
+	dst = binary.AppendUvarint(dst, batch[0].A)
+	dst = binary.AppendUvarint(dst, batch[0].B)
 	// Every field is stored as a full 8-byte word whose high bytes the next
 	// store overwrites; the last store runs into 8 bytes of slack, trimmed
 	// on return.
 	rec, start := wA+wB, len(dst)
-	end := start + len(batch)*rec
+	end := start + (len(batch)-1)*rec
 	dst = slices.Grow(dst, end+8-start)[:end+8]
-	prev = event.Tuple{}
-	for i, tp := range batch {
+	prev = batch[0]
+	for i, tp := range batch[1:] {
 		off := start + i*rec
 		binary.LittleEndian.PutUint64(dst[off:], zigzag(int64(tp.A-prev.A)))
 		binary.LittleEndian.PutUint64(dst[off+wA:], zigzag(int64(tp.B-prev.B)))
@@ -618,16 +630,33 @@ func DecodeBatch(p []byte, buf []event.Tuple) ([]event.Tuple, error) {
 		return nil, fmt.Errorf("batch: %w: record widths %d+%d outside 1..8", ErrCorrupt, wA, wB)
 	}
 	body, rec := p[k+1:], wA+wB
-	// The body must hold exactly count records, checked before anything is
-	// allocated for them (and without forming count × rec, which a corrupt
-	// count could overflow).
-	if n > uint64(len(body)/rec) || int(n)*rec != len(body) {
-		return nil, fmt.Errorf("batch: %w: %d records of %d bytes declared in a %d-byte body", ErrCorrupt, n, rec, len(body))
+	if n == 0 {
+		if len(body) != 0 {
+			return nil, fmt.Errorf("batch: %w: %d bytes after an empty batch", ErrCorrupt, len(body))
+		}
+		return buf[:0], nil
+	}
+	var base event.Tuple
+	base.A, k = binary.Uvarint(body)
+	if k > 0 {
+		body = body[k:]
+		base.B, k = binary.Uvarint(body)
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("batch: %w: bad base tuple", ErrCorrupt)
+	}
+	body = body[k:]
+	// The body must hold exactly count−1 records, checked before anything
+	// is allocated for them (and without forming records × rec, which a
+	// corrupt count could overflow).
+	if records := n - 1; records > uint64(len(body)/rec) || int(records)*rec != len(body) {
+		return nil, fmt.Errorf("batch: %w: %d records of %d bytes declared in a %d-byte body", ErrCorrupt, n-1, rec, len(body))
 	}
 	if uint64(cap(buf)) < n {
 		buf = make([]event.Tuple, n)
 	}
 	buf = buf[:n]
+	buf[0] = base
 	// A record is read with two 8-byte loads, the second ending wA+8 bytes
 	// past its start; records whose loads would run past the body are read
 	// from a zero-padded copy of the body's tail.
@@ -635,10 +664,10 @@ func DecodeBatch(p []byte, buf []event.Tuple) ([]event.Tuple, error) {
 	if len(body) >= wA+8 {
 		whole = (len(body)-wA-8)/rec + 1
 	}
-	prev := decodeRecords(buf[:whole], body, event.Tuple{}, wA, wB)
+	prev := decodeRecords(buf[1:1+whole], body, base, wA, wB)
 	var tail [32]byte
 	copy(tail[:], body[whole*rec:])
-	decodeRecords(buf[whole:], tail[:], prev, wA, wB)
+	decodeRecords(buf[1+whole:], tail[:], prev, wA, wB)
 	return buf, nil
 }
 

@@ -64,6 +64,7 @@ func TestHandshakeNegotiation(t *testing.T) {
 		{2, ErrProtocol},
 		{3, ErrProtocol},
 		{4, ErrProtocol},
+		{5, ErrProtocol},
 		{Version + 1, ErrProtocol},
 	} {
 		theirs := Magic + string([]byte{tc.peer})
@@ -413,12 +414,15 @@ func TestBatchEncodingPinned(t *testing.T) {
 		batch []event.Tuple
 		want  string
 	}{
-		// Widths 8 (A: the last delta is 2^63-3) and 1 (B); A's second delta
-		// is negative, so its zigzag is odd.
+		// Base (5, 1), then widths 8 (A: the last delta is 2^63-3) and 1
+		// (B); A's first delta is negative, so its zigzag is odd.
 		{[]event.Tuple{{A: 5, B: 1}, {A: 3, B: 2}, {A: 1 << 63, B: 3}},
-			"03" + "81" + "0a00000000000000" + "02" + "0300000000000000" + "02" + "faffffffffffffff" + "02"},
-		// A one-tuple frame, widths 1 and 2.
-		{[]event.Tuple{{A: 7, B: 0x1234}}, "01" + "12" + "0e" + "6824"},
+			"03" + "81" + "05" + "01" + "0300000000000000" + "02" + "faffffffffffffff" + "02"},
+		// A large base does not widen the records: 1 byte for A's delta of
+		// +4, 1 for B's of −1.
+		{[]event.Tuple{{A: 0x400000, B: 2}, {A: 0x400004, B: 1}}, "02" + "11" + "80808002" + "02" + "08" + "01"},
+		// A one-tuple frame is its base alone.
+		{[]event.Tuple{{A: 7, B: 0x1234}}, "01" + "11" + "07" + "b424"},
 		{nil, "00" + "11"},
 	} {
 		if got := hex.EncodeToString(AppendBatch(nil, tc.batch)); got != tc.want {
@@ -429,7 +433,8 @@ func TestBatchEncodingPinned(t *testing.T) {
 
 // TestBatchWidths round-trips frames whose deltas need exactly wA and wB
 // bytes, for every width pair and for frames short enough that every record
-// is read from the zero-padded tail copy as well as longer ones.
+// is read from the zero-padded tail copy as well as longer ones. Each frame
+// starts from a random base, which must not widen its records.
 func TestBatchWidths(t *testing.T) {
 	rng := xrand.New(11)
 	// delta returns a signed delta whose zigzag needs exactly w bytes.
@@ -443,26 +448,28 @@ func TestBatchWidths(t *testing.T) {
 	for wA := 1; wA <= 8; wA++ {
 		for wB := 1; wB <= 8; wB++ {
 			for _, n := range []int{1, 2, 3, 17} {
-				batch := make([]event.Tuple, n)
-				var prev event.Tuple
-				for i := range batch {
+				batch := make([]event.Tuple, n+1)
+				prev := event.Tuple{A: rng.Uint64(), B: rng.Uint64()}
+				batch[0] = prev
+				for i := 1; i <= n; i++ {
 					// The last record carries the widest deltas, so the tail
 					// copy is what must read them back.
-					prev.A += uint64(delta(wA, i == n-1))
-					prev.B += uint64(delta(wB, i == n-1))
+					prev.A += uint64(delta(wA, i == n))
+					prev.B += uint64(delta(wB, i == n))
 					batch[i] = prev
 				}
 				p := AppendBatch(nil, batch)
-				if want := 2 + n*(wA+wB); len(p) != want || p[1] != byte(wA<<4|wB) {
-					t.Fatalf("widths %d+%d, %d tuples: %d bytes with widths byte %#x, want %d bytes and %#x",
+				base := len(binary.AppendUvarint(nil, batch[0].A)) + len(binary.AppendUvarint(nil, batch[0].B))
+				if want := 2 + base + n*(wA+wB); len(p) != want || p[1] != byte(wA<<4|wB) {
+					t.Fatalf("widths %d+%d, %d records: %d bytes with widths byte %#x, want %d bytes and %#x",
 						wA, wB, n, len(p), p[1], want, wA<<4|wB)
 				}
 				got, err := DecodeBatch(p, nil)
 				if err != nil {
-					t.Fatalf("widths %d+%d, %d tuples: %v", wA, wB, n, err)
+					t.Fatalf("widths %d+%d, %d records: %v", wA, wB, n, err)
 				}
 				if !reflect.DeepEqual(got, batch) {
-					t.Fatalf("widths %d+%d, %d tuples: %v != %v", wA, wB, n, got, batch)
+					t.Fatalf("widths %d+%d, %d records: %v != %v", wA, wB, n, got, batch)
 				}
 			}
 		}
@@ -470,26 +477,34 @@ func TestBatchWidths(t *testing.T) {
 }
 
 // TestDecodeBatchRejectsMalformedBodies feeds DecodeBatch widths outside
-// 1..8 and bodies that do not hold exactly the declared records. Each must
-// fail with ErrCorrupt before anything is allocated for the declared count.
+// 1..8, broken bases and bodies that do not hold exactly the declared
+// records. Each must fail with ErrCorrupt before anything is allocated for
+// the declared count.
 func TestDecodeBatchRejectsMalformedBodies(t *testing.T) {
 	const count = 1 << 16 // 1 MiB of tuples if the decoder allocated them
+	// payload is count, the widths byte, a base of (0, 0) and body bytes
+	// for the records.
 	payload := func(count uint64, widths byte, body int) []byte {
-		return append(append(binary.AppendUvarint(nil, count), widths), make([]byte, body)...)
+		return append(append(binary.AppendUvarint(nil, count), widths, 0, 0), make([]byte, body)...)
 	}
+	const records = count - 1
 	for _, tc := range []struct {
 		name string
 		p    []byte
 	}{
-		{"width 0 on A", payload(count, 0x01, count)},
-		{"width 0 on B", payload(count, 0x10, count)},
-		{"width 9 on A", payload(count, 0x91, count*10)},
-		{"width 9 on B", payload(count, 0x19, count*10)},
-		{"body one byte short", payload(count, 0x11, count*2-1)},
-		{"body one byte long", payload(count, 0x11, count*2+1)},
-		// 2^62 records of 4 bytes are 2^64 bytes: 0 once count × rec wraps.
-		{"count × rec overflows", payload(1<<62, 0x22, 0)},
+		{"width 0 on A", payload(count, 0x01, records)},
+		{"width 0 on B", payload(count, 0x10, records)},
+		{"width 9 on A", payload(count, 0x91, records*10)},
+		{"width 9 on B", payload(count, 0x19, records*10)},
+		{"body one byte short", payload(count, 0x11, records*2-1)},
+		{"body one byte long", payload(count, 0x11, records*2+1)},
+		// 2^62 records of 4 bytes are 2^64 bytes: 0 once records × rec wraps.
+		{"records × rec overflows", payload(1<<62+1, 0x22, 0)},
 		{"no widths byte", binary.AppendUvarint(nil, count)},
+		{"no base", append(binary.AppendUvarint(nil, count), 0x11)},
+		{"base without B", append(binary.AppendUvarint(nil, count), 0x11, 0x05)},
+		{"base A overlong", append(append(binary.AppendUvarint(nil, count), 0x11), bytes.Repeat([]byte{0xff}, 11)...)},
+		{"bytes after an empty batch", []byte{0x00, 0x11, 0x00}},
 	} {
 		var err error
 		if b := allocatedBytes(func() { _, err = DecodeBatch(tc.p, nil) }); b > 4<<10 {

@@ -5,9 +5,11 @@ package hwprof_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,20 +117,92 @@ func TestConnectEquivalentToProfile(t *testing.T) {
 }
 
 // TestConnectContextCancelStopsRedial: the ctx handed to Connect governs
-// reconnect dials — cancelling it aborts a session stuck redialing.
+// reconnect dials — cancelling it ends a session redialing a dead daemon,
+// with an error that wraps context.Canceled.
 func TestConnectContextCancelStopsRedial(t *testing.T) {
-	// A listener that accepts nothing useful: grab a port, then close it so
-	// every dial fails after the first.
+	srv := server.New(server.Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = hwprof.Connect(ctx, ln.Addr().String(),
-		hwprof.WithBackoff(time.Hour, 0), hwprof.WithMaxAttempts(1))
-	if err == nil {
-		t.Fatal("Connect to a dead address must fail")
+	sess, err := hwprof.Connect(ctx, ln.Addr().String(), hwprof.WithConfig(apiConfig(1)),
+		hwprof.WithBackoff(time.Millisecond, 20*time.Millisecond), hwprof.WithMaxAttempts(-1))
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer sess.Close()
+	srv.Kill()
+	<-served
+	cancel()
+	select {
+	case <-drained(sess.Profiles()):
+	case <-time.After(5 * time.Second):
+		t.Fatal("the session was still redialing 5 s after its ctx was cancelled")
+	}
+	if err := sess.Err(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("session error = %v, want one wrapping context.Canceled", err)
+	}
+}
+
+// TestWithoutReconnectDialsOnce: with WithoutReconnect, a cut connection
+// ends a Connect session and a Subscribe subscription with an error, after
+// exactly one dial.
+func TestWithoutReconnectDialsOnce(t *testing.T) {
+	addr := startDaemon(t, "m0")
+	var dials atomic.Int32
+	conns := make(chan net.Conn, 8)
+	dialer := hwprof.WithDialer(func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials.Add(1)
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err == nil {
+			conns <- conn
+		}
+		return conn, err
+	})
+	ctx := context.Background()
+
+	sess, err := hwprof.Connect(ctx, addr, hwprof.WithConfig(apiConfig(1)), hwprof.WithoutReconnect(), dialer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	(<-conns).Close()
+	select {
+	case <-drained(sess.Profiles()):
+	case <-time.After(5 * time.Second):
+		t.Fatal("Connect: the session outlived its cut connection")
+	}
+	if sess.Err() == nil || dials.Load() != 1 {
+		t.Fatalf("Connect: session error %v after %d dials, want an error after 1", sess.Err(), dials.Load())
+	}
+
+	dials.Store(0)
+	sub, err := hwprof.Subscribe(ctx, addr, hwprof.WithoutReconnect(), dialer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	(<-conns).Close()
+	select {
+	case <-drained(sub.C):
+	case <-time.After(5 * time.Second):
+		t.Fatal("Subscribe: the subscription outlived its cut connection")
+	}
+	if sub.Err() == nil || dials.Load() != 1 {
+		t.Fatalf("Subscribe: link error %v after %d dials, want an error after 1", sub.Err(), dials.Load())
+	}
+}
+
+// drained closes once c has closed, discarding what it delivers.
+func drained[T any](c <-chan T) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		for range c {
+		}
+		close(done)
+	}()
+	return done
 }

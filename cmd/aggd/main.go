@@ -40,41 +40,28 @@ import (
 
 func main() {
 	var (
+		cfg          agg.Config
 		listen       = flag.String("listen", ":9223", "TCP address to serve merged epochs on")
 		telemetry    = flag.String("telemetry", ":9224", "HTTP address for /metrics and /healthz; empty disables")
 		children     = flag.String("children", "", "comma-separated child publishers (host:port each): profiled -publish daemons or other aggds")
-		source       = flag.String("source", "aggd", "this aggregator's name in the epochs it emits")
-		epochLength  = flag.Uint64("epoch-length", 10_000, "fleet events-per-epoch contract, validated against every child")
-		deadline     = flag.Duration("deadline", 0, "straggler deadline before an epoch closes partial (0: default; set well above child reconnect time; negative disables)")
-		window       = flag.Int("window", 0, "open epochs before force-close (0: default)")
-		retain       = flag.Int("retain", 0, "closed epochs retained for subscriber resubscription (0: default)")
-		dialTimeout  = flag.Duration("dial-timeout", 0, "per-connect deadline on child links (0: default)")
-		backoffBase  = flag.Duration("backoff", 0, "first child reconnect delay, doubling with jitter (0: default)")
-		backoffMax   = flag.Duration("backoff-max", 0, "child reconnect delay cap (0: default)")
-		readTimeout  = flag.Duration("read-timeout", 0, "per-read wire deadline (0 disables)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-write wire deadline (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline before force-closing subscribers")
 		quiet        = flag.Bool("quiet", false, "suppress lifecycle log lines")
 	)
+	flag.StringVar(&cfg.Source, "source", "aggd", "this aggregator's name in the epochs it emits")
+	flag.Uint64Var(&cfg.EpochLength, "epoch-length", 10_000, "fleet events-per-epoch contract, validated against every child")
+	flag.DurationVar(&cfg.Deadline, "deadline", 0, "straggler deadline before an epoch closes partial (0: default; set well above child reconnect time; negative disables)")
+	flag.IntVar(&cfg.Window, "window", 0, "open epochs before force-close (0: default)")
+	flag.IntVar(&cfg.Retain, "retain", 0, "closed epochs retained for subscriber resubscription (0: default)")
+	flag.DurationVar(&cfg.DialTimeout, "dial-timeout", 0, "per-connect deadline on child links (0: default)")
+	flag.DurationVar(&cfg.BackoffBase, "backoff", 0, "first child reconnect delay, doubling with jitter (0: default)")
+	flag.DurationVar(&cfg.BackoffMax, "backoff-max", 0, "child reconnect delay cap (0: default)")
+	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", 0, "per-read wire deadline (0 disables)")
+	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", 0, "per-write wire deadline (0 disables)")
 	flag.Parse()
-	var childList []string
 	for _, c := range strings.Split(*children, ",") {
 		if c = strings.TrimSpace(c); c != "" {
-			childList = append(childList, c)
+			cfg.Children = append(cfg.Children, c)
 		}
-	}
-	cfg := agg.Config{
-		Source:       *source,
-		Children:     childList,
-		EpochLength:  *epochLength,
-		Window:       *window,
-		Deadline:     *deadline,
-		Retain:       *retain,
-		DialTimeout:  *dialTimeout,
-		BackoffBase:  *backoffBase,
-		BackoffMax:   *backoffMax,
-		ReadTimeout:  *readTimeout,
-		WriteTimeout: *writeTimeout,
 	}
 	if err := run(*listen, *telemetry, cfg, *drainTimeout, *quiet); err != nil {
 		fmt.Fprintln(os.Stderr, "aggd:", err)

@@ -82,7 +82,7 @@ func main() {
 		scnPath  = flag.String("scenario", "", "scenario file streamed by every session (required): engine geometry, stream length, phase rates and fault windows all come from it; session i streams it under the scenario seed + i")
 
 		backoff  = flag.Duration("backoff-base", 20*time.Millisecond, "reconnect backoff base delay")
-		attempts = flag.Int("max-attempts", 10, "reconnect attempts per outage (-1: unlimited)")
+		attempts = flag.Int("max-attempts", 10, "failures per outage before a session gives up, the break included (-1: unlimited)")
 
 		verify = flag.Bool("verify", false, "mirror every session's accepted stream through local engines and require the daemon's profiles bit-identical; resize/degrade notices split the mirror into cold-started segments, so this holds against an elastic daemon too (lossy shed-policy sessions and geometry changes hidden by a daemon crash are reported and skipped)")
 

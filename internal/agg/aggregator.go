@@ -33,24 +33,11 @@ type Config struct {
 	// 0 selects DefaultRetain.
 	Retain int
 
-	// DialTimeout, BackoffBase, BackoffMax, MaxAttempts, ReadTimeout,
-	// WriteTimeout tune the child links; zero values select the
-	// subscriber defaults, except MaxAttempts which defaults to unlimited
-	// — a down child must surface as missing epochs, not a dead link.
-	DialTimeout  time.Duration
-	BackoffBase  time.Duration
-	BackoffMax   time.Duration
-	MaxAttempts  int
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	// Dialer overrides child-link dials (fault injection, tests).
-	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
-
-	// UpstreamReadTimeout / UpstreamWriteTimeout bound the wire operations
-	// of upstream subscriber connections; 0 selects the child-link
-	// timeouts.
-	UpstreamReadTimeout  time.Duration
-	UpstreamWriteTimeout time.Duration
+	// Link tunes the child links (see wire.Link), except that a zero
+	// MaxAttempts means unlimited — a down child must surface as missing
+	// epochs, not a dead link. Its ReadTimeout and WriteTimeout also bound
+	// the wire operations of upstream subscriber connections.
+	wire.Link
 
 	// Logf receives lifecycle lines; nil disables.
 	Logf func(format string, args ...any)
@@ -134,12 +121,6 @@ func New(cfg Config) (*Aggregator, error) {
 	if cfg.MaxAttempts == 0 {
 		cfg.MaxAttempts = -1
 	}
-	if cfg.UpstreamReadTimeout == 0 {
-		cfg.UpstreamReadTimeout = cfg.ReadTimeout
-	}
-	if cfg.UpstreamWriteTimeout == 0 {
-		cfg.UpstreamWriteTimeout = cfg.WriteTimeout
-	}
 	a := &Aggregator{cfg: cfg, metrics: newMetrics()}
 	m := a.metrics
 	a.feed = NewFeed(FeedConfig{
@@ -170,17 +151,10 @@ func New(cfg Config) (*Aggregator, error) {
 		seen[child] = true
 		a.feed.JoinAt(child, 0)
 		a.subs = append(a.subs, NewSubscriber(SubscriberConfig{
-			Addr:         child,
-			Name:         child,
-			EpochLength:  cfg.EpochLength,
-			DialTimeout:  cfg.DialTimeout,
-			BackoffBase:  cfg.BackoffBase,
-			BackoffMax:   cfg.BackoffMax,
-			MaxAttempts:  cfg.MaxAttempts,
-			ReadTimeout:  cfg.ReadTimeout,
-			WriteTimeout: cfg.WriteTimeout,
-			Dialer:       cfg.Dialer,
-			Logf:         cfg.Logf,
+			Addr:        child,
+			EpochLength: cfg.EpochLength,
+			Link:        cfg.Link,
+			Logf:        cfg.Logf,
 		}, FeedHandler{Feed: a.feed, Name: child}))
 	}
 	return a, nil
@@ -246,7 +220,7 @@ func (a *Aggregator) Serve(ln net.Listener) error {
 // handleConn owns one upstream connection: handshake, then exactly one
 // Subscribe answered with the epoch stream.
 func (a *Aggregator) handleConn(conn net.Conn) {
-	wc := wire.NewConn(wire.WithDeadlines(conn, a.cfg.UpstreamReadTimeout, a.cfg.UpstreamWriteTimeout))
+	wc := wire.NewConn(wire.WithDeadlines(conn, a.cfg.ReadTimeout, a.cfg.WriteTimeout))
 	if err := wc.ServerHandshake(); err != nil {
 		a.cfg.Logf("agg: conn %s: handshake: %v", conn.RemoteAddr(), err)
 		return

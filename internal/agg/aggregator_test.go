@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hwprof/internal/event"
+	"hwprof/internal/wire"
 )
 
 // startAgg builds, starts, and serves an aggregator on a loopback listener,
@@ -48,14 +49,14 @@ func TestAggregatorMergesTwoLevels(t *testing.T) {
 		Children:    []string{srv1.addr(), srv2.addr()},
 		EpochLength: 100,
 		Deadline:    -1,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	})
 	root, _ := startAgg(t, Config{
 		Source:      "root",
 		Children:    []string{midAddr},
 		EpochLength: 100,
 		Deadline:    -1,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	})
 
 	rootSub, first := root.Feed().Subscribe(0, 64)
@@ -104,7 +105,7 @@ func TestAggregatorStragglerChildGoesPartial(t *testing.T) {
 		Children:    []string{srv1.addr(), deadAddr},
 		EpochLength: 100,
 		Deadline:    100 * time.Millisecond,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	})
 	sub, _ := a.Feed().Subscribe(0, 64)
 
@@ -144,7 +145,7 @@ func TestAggregatorShutdownClosesSubscribers(t *testing.T) {
 		Children:    []string{srv1.addr()},
 		EpochLength: 100,
 		Deadline:    -1,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,8 +163,7 @@ func TestAggregatorShutdownClosesSubscribers(t *testing.T) {
 	sub := NewSubscriber(SubscriberConfig{
 		Addr:        ln.Addr().String(),
 		EpochLength: 100,
-		BackoffBase: 5 * time.Millisecond,
-		MaxAttempts: 1,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond, MaxAttempts: 1},
 	}, rec)
 	subDone := make(chan error, 1)
 	go func() { subDone <- sub.Run() }()

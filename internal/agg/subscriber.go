@@ -3,25 +3,11 @@ package agg
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hwprof/internal/wire"
-)
-
-// Reconnect defaults, mirroring the event-stream client's.
-const (
-	// DefaultBackoffBase is the first resubscribe delay.
-	DefaultBackoffBase = 50 * time.Millisecond
-	// DefaultBackoffMax caps the exponential resubscribe delay.
-	DefaultBackoffMax = 2 * time.Second
-	// DefaultMaxAttempts bounds resubscribe attempts per outage.
-	DefaultMaxAttempts = 10
-	// DefaultDialTimeout bounds each TCP connect.
-	DefaultDialTimeout = 10 * time.Second
 )
 
 // EpochHandler consumes a subscriber's downstream epochs.
@@ -54,10 +40,8 @@ func (h FeedHandler) HandleGap(from, to uint64) {
 // SubscriberConfig tunes one downstream subscription link.
 type SubscriberConfig struct {
 	// Addr is the downstream publisher (a profiled daemon or another
-	// aggd), host:port.
+	// aggd), host:port; it labels the link in logs.
 	Addr string
-	// Name labels this link in logs; defaults to Addr.
-	Name string
 	// EpochLength, when nonzero, is validated against the upstream's
 	// advertised epoch length on attach; a mismatch is a terminal error —
 	// merging misaligned epochs would be silently wrong.
@@ -66,87 +50,45 @@ type SubscriberConfig struct {
 	// delivered.
 	Start uint64
 
-	// DialTimeout bounds each connect; 0 selects DefaultDialTimeout.
-	DialTimeout time.Duration
-	// BackoffBase is the first resubscribe delay, doubling per failed
-	// attempt with jitter; 0 selects DefaultBackoffBase.
-	BackoffBase time.Duration
-	// BackoffMax caps the resubscribe delay; 0 selects DefaultBackoffMax.
-	BackoffMax time.Duration
-	// MaxAttempts bounds consecutive failed attempts before Run returns;
-	// 0 selects DefaultMaxAttempts, negative means unlimited — an
-	// aggregator child link retries forever, because a down child must
-	// show up as missing epochs, not a dead link.
-	MaxAttempts int
-	// ReadTimeout bounds each read; 0 disables. Epochs arrive only as
-	// fast as the fleet crosses interval boundaries, so leave generous.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds each write; 0 disables.
-	WriteTimeout time.Duration
-	// Dialer overrides the TCP dial (fault injection, tests); nil uses
-	// net.DialTimeout.
-	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
+	// Link tunes the dial, the I/O deadlines and the resubscribe loop; see
+	// wire.Link. Epochs arrive only as fast as the fleet crosses interval
+	// boundaries, so leave ReadTimeout generous. An aggregator's child
+	// link retries forever (negative MaxAttempts), because a down child
+	// must show up as missing epochs, not a dead link.
+	wire.Link
+
 	// Logf receives link lifecycle lines; nil disables.
 	Logf func(format string, args ...any)
 }
 
-func (c SubscriberConfig) withDefaults() SubscriberConfig {
-	if c.Name == "" {
-		c.Name = c.Addr
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = DefaultDialTimeout
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = DefaultBackoffBase
-	}
-	if c.BackoffMax == 0 {
-		c.BackoffMax = DefaultBackoffMax
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
-}
-
-// permanent marks a subscription failure that must not be retried.
-type permanent struct{ err error }
-
-func (e permanent) Error() string { return e.err.Error() }
-func (e permanent) Unwrap() error { return e.err }
-
 // Subscriber maintains one downstream subscription: it dials, subscribes
 // from the next epoch it needs, hands epochs (and declared gaps) to its
-// handler in order, and — reusing the event-stream client's outage
-// discipline — redials under jittered exponential backoff when the link
-// breaks, resubscribing exactly where delivery stopped. The upstream
-// retention ring plays the role the session replay buffer plays on event
-// links: a reconnect inside the ring loses nothing, a reconnect beyond it
-// declares the gap.
+// handler in order, and — through the wire.Redialer the event-stream
+// client resumes through — redials under jittered exponential backoff
+// when the link breaks, resubscribing exactly where delivery stopped. The
+// upstream retention ring plays the role the session replay buffer plays
+// on event links: a reconnect inside the ring loses nothing, a reconnect
+// beyond it declares the gap.
 type Subscriber struct {
 	cfg     SubscriberConfig
 	handler EpochHandler
+	redial  *wire.Redialer
 
 	next         atomic.Uint64 // next epoch not yet delivered
 	reconnects   atomic.Uint64 // successful re-attachments
 	gaps         atomic.Uint64 // declared gap spans
 	attachedOnce atomic.Bool   // an attachment has succeeded before
 
-	closed  atomic.Bool
-	closeCh chan struct{}
-
-	mu   sync.Mutex
-	conn net.Conn
-	err  error
+	mu  sync.Mutex
+	err error
 }
 
 // NewSubscriber builds a subscriber delivering into handler.
 func NewSubscriber(cfg SubscriberConfig, handler EpochHandler) *Subscriber {
-	cfg = cfg.withDefaults()
-	s := &Subscriber{cfg: cfg, handler: handler, closeCh: make(chan struct{})}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
+	s := &Subscriber{cfg: cfg, handler: handler, redial: wire.NewRedialer(cfg.Addr, cfg.Link)}
 	s.next.Store(cfg.Start)
 	return s
 }
@@ -170,40 +112,14 @@ func (s *Subscriber) Err() error {
 // Run drives the link until Close or a terminal failure: a protocol or
 // configuration refusal, or MaxAttempts consecutive failed attachments.
 func (s *Subscriber) Run() error {
-	delay := s.cfg.BackoffBase
-	attempts := 0
-	for {
-		if s.closed.Load() {
-			return nil
-		}
-		attached, err := s.attachOnce()
-		if s.closed.Load() {
-			return nil
-		}
-		if attached {
-			// The outage is over; the next one starts fresh.
-			attempts = 0
-			delay = s.cfg.BackoffBase
-		}
-		var perm permanent
-		if errors.As(err, &perm) {
-			return s.fail(fmt.Errorf("agg: subscription to %s failed: %w", s.cfg.Addr, perm.err))
-		}
-		attempts++
-		if s.cfg.MaxAttempts >= 0 && attempts >= s.cfg.MaxAttempts {
-			return s.fail(fmt.Errorf("agg: subscription to %s gave up after %d attempts: %w", s.cfg.Addr, attempts, err))
-		}
-		// Jittered exponential backoff: uniform in [delay/2, delay].
-		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		select {
-		case <-time.After(d):
-		case <-s.closeCh:
-			return nil
-		}
-		if delay *= 2; delay > s.cfg.BackoffMax {
-			delay = s.cfg.BackoffMax
-		}
+	err := s.redial.Redial(nil, s.attachOnce)
+	switch {
+	case errors.Is(err, wire.ErrRedialerClosed):
+		return nil
+	case wire.IsPermanent(err):
+		return s.fail(fmt.Errorf("agg: subscription to %s failed: %w", s.cfg.Addr, err))
 	}
+	return s.fail(fmt.Errorf("agg: subscription to %s %w", s.cfg.Addr, err))
 }
 
 // fail records the terminal error.
@@ -219,31 +135,14 @@ func (s *Subscriber) fail(err error) error {
 // attachOnce makes one attachment: dial, handshake, subscribe from the
 // next needed epoch, then deliver epochs until the link breaks. It reports
 // whether the subscription was acknowledged (the outage ended) and the
-// error that ended the attachment — wrapped permanent when retrying cannot
-// help.
+// error that ended the attachment — marked wire.Permanent when retrying
+// cannot help.
 func (s *Subscriber) attachOnce() (attached bool, err error) {
-	dialer := s.cfg.Dialer
-	if dialer == nil {
-		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	conn, err := dialer(s.cfg.Addr, s.cfg.DialTimeout)
+	conn, wc, err := s.redial.Dial()
 	if err != nil {
 		return false, err
 	}
 	defer conn.Close()
-	s.mu.Lock()
-	s.conn = conn
-	s.mu.Unlock()
-	if s.closed.Load() {
-		return false, nil
-	}
-
-	wc := wire.NewConn(wire.WithDeadlines(conn, s.cfg.ReadTimeout, s.cfg.WriteTimeout))
-	if err := wc.ClientHandshake(); err != nil {
-		return false, err
-	}
 	want := s.next.Load()
 	if err := wc.WriteFrame(wire.MsgSubscribe, wire.AppendSubscribe(nil, wire.Subscribe{Start: want})); err != nil {
 		return false, err
@@ -261,24 +160,24 @@ func (s *Subscriber) attachOnce() (attached bool, err error) {
 		}
 		switch e.Code {
 		case wire.CodeUnsupported, wire.CodeProtocol, wire.CodeConfig:
-			return false, permanent{e}
+			return false, wire.Permanent(e)
 		}
 		return false, e // overload, draining: retry
 	default:
-		return false, permanent{fmt.Errorf("%w: expected subscribe-ack, got frame type %d", wire.ErrProtocol, typ)}
+		return false, wire.Permanent(fmt.Errorf("%w: expected subscribe-ack, got frame type %d", wire.ErrProtocol, typ))
 	}
 	ack, err := wire.DecodeSubscribeAck(payload)
 	if err != nil {
 		return false, err
 	}
 	if s.cfg.EpochLength != 0 && ack.EpochLength != 0 && ack.EpochLength != s.cfg.EpochLength {
-		return false, permanent{fmt.Errorf("upstream %s epoch length %d does not match %d; merging misaligned epochs would be wrong",
-			ack.Source, ack.EpochLength, s.cfg.EpochLength)}
+		return false, wire.Permanent(fmt.Errorf("upstream %s epoch length %d does not match %d; merging misaligned epochs would be wrong",
+			ack.Source, ack.EpochLength, s.cfg.EpochLength))
 	}
 	if ack.First > want {
 		// The wanted epochs aged out of the upstream retention ring during
 		// the outage: declare the loss instead of pretending continuity.
-		s.cfg.Logf("agg: link %s: epochs [%d, %d) lost beyond upstream retention", s.cfg.Name, want, ack.First)
+		s.cfg.Logf("agg: link %s: epochs [%d, %d) lost beyond upstream retention", s.cfg.Addr, want, ack.First)
 		s.gaps.Add(1)
 		s.handler.HandleGap(want, ack.First)
 		s.next.Store(ack.First)
@@ -289,7 +188,7 @@ func (s *Subscriber) attachOnce() (attached bool, err error) {
 	if s.attachedOnce.Swap(true) {
 		s.reconnects.Add(1)
 	}
-	s.cfg.Logf("agg: link %s: subscribed to %s from epoch %d", s.cfg.Name, ack.Source, s.next.Load())
+	s.cfg.Logf("agg: link %s: subscribed to %s from epoch %d", s.cfg.Addr, ack.Source, s.next.Load())
 
 	for {
 		typ, payload, err := wc.ReadFrame()
@@ -327,29 +226,18 @@ func (s *Subscriber) attachOnce() (attached bool, err error) {
 			}
 			switch e.Code {
 			case wire.CodeUnsupported, wire.CodeProtocol, wire.CodeConfig:
-				return true, permanent{e}
+				return true, wire.Permanent(e)
 			}
 			return true, e
 		default:
-			return true, permanent{fmt.Errorf("%w: unexpected frame type %d on subscription", wire.ErrProtocol, typ)}
+			return true, wire.Permanent(fmt.Errorf("%w: unexpected frame type %d on subscription", wire.ErrProtocol, typ))
 		}
 	}
 }
 
 // Close stops the link: the current connection closes, backoff sleeps
 // abort, Run returns nil.
-func (s *Subscriber) Close() {
-	if !s.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(s.closeCh)
-	s.mu.Lock()
-	conn := s.conn
-	s.mu.Unlock()
-	if conn != nil {
-		conn.Close()
-	}
-}
+func (s *Subscriber) Close() { s.redial.Close() }
 
 // ServeSubscription answers one wire Subscribe on an accepted, handshaken
 // connection: acknowledge with the feed's identity and the first epoch

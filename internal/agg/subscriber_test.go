@@ -152,8 +152,7 @@ func TestSubscriberReconnectsAndResumes(t *testing.T) {
 	sub := NewSubscriber(SubscriberConfig{
 		Addr:        srv.addr(),
 		EpochLength: 100,
-		BackoffBase: 5 * time.Millisecond,
-		MaxAttempts: -1,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond, MaxAttempts: -1},
 	}, rec)
 	go sub.Run()
 	defer sub.Close()
@@ -222,7 +221,7 @@ func TestSubscriberEpochLengthMismatchIsTerminal(t *testing.T) {
 	sub := NewSubscriber(SubscriberConfig{
 		Addr:        srv.addr(),
 		EpochLength: 999, // wrong on purpose
-		BackoffBase: time.Millisecond,
+		Link:        wire.Link{BackoffBase: time.Millisecond},
 	}, &recorder{})
 	err := sub.Run()
 	if err == nil || !strings.Contains(err.Error(), "epoch length") {
@@ -233,9 +232,8 @@ func TestSubscriberEpochLengthMismatchIsTerminal(t *testing.T) {
 func TestSubscriberCloseEndsRunNil(t *testing.T) {
 	// No listener at all: the subscriber sits in dial/backoff until Close.
 	sub := NewSubscriber(SubscriberConfig{
-		Addr:        "127.0.0.1:1", // nothing listens here
-		BackoffBase: time.Hour,     // Close must abort this sleep
-		MaxAttempts: -1,
+		Addr: "127.0.0.1:1",                                      // nothing listens here
+		Link: wire.Link{BackoffBase: time.Hour, MaxAttempts: -1}, // Close must abort this sleep
 	}, &recorder{})
 	done := make(chan error, 1)
 	go func() { done <- sub.Run() }()
@@ -253,9 +251,8 @@ func TestSubscriberCloseEndsRunNil(t *testing.T) {
 
 func TestSubscriberMaxAttemptsGivesUp(t *testing.T) {
 	sub := NewSubscriber(SubscriberConfig{
-		Addr:        "127.0.0.1:1",
-		BackoffBase: time.Millisecond,
-		MaxAttempts: 3,
+		Addr: "127.0.0.1:1",
+		Link: wire.Link{BackoffBase: time.Millisecond, MaxAttempts: 3},
 	}, &recorder{})
 	err := sub.Run()
 	if err == nil || !strings.Contains(err.Error(), "gave up") {

@@ -30,11 +30,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"hwprof/internal/core"
 	"hwprof/internal/event"
@@ -44,16 +42,6 @@ import (
 // ErrSessionClosed is returned by operations on a session that was already
 // closed or drained.
 var ErrSessionClosed = errors.New("client: session is closed")
-
-// Reconnect defaults.
-const (
-	// DefaultBackoffBase is the first reconnect delay.
-	DefaultBackoffBase = 50 * time.Millisecond
-	// DefaultBackoffMax caps the exponential reconnect delay.
-	DefaultBackoffMax = 2 * time.Second
-	// DefaultMaxAttempts bounds reconnect attempts per outage.
-	DefaultMaxAttempts = 10
-)
 
 // Options tunes a session.
 type Options struct {
@@ -65,44 +53,20 @@ type Options struct {
 	// event.DefaultBatchSize.
 	BatchSize int
 
-	// DialTimeout bounds the TCP connect; 0 means 10 seconds.
-	DialTimeout time.Duration
-
 	// Reconnect makes the session survive stream failures: flushed events
 	// are buffered until a profile acknowledges them, and a broken
 	// connection is redialed and resumed transparently. Takes effect only
 	// when the daemon advertises resume support in its HelloAck.
 	Reconnect bool
 
-	// BackoffBase is the first reconnect delay; it doubles per failed
-	// attempt (with jitter: each sleep is uniform in [delay/2, delay]).
-	// 0 selects DefaultBackoffBase.
-	BackoffBase time.Duration
-
-	// BackoffMax caps the reconnect delay. 0 selects DefaultBackoffMax.
-	BackoffMax time.Duration
-
-	// MaxAttempts bounds consecutive failed reconnect attempts before the
-	// session reports a terminal error. 0 selects DefaultMaxAttempts;
-	// negative means unlimited.
-	MaxAttempts int
-
-	// ReadTimeout bounds every read from the daemon; 0 disables. Leave
+	// Link tunes the dial, the I/O deadlines and the resume loop; see
+	// wire.Link. MaxAttempts counts the break itself, so a session makes
+	// at most MaxAttempts−1 resume attempts per outage. Leave ReadTimeout
 	// disabled unless the event stream is steady: a profile only arrives
 	// per completed interval, so a slow source can legitimately keep the
-	// read side quiet for a long time. With Reconnect on, a timeout
-	// triggers a resume rather than a terminal error.
-	ReadTimeout time.Duration
-
-	// WriteTimeout bounds every write to the daemon; 0 disables. A
-	// block-policy daemon backpressures through TCP, so a stalled write
-	// may just mean a busy engine; with Reconnect on, a timeout triggers
-	// a resume.
-	WriteTimeout time.Duration
-
-	// Dialer overrides the TCP dial — reconnects included — e.g. to wrap
-	// connections for fault injection. Nil uses net.DialTimeout.
-	Dialer func(addr string, timeout time.Duration) (net.Conn, error)
+	// read side quiet for a long time. A stalled write may just mean a
+	// busy engine, since a block-policy daemon backpressures through TCP.
+	wire.Link
 
 	// Marked opens a marked session: the client places every interval
 	// boundary itself by calling Session.Mark, and the daemon stops
@@ -110,20 +74,6 @@ type Options struct {
 	// fleet-wide union stream uses marks to align every member session's
 	// interval — and therefore epoch — boundaries with the union's.
 	Marked bool
-}
-
-// withDefaults fills in the zero reconnect knobs.
-func (o Options) withDefaults() Options {
-	if o.BackoffBase == 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax == 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	return o
 }
 
 // Notice is one elastic-serving announcement from the daemon: a live
@@ -190,22 +140,16 @@ type Profile struct {
 	Counts map[event.Tuple]uint64
 }
 
-// permanentErr marks a failure that must not be retried by reconnecting.
-type permanentErr struct{ err error }
-
-func (e permanentErr) Error() string { return e.err.Error() }
-func (e permanentErr) Unwrap() error { return e.err }
-
 // errGoodbye is readFrames's clean-end sentinel; it never escapes the
 // reader.
 var errGoodbye = errors.New("goodbye")
 
 // Session is one open profiling session with a daemon.
 type Session struct {
-	addr string
-	cfg  core.Config
-	opts Options
-	ack  wire.HelloAck
+	cfg    core.Config
+	opts   Options
+	ack    wire.HelloAck
+	redial *wire.Redialer
 
 	batchSize int
 	pending   []event.Tuple
@@ -233,7 +177,6 @@ type Session struct {
 	notices chan Notice
 
 	closedFlag atomic.Bool
-	closeCh    chan struct{} // closed by Close: aborts reconnect sleeps
 
 	mu         sync.Mutex
 	conn       net.Conn
@@ -287,12 +230,12 @@ func Dial(addr string, cfg core.Config, opts Options) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	opts = opts.withDefaults()
-	conn, err := dial(addr, opts)
+	r := wire.NewRedialer(addr, opts.Link)
+	conn, wc, err := r.Dial()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("client: %w", err)
 	}
-	s, err := open(addr, conn, cfg, opts)
+	s, err := open(r, conn, wc, cfg, opts)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -300,37 +243,9 @@ func Dial(addr string, cfg core.Config, opts Options) (*Session, error) {
 	return s, nil
 }
 
-// dial makes one TCP connect with the configured timeout.
-func dial(addr string, opts Options) (net.Conn, error) {
-	timeout := opts.DialTimeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	dialer := opts.Dialer
-	if dialer == nil {
-		dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	conn, err := dialer(addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
-	}
-	return conn, nil
-}
-
-// frame wraps conn for wire exchange under the configured deadlines.
-func frame(conn net.Conn, opts Options) *wire.Conn {
-	return wire.NewConn(wire.WithDeadlines(conn, opts.ReadTimeout, opts.WriteTimeout))
-}
-
-// open performs the handshake and Hello/HelloAck exchange over conn and
-// starts the session's reader.
-func open(addr string, conn net.Conn, cfg core.Config, opts Options) (*Session, error) {
-	wc := frame(conn, opts)
-	if err := wc.ClientHandshake(); err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
+// open performs the Hello/HelloAck exchange over a handshaken connection
+// and starts the session's reader.
+func open(r *wire.Redialer, conn net.Conn, wc *wire.Conn, cfg core.Config, opts Options) (*Session, error) {
 	hello := wire.Hello{Config: cfg, Shards: opts.Shards, Marked: opts.Marked}
 	if err := wc.WriteFrame(wire.MsgHello, wire.AppendHello(nil, hello)); err != nil {
 		return nil, fmt.Errorf("client: sending hello: %w", err)
@@ -358,15 +273,14 @@ func open(addr string, conn net.Conn, cfg core.Config, opts Options) (*Session, 
 		batchSize = event.DefaultBatchSize
 	}
 	s := &Session{
-		addr:       addr,
 		cfg:        cfg,
 		opts:       opts,
 		ack:        ack,
+		redial:     r,
 		batchSize:  batchSize,
 		pending:    make([]event.Tuple, 0, batchSize),
 		profiles:   make(chan Profile, 64),
 		notices:    make(chan Notice, 64),
-		closeCh:    make(chan struct{}),
 		conn:       conn,
 		wc:         wc,
 		replayOn:   opts.Reconnect && ack.Resume,
@@ -445,14 +359,7 @@ func (s *Session) Err() error {
 // should reconnect across: disconnects, timeouts, truncation, corruption.
 // Permanent classifications and protocol violations are not.
 func retryable(err error) bool {
-	var perm permanentErr
-	if errors.As(err, &perm) {
-		return false
-	}
-	if errors.Is(err, wire.ErrProtocol) {
-		return false
-	}
-	return true
+	return !wire.IsPermanent(err) && !errors.Is(err, wire.ErrProtocol)
 }
 
 // readLoop is the session's reader goroutine: it decodes server frames
@@ -531,9 +438,9 @@ func (s *Session) readFrames(wc *wire.Conn) error {
 				// session; reconnect and resume.
 				return fmt.Errorf("daemon reported corruption: %w", e)
 			}
-			return permanentErr{err: e}
+			return wire.Permanent(e)
 		default:
-			return permanentErr{err: fmt.Errorf("%w: unexpected frame type %d", wire.ErrProtocol, typ)}
+			return wire.Permanent(fmt.Errorf("%w: unexpected frame type %d", wire.ErrProtocol, typ))
 		}
 	}
 }
@@ -708,45 +615,27 @@ func (s *Session) reconnect(failedGen uint64, cause error) error {
 		return s.failLocked(fmt.Errorf("client: %w", cause))
 	}
 	s.conn.Close()
-	delay := s.opts.BackoffBase
-	for attempt := 0; s.opts.MaxAttempts < 0 || attempt < s.opts.MaxAttempts; attempt++ {
-		// Jittered exponential backoff: uniform in [delay/2, delay], so a
-		// daemon restart is not greeted by every client at once.
-		d := delay/2 + time.Duration(rand.Int63n(int64(delay/2)+1))
-		select {
-		case <-time.After(d):
-		case <-s.closeCh:
-			return s.failLocked(ErrSessionClosed)
-		}
-		if delay *= 2; delay > s.opts.BackoffMax {
-			delay = s.opts.BackoffMax
-		}
-		err := s.resumeOnce()
-		if err == nil {
-			s.gen++
-			s.reconnects.Add(1)
-			return nil
-		}
-		var perm permanentErr
-		if errors.As(err, &perm) {
-			return s.failLocked(fmt.Errorf("client: resume failed: %w", perm.err))
-		}
+	err := s.redial.Redial(cause, func() (bool, error) { return false, s.resumeOnce() })
+	switch {
+	case err == nil:
+		s.gen++
+		s.reconnects.Add(1)
+		return nil
+	case errors.Is(err, wire.ErrRedialerClosed):
+		return s.failLocked(ErrSessionClosed)
+	case wire.IsPermanent(err):
+		return s.failLocked(fmt.Errorf("client: resume failed: %w", err))
 	}
-	return s.failLocked(fmt.Errorf("client: reconnect gave up after %d attempts: %w", s.opts.MaxAttempts, cause))
+	return s.failLocked(fmt.Errorf("client: reconnect %w", err))
 }
 
 // resumeOnce makes one resume attempt: dial, handshake, Resume/ResumeAck,
 // replay past the daemon's position, re-send a pending drain. Called with
 // mu held. Retryable failures return plain errors; refusals that must not
-// be retried return permanentErr.
+// be retried are marked wire.Permanent.
 func (s *Session) resumeOnce() error {
-	conn, err := dial(s.addr, s.opts)
+	conn, wc, err := s.redial.Dial()
 	if err != nil {
-		return err
-	}
-	wc := frame(conn, s.opts)
-	if err := wc.ClientHandshake(); err != nil {
-		conn.Close()
 		return err
 	}
 	r := wire.Resume{SessionID: s.ack.SessionID, Intervals: s.nextIdx.Load(), Floor: s.replayBase}
@@ -770,10 +659,10 @@ func (s *Session) resumeOnce() error {
 		if e.Code == wire.CodeCorrupt {
 			return e // transport damage on the resume exchange itself
 		}
-		return permanentErr{err: e}
+		return wire.Permanent(e)
 	default:
 		conn.Close()
-		return permanentErr{err: fmt.Errorf("%w: expected resume-ack, got frame type %d", wire.ErrProtocol, typ)}
+		return wire.Permanent(fmt.Errorf("%w: expected resume-ack, got frame type %d", wire.ErrProtocol, typ))
 	}
 	ack, err := wire.DecodeResumeAck(payload)
 	if err != nil {
@@ -782,8 +671,8 @@ func (s *Session) resumeOnce() error {
 	}
 	if ack.StreamPos < s.replayBase || ack.StreamPos > s.sentPos {
 		conn.Close()
-		return permanentErr{err: fmt.Errorf("daemon acknowledged stream position %d outside the replayable range [%d, %d]",
-			ack.StreamPos, s.replayBase, s.sentPos)}
+		return wire.Permanent(fmt.Errorf("daemon acknowledged stream position %d outside the replayable range [%d, %d]",
+			ack.StreamPos, s.replayBase, s.sentPos))
 	}
 	s.lastShed.Store(ack.Shed)
 	if !s.opts.Marked && ack.IntervalLength > 0 {
@@ -1024,14 +913,15 @@ func (s *Session) Drain() (map[event.Tuple]uint64, error) {
 	return final, nil
 }
 
-// Close abandons the session: a best-effort goodbye frame, then the
-// connection closes and any reconnect in progress aborts. Profiles in
+// Close abandons the session: any reconnect in progress aborts, then a
+// best-effort goodbye frame goes out and the connection closes. Profiles in
 // flight and the unfinished interval are discarded. Close is idempotent.
 func (s *Session) Close() error {
 	if !s.closedFlag.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(s.closeCh) // abort reconnect backoff sleeps before taking mu
+	// Abort a backoff sleep or a resume attempt in flight, which hold mu.
+	s.redial.Close()
 	s.mu.Lock()
 	wc, conn := s.wc, s.conn
 	s.mu.Unlock()

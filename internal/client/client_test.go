@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,7 +113,7 @@ func TestDialRefusesOtherVersion(t *testing.T) {
 			}()
 			return client, nil
 		}
-		_, err := Dial("fake", testConfig(), Options{Dialer: dialer})
+		_, err := Dial("fake", testConfig(), Options{Link: wire.Link{Dialer: dialer}})
 		if !errors.Is(err, wire.ErrProtocol) {
 			t.Fatalf("daemon at version %d: Dial err = %v, want wire.ErrProtocol", v, err)
 		}
@@ -187,7 +188,7 @@ func TestReconnectResumes(t *testing.T) {
 				},
 			}
 
-			s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+			s, err := Dial("fake", cfg, Options{Reconnect: true, Link: wire.Link{BackoffBase: time.Millisecond, Dialer: f.dial}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +304,7 @@ func TestResumeDropsResentProfile(t *testing.T) {
 		},
 	}
 
-	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	s, err := Dial("fake", cfg, Options{Reconnect: true, Link: wire.Link{BackoffBase: time.Millisecond, Dialer: f.dial}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestResumeDropsRedeliveredNotice(t *testing.T) {
 		},
 	}
 
-	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	s, err := Dial("fake", cfg, Options{Reconnect: true, Link: wire.Link{BackoffBase: time.Millisecond, Dialer: f.dial}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestReplayFloorAcrossResizeAndShed(t *testing.T) {
 		},
 	}
 
-	s, err := Dial("fake", cfg, Options{Reconnect: true, BackoffBase: time.Millisecond, Dialer: f.dial})
+	s, err := Dial("fake", cfg, Options{Reconnect: true, Link: wire.Link{BackoffBase: time.Millisecond, Dialer: f.dial}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,5 +470,78 @@ func TestReplayFloorAcrossResizeAndShed(t *testing.T) {
 	}
 	if _, err := s.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// TestCloseAbortsResumeAttempt: Close returns promptly while a resume
+// attempt waits on a daemon that read the Resume and never answers.
+func TestCloseAbortsResumeAttempt(t *testing.T) {
+	drop := make(chan struct{})
+	resumed := make(chan struct{})
+	f := &fakeDaemon{t: t}
+	f.script = []func(*wire.Conn) error{
+		func(wc *wire.Conn) error {
+			if err := helloAck(wc); err != nil {
+				return err
+			}
+			<-drop
+			return nil
+		},
+		func(wc *wire.Conn) error {
+			if _, err := expect(wc, wire.MsgResume); err != nil {
+				return err
+			}
+			close(resumed)
+			wc.ReadFrame() // answer nothing until the client hangs up
+			return nil
+		},
+	}
+	s, err := Dial("fake", testConfig(), Options{Reconnect: true, Link: wire.Link{BackoffBase: time.Millisecond, Dialer: f.dial}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(drop)
+	select {
+	case <-resumed:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no resume after the link dropped: %v", s.Err())
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close blocked behind the resume attempt")
+	}
+	if err := s.Err(); !errors.Is(err, ErrSessionClosed) {
+		t.Fatalf("Err after Close = %v, want ErrSessionClosed", err)
+	}
+}
+
+// TestReconnectGivesUp: a session whose every resume dial fails ends with
+// "gave up after N attempts" after exactly N dials, N being MaxAttempts:
+// the break is the outage's first failure, so the first attachment is
+// followed by N−1 resume attempts.
+func TestReconnectGivesUp(t *testing.T) {
+	for _, tc := range []struct{ maxAttempts, want int }{{0, wire.DefaultMaxAttempts}, {3, 3}} {
+		f := &fakeDaemon{t: t, script: []func(*wire.Conn) error{helloAck}}
+		link := wire.Link{BackoffBase: time.Millisecond, BackoffMax: time.Millisecond, MaxAttempts: tc.maxAttempts, Dialer: f.dial}
+		s, err := Dial("fake", testConfig(), Options{Reconnect: true, Link: link})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range s.Profiles() {
+		}
+		want := fmt.Sprintf("gave up after %d attempts", tc.want)
+		if err := s.Err(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("MaxAttempts %d: Err = %v, want %q", tc.maxAttempts, err, want)
+		}
+		if got := f.dials.Load(); got != int32(tc.want) {
+			t.Fatalf("MaxAttempts %d: %d dials, want %d", tc.maxAttempts, got, tc.want)
+		}
+		s.Close()
 	}
 }

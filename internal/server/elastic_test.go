@@ -274,11 +274,10 @@ func TestElasticResizeCrashRecovery(t *testing.T) {
 
 	var err error
 	sess, err = client.Dial(addr, ccfg, client.Options{
-		Shards:      2,
-		BatchSize:   batchSize,
-		Reconnect:   true,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
+		Shards:    2,
+		BatchSize: batchSize,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,10 +358,9 @@ func TestElasticControllerDegradesUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess, err := client.Dial(addr, ccfg, client.Options{
-		BatchSize:   500,
-		Reconnect:   true,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
+		BatchSize: 500,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -103,12 +103,11 @@ func TestPublishMarkedSessionParkResume(t *testing.T) {
 	const intervals = 5
 	hang := func(c net.Conn) net.Conn { return &faultinject.HangupConn{Conn: c, After: 20_000} }
 	sess, err := client.Dial(addr, cfg, client.Options{
-		Shards:      2,
-		BatchSize:   100,
-		Marked:      true,
-		Reconnect:   true,
-		BackoffBase: 5 * time.Millisecond,
-		Dialer:      faultyDialer([]func(net.Conn) net.Conn{hang}),
+		Shards:    2,
+		BatchSize: 100,
+		Marked:    true,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, Dialer: faultyDialer([]func(net.Conn) net.Conn{hang})},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +256,7 @@ func TestSubscribeOverWire(t *testing.T) {
 	s := agg.NewSubscriber(agg.SubscriberConfig{
 		Addr:        addr,
 		EpochLength: 1000,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	}, rec)
 	go s.Run()
 	defer s.Close()

@@ -103,11 +103,10 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 	}
 	resCh := make(chan result, 1)
 	sess, err := client.Dial(addr, ccfg, client.Options{
-		Shards:      2,
-		BatchSize:   batchSize,
-		Reconnect:   true,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
+		Shards:    2,
+		BatchSize: batchSize,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -39,12 +39,10 @@ func resumeRun(t *testing.T, addr string, seed uint64, intervals int, plan []fun
 	t.Helper()
 	cfg := testConfig(seed)
 	sess, err := client.Dial(addr, cfg, client.Options{
-		Shards:      2,
-		BatchSize:   100,
-		Reconnect:   true,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		Dialer:      faultyDialer(plan),
+		Shards:    2,
+		BatchSize: 100,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Dialer: faultyDialer(plan)},
 	})
 	if err != nil {
 		t.Fatal(err)

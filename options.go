@@ -97,8 +97,10 @@ func WithBackoff(base, max time.Duration) Option {
 	return func(o *options) { o.remote.BackoffBase = base; o.remote.BackoffMax = max }
 }
 
-// WithMaxAttempts bounds consecutive failed reconnect attempts per outage;
-// negative means unlimited.
+// WithMaxAttempts bounds the consecutive failures of one outage, counting
+// the break that began it: a session or subscription makes at most n−1
+// redial attempts per outage, so 1 never redials. 0 keeps the default of
+// 10; negative means unlimited.
 func WithMaxAttempts(n int) Option {
 	return func(o *options) { o.remote.MaxAttempts = n }
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hwprof/internal/client"
+	"hwprof/internal/wire"
 )
 
 // RemoteSession is an open profiling session with a profiled daemon: the
@@ -59,7 +60,9 @@ var ErrRemoteClosed = client.ErrSessionClosed
 // delivered profiles staying bit-identical to an uninterrupted run. Tune
 // it with WithBackoff / WithMaxAttempts or disable it with
 // WithoutReconnect. ctx governs connection establishment, including the
-// dials of later reconnects; cancel it to stop redialing.
+// dials of later reconnects; cancel it to stop redialing: the session
+// ends within one backoff delay, with an error wrapping ctx's. A dialer
+// given WithDialer replaces the one that watches ctx.
 func Connect(ctx context.Context, addr string, opts ...Option) (*RemoteSession, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -73,6 +76,9 @@ func Connect(ctx context.Context, addr string, opts ...Option) (*RemoteSession, 
 	co.Reconnect = !o.noReconnect
 	if co.Dialer == nil {
 		co.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, wire.Permanent(err)
+			}
 			d := net.Dialer{Timeout: timeout}
 			return d.DialContext(ctx, "tcp", addr)
 		}

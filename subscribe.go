@@ -80,14 +80,14 @@ func (h subHandler) HandleGap(from, to uint64) { h.s.gaps.Add(to - from) }
 // WithStartEpoch (0 by default — earlier epochs already evicted from the
 // publisher's retention ring are skipped and counted as a gap).
 //
-// The link reuses the remote options vocabulary: WithDialTimeout,
-// WithBackoff, WithMaxAttempts, WithReadTimeout / WithWriteTimeout,
-// WithDialer. A broken link is redialed under jittered exponential backoff
-// and the subscription resumed at the next epoch needed; WithoutReconnect
-// makes the first failure terminal instead. WithIntervalLength, when
-// given, is validated against the publisher's advertised epoch length —
-// a mismatch is a terminal error, because merging misaligned epochs would
-// be silently wrong.
+// The link reuses the remote options vocabulary, and Connect's redial
+// loop: WithDialTimeout, WithBackoff, WithMaxAttempts, WithReadTimeout /
+// WithWriteTimeout, WithDialer. A broken link is redialed under jittered
+// exponential backoff and the subscription resumed at the next epoch
+// needed; WithoutReconnect makes the first failure terminal instead.
+// WithIntervalLength, when given, is validated against the publisher's
+// advertised epoch length — a mismatch is a terminal error, because
+// merging misaligned epochs would be silently wrong.
 //
 // ctx governs the subscription's lifetime: cancelling it ends the
 // subscription like Close. The first attach happens asynchronously; a
@@ -98,9 +98,9 @@ func Subscribe(ctx context.Context, addr string, opts ...Option) (*Subscription,
 		ctx = context.Background()
 	}
 	o := buildOptions(opts)
-	maxAttempts := o.remote.MaxAttempts
+	link := o.remote.Link
 	if o.noReconnect {
-		maxAttempts = 1
+		link.MaxAttempts = 1 // the first break ends the subscription
 	}
 	s := &Subscription{
 		ch:      make(chan EpochProfile, agg.DefaultSubBuffer),
@@ -109,16 +109,10 @@ func Subscribe(ctx context.Context, addr string, opts ...Option) (*Subscription,
 	}
 	s.C = s.ch
 	s.sub = agg.NewSubscriber(agg.SubscriberConfig{
-		Addr:         addr,
-		EpochLength:  o.run.IntervalLength,
-		Start:        o.start,
-		DialTimeout:  o.remote.DialTimeout,
-		BackoffBase:  o.remote.BackoffBase,
-		BackoffMax:   o.remote.BackoffMax,
-		MaxAttempts:  maxAttempts,
-		ReadTimeout:  o.remote.ReadTimeout,
-		WriteTimeout: o.remote.WriteTimeout,
-		Dialer:       o.remote.Dialer,
+		Addr:        addr,
+		EpochLength: o.run.IntervalLength,
+		Start:       o.start,
+		Link:        link,
 	}, subHandler{s})
 	go func() {
 		defer close(s.runDone)

@@ -21,6 +21,7 @@ import (
 	"hwprof/internal/faultinject"
 	"hwprof/internal/server"
 	"hwprof/internal/shard"
+	"hwprof/internal/wire"
 )
 
 // startDaemon runs a publishing daemon on a loopback port.
@@ -59,7 +60,7 @@ func startAggd(t *testing.T, source string, children []string) string {
 		Children:    children,
 		EpochLength: 1000,
 		Deadline:    -1,
-		BackoffBase: 5 * time.Millisecond,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sort"
 	"sync"
@@ -326,7 +327,7 @@ func verifySession(cfg hwprof.Config, shards int, stream []hwprof.Tuple,
 		return fmt.Errorf("verify: %d interval(s) delivered, local mirror produced %d", len(got), len(want))
 	}
 	for i := range want {
-		if !countsEqual(got[i], want[i]) {
+		if !maps.Equal(got[i], want[i]) {
 			return fmt.Errorf("verify: interval %d diverges from the local mirror", i)
 		}
 	}
@@ -335,42 +336,17 @@ func verifySession(cfg hwprof.Config, shards int, stream []hwprof.Tuple,
 
 // segmentProfiles cold-starts a local engine at the given geometry and
 // runs one stream segment through it, returning every complete interval
-// profile.
+// profile. It is hwprof.Profile, the run the daemon's profiles are
+// promised bit-identical to.
 func segmentProfiles(cfg hwprof.Config, shards int, events []hwprof.Tuple) ([]map[hwprof.Tuple]uint64, error) {
-	eng, err := hwprof.NewSharded(cfg, shards)
-	if err != nil {
-		return nil, fmt.Errorf("verify: local mirror engine: %w", err)
-	}
-	defer eng.Close()
 	var out []map[hwprof.Tuple]uint64
-	var n uint64
-	for len(events) > 0 {
-		c := uint64(len(events))
-		if rem := cfg.IntervalLength - n; c > rem {
-			c = rem
-		}
-		eng.ObserveBatch(events[:c])
-		events = events[c:]
-		n += c
-		if n == cfg.IntervalLength {
-			out = append(out, eng.EndInterval())
-			n = 0
-		}
+	_, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(events),
+		hwprof.WithConfig(cfg), hwprof.WithShards(shards), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, hw map[hwprof.Tuple]uint64) { out = append(out, hw) }))
+	if err != nil {
+		return nil, fmt.Errorf("verify: local mirror: %w", err)
 	}
-	return out, eng.Err()
-}
-
-// countsEqual compares two profiles bit-for-bit.
-func countsEqual(a, b map[hwprof.Tuple]uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for t, c := range a {
-		if b[t] != c {
-			return false
-		}
-	}
-	return true
+	return out, nil
 }
 
 // triggerDialer wraps every dial of a session in a TriggerConn and

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,7 +142,7 @@ func (g *generator) tree(daemons []string, root string) error {
 			fmt.Printf("loadgen: tree: epoch %d PARTIAL, missing %v\n", ep.Epoch, ep.Missing)
 			continue
 		}
-		if ep.Epoch >= uint64(len(ref)) || !countsEqual(ep.Counts, ref[ep.Epoch]) {
+		if ep.Epoch >= uint64(len(ref)) || !maps.Equal(ep.Counts, ref[ep.Epoch]) {
 			bad++
 			fmt.Printf("loadgen: tree: epoch %d MISMATCH: root has %d tuple(s), reference %d\n",
 				ep.Epoch, len(ep.Counts), len(ref[ep.Epoch]))

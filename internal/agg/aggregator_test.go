@@ -134,6 +134,44 @@ func TestAggregatorConfigValidation(t *testing.T) {
 	}
 }
 
+// TestAggregatorIdleSubscriptionOutlivesReadTimeout: the aggregator's
+// ReadTimeout also bounds its upstream subscriber connections, but a
+// subscriber sends nothing after its Subscribe, so an idle subscription
+// must survive it. Over ten read timeouts the link never reconnects.
+func TestAggregatorIdleSubscriptionOutlivesReadTimeout(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := ln.Addr().String() // a child that never answers
+	ln.Close()
+	const timeout = 100 * time.Millisecond
+	a, addr := startAgg(t, Config{
+		Source:      "mid",
+		Children:    []string{child},
+		EpochLength: 100,
+		Deadline:    -1,
+		Link:        wire.Link{ReadTimeout: timeout, BackoffBase: 5 * time.Millisecond},
+	})
+
+	sub := NewSubscriber(SubscriberConfig{
+		Addr:        addr,
+		EpochLength: 100,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
+	}, &recorder{})
+	done := make(chan error, 1)
+	go func() { done <- sub.Run() }()
+	waitFor(t, func() bool { return a.Metrics().Subscribers.Load() == 1 }, "the subscription to attach")
+	time.Sleep(10 * timeout)
+	sub.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("subscriber: %v", err)
+	}
+	if got := sub.Reconnects(); got != 0 {
+		t.Fatalf("an idle subscription reconnected %d times over ten read timeouts, want 0", got)
+	}
+}
+
 func TestAggregatorShutdownClosesSubscribers(t *testing.T) {
 	m1 := NewFeed(FeedConfig{Source: "m1", EpochLength: 100, Deadline: -1})
 	defer m1.Close()

@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hwprof/internal/wire"
 )
@@ -268,12 +269,15 @@ func ServeSubscription(conn net.Conn, wc *wire.Conn, feed *Feed, payload []byte,
 	logf("agg: subscriber %s attached from epoch %d", conn.RemoteAddr(), first)
 
 	// A subscription is server-push: the peer sends nothing after the
-	// Subscribe, so any read result — frame, EOF, error — means the
-	// attachment is over. The watcher closes the conn to unblock a write
-	// in flight.
+	// Subscribe, so any read result — a byte, EOF, error — means the
+	// attachment is over. The watcher reads the raw conn with its read
+	// deadline cleared: wc re-arms the per-read deadline before every
+	// read, which would cut an idle, healthy subscription once per read
+	// timeout. It closes the conn to unblock a write in flight.
 	done := make(chan struct{})
 	go func() {
-		wc.ReadFrame()
+		conn.SetReadDeadline(time.Time{})
+		conn.Read(make([]byte, 1))
 		conn.Close()
 		close(done)
 	}()

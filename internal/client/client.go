@@ -13,17 +13,19 @@
 // # Reconnect and resume
 //
 // With Options.Reconnect on (and a daemon that retains disconnected
-// sessions), a Session survives its connection: every flushed event is
-// retained in a replay buffer until an interval profile proves the daemon
-// consumed it, and when the stream breaks — disconnect, timeout, frame
+// sessions), a Session survives its connection: it keeps a log of the
+// frames it sent — batches, marks and the drain, encoded as they went out —
+// and drops a frame only once an interval profile proves the daemon
+// consumed it. When the stream breaks — disconnect, timeout, frame
 // corruption on either side — the session redials under jittered
-// exponential backoff, sends a Resume naming its session and position,
-// replays exactly the events past the daemon's acknowledged stream
-// position, and continues. Profiles the daemon resends are deduplicated by
-// index, so the caller observes each interval exactly once and the
-// delivered sequence is bit-identical to an uninterrupted run. Failures
-// that reflect a bug rather than a broken stream — protocol violations,
-// refused or unknown sessions, daemon-internal errors — are terminal.
+// exponential backoff, sends a Resume naming its session and the log's
+// first position, resends the log's suffix past the daemon's acknowledged
+// stream position, and continues. Profiles the daemon resends are
+// deduplicated by index, so the caller observes each interval exactly once
+// and the delivered sequence is bit-identical to an uninterrupted run.
+// Failures that reflect a bug rather than a broken stream — protocol
+// violations, refused or unknown sessions, daemon-internal errors — are
+// terminal.
 package client
 
 import (
@@ -53,8 +55,8 @@ type Options struct {
 	// event.DefaultBatchSize.
 	BatchSize int
 
-	// Reconnect makes the session survive stream failures: flushed events
-	// are buffered until a profile acknowledges them, and a broken
+	// Reconnect makes the session survive stream failures: sent frames
+	// are logged until a profile proves them consumed, and a broken
 	// connection is redialed and resumed transparently. Takes effect only
 	// when the daemon advertises resume support in its HelloAck.
 	Reconnect bool
@@ -153,7 +155,8 @@ type Session struct {
 
 	batchSize int
 	pending   []event.Tuple
-	enc       []byte
+	enc       []byte // the next frame's payload buffer
+	markIdx   uint64 // next interval-mark index (marked sessions)
 
 	profiles chan Profile
 
@@ -178,20 +181,18 @@ type Session struct {
 
 	closedFlag atomic.Bool
 
-	mu         sync.Mutex
-	conn       net.Conn
-	wc         *wire.Conn
-	gen        uint64 // attachment generation; bumped per successful resume
-	replayOn   bool   // Reconnect requested and daemon advertises resume
-	replay     []event.Tuple
-	replayBase uint64 // absolute stream position of replay[0]
-	sentPos    uint64 // absolute stream position after everything flushed
-	markIdx    uint64 // next interval-mark index (marked sessions)
-	marks      []markRec
-	drainSent  bool
-	goodbye    bool
-	permErr    error // terminal session error
-	readErr    error // reader's terminal error (when not permErr)
+	mu        sync.Mutex
+	conn      net.Conn
+	wc        *wire.Conn
+	gen       uint64   // attachment generation; bumped per successful resume
+	replayOn  bool     // Reconnect requested and daemon advertises resume
+	log       []frame  // frames sent and not yet proven consumed (replayOn)
+	spare     [][]byte // payload buffers of pruned frames, for reuse
+	sentPos   uint64   // absolute stream position after everything sent
+	drainSent bool
+	goodbye   bool
+	permErr   error // terminal session error
+	readErr   error // reader's terminal error (when not permErr)
 
 	// Elastic anchor: a complete profile i ≥ baseIdx proves the daemon
 	// consumed obsBase + (i+1−baseIdx)·curLen observed events. With no
@@ -212,14 +213,16 @@ type Session struct {
 	noticeTrail []Notice
 }
 
-// markRec is one unacknowledged interval mark on a marked session: its
-// index and the absolute stream position it was sent at. Retained —
-// exactly like the event replay buffer — until a profile proves the daemon
-// consumed it, so a resume can replay marks interleaved with events at
-// their exact positions and boundary placement survives the outage.
-type markRec struct {
-	index uint64
-	pos   uint64
+// frame is one logged frame of a resumable session, with its payload as
+// sent: a batch covering the absolute stream positions [pos, end), or a
+// mark or the drain at pos (end == pos). A batch payload is
+// self-contained, its delta chain starting afresh, so any logged frame
+// can be resent alone.
+type frame struct {
+	typ      byte
+	pos, end uint64
+	index    uint64 // a mark's interval index
+	payload  []byte
 }
 
 // Dial connects to a daemon at addr (TCP host:port), opens a session for
@@ -446,8 +449,8 @@ func (s *Session) readFrames(wc *wire.Conn) error {
 }
 
 // admitProfile deduplicates and accounts one profile frame: resends below
-// the expected index are dropped, the replay buffer is pruned by what the
-// profile proves the daemon consumed, and the shed count is published.
+// the expected index are dropped, the log is pruned by what the profile
+// proves the daemon consumed, and the shed count is published.
 func (s *Session) admitProfile(m wire.ProfileMsg) (Profile, bool) {
 	s.lastShed.Store(m.Shed)
 	p := Profile{Index: m.Index, Shed: m.Shed, Final: m.Final, Counts: m.Counts}
@@ -459,24 +462,48 @@ func (s *Session) admitProfile(m wire.ProfileMsg) (Profile, bool) {
 		return Profile{}, false // duplicate resend after a resume
 	}
 	s.nextIdx.Store(m.Index + 1)
-	if s.opts.Marked {
-		// On a marked session interval m.Index ended at mark m.Index's
-		// stream position — the boundary the client placed, not an
-		// IntervalLength multiple.
-		s.pruneMarked(m.Index)
-	} else {
-		// Interval m.Index complete means the daemon consumed at least the
-		// interval's closing observed position plus everything it shed. The
-		// elastic anchor generalizes the fixed-length (Index+1)·L arithmetic
-		// across resizes; profiles resent from before the anchor skip
-		// pruning (under-pruning is always safe).
-		s.mu.Lock()
-		if m.Index+1 > s.baseIdx {
-			s.pruneLocked(s.obsBase + (m.Index+1-s.baseIdx)*s.curLen + m.Shed)
-		}
-		s.mu.Unlock()
-	}
+	s.mu.Lock()
+	s.pruneLocked(m.Index, m.Shed)
+	s.mu.Unlock()
 	return p, true
+}
+
+// pruneLocked drops the log's longest prefix that ends in a frame profile
+// idx proves consumed, keeping the dropped payloads for reuse. On a marked
+// session that frame is a mark at or below idx: interval idx ended at the
+// boundary the client placed. Otherwise it is a batch ending at or below
+// the interval's closing observed position plus everything shed; the
+// elastic anchor generalizes the fixed-length (idx+1)·L arithmetic across
+// resizes, and a profile resent from before the anchor prunes nothing.
+// Under-pruning is always safe, so the batch that straddles the floor
+// stays.
+func (s *Session) pruneLocked(idx, shed uint64) {
+	if !s.opts.Marked && idx+1 <= s.baseIdx {
+		return
+	}
+	floor := s.obsBase + (idx+1-s.baseIdx)*s.curLen + shed
+	drop := 0
+	for i, f := range s.log {
+		if s.opts.Marked && f.typ == wire.MsgMark && f.index <= idx ||
+			!s.opts.Marked && f.typ == wire.MsgBatch && f.end <= floor {
+			drop = i + 1
+		}
+	}
+	for _, f := range s.log[:drop] {
+		if cap(f.payload) > 0 {
+			s.spare = append(s.spare, f.payload)
+		}
+	}
+	s.log = append(s.log[:0], s.log[drop:]...)
+}
+
+// floorLocked is the log's first stream position: the session can resend
+// every event from it on.
+func (s *Session) floorLocked() uint64 {
+	if len(s.log) > 0 {
+		return s.log[0].pos
+	}
+	return s.sentPos
 }
 
 // applyNotice re-anchors the session's position arithmetic at the
@@ -531,50 +558,6 @@ func (s *Session) applyNotice(n wire.Notice) {
 	}
 }
 
-// prune drops replay-buffered events below floor, an absolute stream
-// position the daemon has provably consumed.
-func (s *Session) prune(floor uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pruneLocked(floor)
-}
-
-func (s *Session) pruneLocked(floor uint64) {
-	if !s.replayOn {
-		return
-	}
-	if floor > s.sentPos {
-		floor = s.sentPos
-	}
-	if floor > s.replayBase {
-		drop := int(floor - s.replayBase)
-		s.replay = append(s.replay[:0], s.replay[drop:]...)
-		s.replayBase = floor
-	}
-}
-
-// pruneMarked drops the marks profile index idx proves consumed, and the
-// replay-buffered events below the last such mark's position.
-func (s *Session) pruneMarked(idx uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.replayOn {
-		return
-	}
-	var floor uint64
-	found := false
-	drop := 0
-	for drop < len(s.marks) && s.marks[drop].index <= idx {
-		floor = s.marks[drop].pos
-		found = true
-		drop++
-	}
-	if found {
-		s.marks = append(s.marks[:0], s.marks[drop:]...)
-		s.pruneLocked(floor)
-	}
-}
-
 // failRead records the reader's terminal error.
 func (s *Session) failRead(err error) {
 	s.mu.Lock()
@@ -597,8 +580,8 @@ func (s *Session) failLocked(err error) error {
 // failedGen broke with cause. Both the reader and the writer funnel their
 // failures here; whichever arrives first performs the dance under mu while
 // the other blocks and then finds the generation already advanced. On
-// success the session's events past the daemon's acknowledged position
-// have been replayed (and a sent drain re-sent) on the fresh connection.
+// success the log's frames past the daemon's acknowledged position have
+// been resent on the fresh connection.
 func (s *Session) reconnect(failedGen uint64, cause error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -630,15 +613,16 @@ func (s *Session) reconnect(failedGen uint64, cause error) error {
 }
 
 // resumeOnce makes one resume attempt: dial, handshake, Resume/ResumeAck,
-// replay past the daemon's position, re-send a pending drain. Called with
-// mu held. Retryable failures return plain errors; refusals that must not
-// be retried are marked wire.Permanent.
+// resend the log past the daemon's position. Called with mu held.
+// Retryable failures return plain errors; refusals that must not be
+// retried are marked wire.Permanent.
 func (s *Session) resumeOnce() error {
 	conn, wc, err := s.redial.Dial()
 	if err != nil {
 		return err
 	}
-	r := wire.Resume{SessionID: s.ack.SessionID, Intervals: s.nextIdx.Load(), Floor: s.replayBase}
+	floor := s.floorLocked()
+	r := wire.Resume{SessionID: s.ack.SessionID, Intervals: s.nextIdx.Load(), Floor: floor}
 	if err := wc.WriteFrame(wire.MsgResume, wire.AppendResume(nil, r)); err != nil {
 		conn.Close()
 		return err
@@ -669,10 +653,10 @@ func (s *Session) resumeOnce() error {
 		conn.Close()
 		return err
 	}
-	if ack.StreamPos < s.replayBase || ack.StreamPos > s.sentPos {
+	if ack.StreamPos < floor || ack.StreamPos > s.sentPos {
 		conn.Close()
 		return wire.Permanent(fmt.Errorf("daemon acknowledged stream position %d outside the replayable range [%d, %d]",
-			ack.StreamPos, s.replayBase, s.sentPos))
+			ack.StreamPos, floor, s.sentPos))
 	}
 	s.lastShed.Store(ack.Shed)
 	if !s.opts.Marked && ack.IntervalLength > 0 {
@@ -690,55 +674,29 @@ func (s *Session) resumeOnce() error {
 		s.baseIdx = ack.Intervals
 		s.obsBase = (ack.StreamPos - ack.Shed) - ack.Offset
 	}
-	// Replay exactly the events the daemon has not consumed, re-sending
-	// unconsumed interval marks at their recorded stream positions so
-	// boundary placement survives the outage. The encoding buffer is
-	// local: s.enc belongs to the caller's Flush path, which may be
-	// mid-write on the dead connection while the reader resumes.
-	var enc []byte
-	sendMark := func(idx uint64) error {
-		if err := wc.WriteFrame(wire.MsgMark, wire.AppendMark(enc[:0], wire.Mark{Index: idx})); err != nil {
-			conn.Close()
-			return err
-		}
-		return nil
-	}
-	// Marks the ack's interval count proves consumed are skipped; the rest
-	// all sit at positions ≥ the acked stream position (frames are FIFO:
-	// the daemon cannot have consumed events past a mark without the mark).
-	marks := s.marks
-	for len(marks) > 0 && marks[0].index < ack.Intervals {
-		marks = marks[1:]
-	}
-	pos := ack.StreamPos
-	tail := s.replay[pos-s.replayBase:]
-	for {
-		for len(marks) > 0 && marks[0].pos <= pos {
-			if err := sendMark(marks[0].index); err != nil {
-				return err
+	// Resend the log's unconsumed suffix as it was sent. Marks the ack's
+	// interval count proves consumed and batches ending at or below its
+	// stream position are skipped; every other frame sits at or past that
+	// position, since frames are FIFO. Only a daemon recovered from its
+	// journal can stop inside a batch, because its worker journals batches
+	// in pieces cut at interval boundaries: that batch's tail is
+	// re-encoded, into a local buffer, since s.enc belongs to the caller's
+	// send path, which may be mid-write on the dead connection.
+	for _, f := range s.log {
+		payload := f.payload
+		switch {
+		case f.typ == wire.MsgMark && f.index < ack.Intervals,
+			f.typ == wire.MsgBatch && f.end <= ack.StreamPos:
+			continue
+		case f.typ == wire.MsgBatch && f.pos < ack.StreamPos:
+			tuples, err := wire.DecodeBatch(f.payload, nil)
+			if err != nil {
+				conn.Close()
+				return wire.Permanent(err)
 			}
-			marks = marks[1:]
+			payload = wire.AppendBatch(nil, tuples[ack.StreamPos-f.pos:])
 		}
-		if len(tail) == 0 {
-			break
-		}
-		n := len(tail)
-		if n > s.batchSize {
-			n = s.batchSize
-		}
-		if len(marks) > 0 && marks[0].pos < pos+uint64(n) {
-			n = int(marks[0].pos - pos)
-		}
-		enc = wire.AppendBatch(enc[:0], tail[:n])
-		if err := wc.WriteFrame(wire.MsgBatch, enc); err != nil {
-			conn.Close()
-			return err
-		}
-		tail = tail[n:]
-		pos += uint64(n)
-	}
-	if s.drainSent {
-		if err := wc.WriteFrame(wire.MsgDrain, nil); err != nil {
+		if err := wc.WriteFrame(f.typ, payload); err != nil {
 			conn.Close()
 			return err
 		}
@@ -773,35 +731,17 @@ func (s *Session) ObserveBatch(batch []event.Tuple) error {
 }
 
 // Flush sends the pending events, if any, as one batch frame. On a
-// resumable session a write failure is not terminal: the events are
-// already in the replay buffer, and the reconnect that repairs the stream
-// replays them — Flush's contract is "durably queued", not "on the wire".
+// resumable session a write failure is not terminal: the frame is already
+// in the session's log, and the reconnect that repairs the stream resends
+// it — Flush's contract is "durably queued", not "on the wire".
 func (s *Session) Flush() error {
 	if len(s.pending) == 0 {
 		return nil
 	}
-	s.mu.Lock()
-	if s.drainSent || s.closedFlag.Load() {
-		s.mu.Unlock()
-		return ErrSessionClosed
-	}
-	if s.permErr != nil {
-		err := s.permErr
-		s.mu.Unlock()
-		return err
-	}
-	wc, gen := s.wc, s.gen
-	if s.replayOn {
-		s.replay = append(s.replay, s.pending...)
-		s.sentPos += uint64(len(s.pending))
-	}
-	s.mu.Unlock()
+	n := uint64(len(s.pending))
 	s.enc = wire.AppendBatch(s.enc[:0], s.pending)
 	s.pending = s.pending[:0]
-	if err := wc.WriteFrame(wire.MsgBatch, s.enc); err != nil {
-		return s.writeFailed(gen, err)
-	}
-	return nil
+	return s.send(wire.MsgBatch, s.enc, n, 0)
 }
 
 // Mark closes the current interval at the exact position of the events
@@ -809,8 +749,8 @@ func (s *Session) Flush() error {
 // mark frame places the boundary. The daemon answers with the interval's
 // profile exactly as if an IntervalLength boundary had been crossed. Like
 // Flush, a write failure on a resumable session is not terminal — the mark
-// is recorded alongside the replay buffer and re-sent at its exact stream
-// position by the resume.
+// is logged between the batches around it, and the resume resends it at
+// its exact stream position.
 func (s *Session) Mark() error {
 	if !s.opts.Marked {
 		return errors.New("client: Mark on a session not opened with Options.Marked")
@@ -818,6 +758,19 @@ func (s *Session) Mark() error {
 	if err := s.Flush(); err != nil {
 		return err
 	}
+	idx := s.markIdx
+	s.markIdx++
+	s.enc = wire.AppendMark(s.enc[:0], wire.Mark{Index: idx})
+	return s.send(wire.MsgMark, s.enc, 0, idx)
+}
+
+// send writes one frame carrying the next n events of the stream (a mark
+// or the drain carries none). On a resumable session the frame is logged
+// before the lock is released for the write, so a reconnect racing the
+// write resends it and the failed write finds the generation already
+// advanced; the log then owns payload, and the next frame encodes into a
+// pruned frame's buffer.
+func (s *Session) send(typ byte, payload []byte, n, index uint64) error {
 	s.mu.Lock()
 	if s.drainSent || s.closedFlag.Load() {
 		s.mu.Unlock()
@@ -828,22 +781,28 @@ func (s *Session) Mark() error {
 		s.mu.Unlock()
 		return err
 	}
-	idx := s.markIdx
-	s.markIdx++
-	if s.replayOn {
-		s.marks = append(s.marks, markRec{index: idx, pos: s.sentPos})
+	if typ == wire.MsgDrain {
+		s.drainSent = true
 	}
+	if s.replayOn {
+		s.log = append(s.log, frame{typ: typ, pos: s.sentPos, end: s.sentPos + n, index: index, payload: payload})
+		s.enc = nil
+		if k := len(s.spare); k > 0 {
+			s.enc, s.spare = s.spare[k-1], s.spare[:k-1]
+		}
+	}
+	s.sentPos += n
 	wc, gen := s.wc, s.gen
 	s.mu.Unlock()
-	if err := wc.WriteFrame(wire.MsgMark, wire.AppendMark(nil, wire.Mark{Index: idx})); err != nil {
+	if err := wc.WriteFrame(typ, payload); err != nil {
 		return s.writeFailed(gen, err)
 	}
 	return nil
 }
 
 // writeFailed routes a write failure: resumable sessions reconnect (the
-// failed frame's events ride the replay buffer), others record a terminal
-// error, preferring an already-recorded server explanation.
+// failed frame rides the log), others record a terminal error, preferring
+// an already-recorded server explanation.
 func (s *Session) writeFailed(gen uint64, err error) error {
 	if s.replayOn && retryable(err) {
 		return s.reconnect(gen, err)
@@ -857,27 +816,9 @@ func (s *Session) writeFailed(gen uint64, err error) error {
 	return s.failLocked(fmt.Errorf("client: writing: %w", err))
 }
 
-// sendDrain writes the drain frame, marking the session drain-sent first
-// so a reconnect racing the write re-sends it.
-func (s *Session) sendDrain() error {
-	s.mu.Lock()
-	if s.drainSent {
-		s.mu.Unlock()
-		return ErrSessionClosed
-	}
-	if s.permErr != nil {
-		err := s.permErr
-		s.mu.Unlock()
-		return err
-	}
-	s.drainSent = true
-	wc, gen := s.wc, s.gen
-	s.mu.Unlock()
-	if err := wc.WriteFrame(wire.MsgDrain, nil); err != nil {
-		return s.writeFailed(gen, err)
-	}
-	return nil
-}
+// sendDrain writes the drain frame; like every frame, it is logged first
+// on a resumable session, so a reconnect racing the write resends it.
+func (s *Session) sendDrain() error { return s.send(wire.MsgDrain, nil, 0, 0) }
 
 // Drain finishes the session gracefully: pending events are flushed, the
 // daemon drains its queue and replies with the unfinished interval's

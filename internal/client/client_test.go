@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,6 +28,7 @@ type fakeDaemon struct {
 	t      *testing.T
 	script []func(wc *wire.Conn) error
 	dials  atomic.Int32
+	wg     sync.WaitGroup // attachments still running
 }
 
 func (f *fakeDaemon) dial(string, time.Duration) (net.Conn, error) {
@@ -35,7 +37,9 @@ func (f *fakeDaemon) dial(string, time.Duration) (net.Conn, error) {
 		return nil, fmt.Errorf("fake daemon: no attachment scripted for dial %d", i)
 	}
 	client, server := net.Pipe()
+	f.wg.Add(1)
 	go func() {
+		defer f.wg.Done()
 		defer server.Close()
 		wc := wire.NewConn(server)
 		if err := wc.ServerHandshake(); err != nil {
@@ -197,7 +201,7 @@ func TestReconnectResumes(t *testing.T) {
 				t.Fatalf("first profile has index %d, want 0", p.Index)
 			}
 			s.mu.Lock()
-			floor := s.replayBase
+			floor := s.floorLocked()
 			s.mu.Unlock()
 			if floor != L {
 				t.Fatalf("replay floor %d after profile 0, want %d", floor, L)
@@ -400,9 +404,10 @@ func TestResumeDropsRedeliveredNotice(t *testing.T) {
 // TestReplayFloorAcrossResizeAndShed checks pruning by implicit acks
 // within one attachment: each profile proves the daemon consumed its
 // interval's observed events plus everything shed so far, and a resize
-// notice re-anchors that arithmetic at the new interval length. The daemon
-// reads ahead into the next interval before profile 1, so the floor cannot
-// hide behind the cap at everything sent.
+// notice re-anchors that arithmetic at the new interval length. Pruning
+// drops whole frames, so the exact floor must lie inside the log's first
+// frame. The daemon reads ahead into the next interval before profile 1,
+// so the floor cannot hide behind the cap at everything sent.
 func TestReplayFloorAcrossResizeAndShed(t *testing.T) {
 	cfg := testConfig()
 	L := cfg.IntervalLength
@@ -449,24 +454,29 @@ func TestReplayFloorAcrossResizeAndShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := func() uint64 {
+	// head is the stream span of the log's first frame; an empty log
+	// holds nothing below everything sent.
+	head := func() (pos, end uint64) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.replayBase
+		if len(s.log) == 0 {
+			return s.sentPos, s.sentPos
+		}
+		return s.log[0].pos, s.log[0].end
 	}
 	observe(t, s, L+shed)
 	if p := <-s.Profiles(); p.Index != 0 {
 		t.Fatalf("first profile has index %d, want 0", p.Index)
 	}
-	if got := floor(); got != L+shed {
+	if got, _ := head(); got != L+shed {
 		t.Fatalf("replay floor %d after profile 0, want %d", got, L+shed)
 	}
 	observe(t, s, 2*L+ahead)
 	if p := <-s.Profiles(); p.Index != 1 {
 		t.Fatalf("second profile has index %d, want 1", p.Index)
 	}
-	if got := floor(); got != 3*L+shed {
-		t.Fatalf("replay floor %d after profile 1, want %d", got, 3*L+shed)
+	if pos, end := head(); 3*L+shed < pos || 3*L+shed >= end {
+		t.Fatalf("log's first frame [%d, %d) after profile 1 does not hold the floor %d", pos, end, 3*L+shed)
 	}
 	if _, err := s.Drain(); err != nil {
 		t.Fatalf("Drain: %v", err)

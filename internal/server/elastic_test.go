@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -14,7 +15,6 @@ import (
 	"hwprof/internal/event"
 	"hwprof/internal/journal"
 	"hwprof/internal/server"
-	"hwprof/internal/shard"
 	"hwprof/internal/wire"
 )
 
@@ -45,27 +45,11 @@ func materialize(t *testing.T, workload string, seed, n uint64) []event.Tuple {
 // start of the post-resize geometry at the resize boundary.
 func segmentProfiles(t *testing.T, cfg core.Config, shards int, events []event.Tuple) []map[event.Tuple]uint64 {
 	t.Helper()
-	eng, err := shard.New(shard.Config{Core: cfg, NumShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
 	var out []map[event.Tuple]uint64
-	var n uint64
-	for len(events) > 0 {
-		c := uint64(len(events))
-		if rem := cfg.IntervalLength - n; c > rem {
-			c = rem
-		}
-		eng.ObserveBatch(events[:c])
-		events = events[c:]
-		n += c
-		if n == cfg.IntervalLength {
-			out = append(out, eng.EndInterval())
-			n = 0
-		}
-	}
-	if err := eng.Err(); err != nil {
+	_, err := hwprof.Profile(context.Background(), hwprof.NewSliceSource(events),
+		hwprof.WithConfig(cfg), hwprof.WithShards(shards), hwprof.WithoutOracle(),
+		hwprof.OnInterval(func(_ int, _, hw map[event.Tuple]uint64) { out = append(out, hw) }))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -283,6 +283,32 @@ func TestSubscribeOverWire(t *testing.T) {
 	}
 }
 
+// TestIdleSubscriptionOutlivesReadTimeout: a subscriber sends nothing
+// after its Subscribe, so the daemon's per-read deadline must not end an
+// idle subscription. Over ten read timeouts the link never reconnects.
+func TestIdleSubscriptionOutlivesReadTimeout(t *testing.T) {
+	cfg := publishConfig()
+	cfg.ReadTimeout = 100 * time.Millisecond
+	srv, addr := startServer(t, cfg)
+
+	s := agg.NewSubscriber(agg.SubscriberConfig{
+		Addr:        addr,
+		EpochLength: 1000,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
+	}, &wireRecorder{})
+	done := make(chan error, 1)
+	go func() { done <- s.Run() }()
+	waitFor(t, "the subscription to attach", func() bool { return srv.Metrics().SubscribersActive.Load() == 1 })
+	time.Sleep(10 * cfg.ReadTimeout)
+	s.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("subscriber: %v", err)
+	}
+	if got := s.Reconnects(); got != 0 {
+		t.Fatalf("an idle subscription reconnected %d times over ten read timeouts, want 0", got)
+	}
+}
+
 // TestSubscribeRefusedWithoutPublish: a daemon not publishing refuses the
 // subscription with a typed unsupported error, not a hang or a hangup.
 func TestSubscribeRefusedWithoutPublish(t *testing.T) {

@@ -73,14 +73,14 @@ func crashServer(t *testing.T, cfg server.Config, addr string, wantRecovered int
 	return srv, ln.Addr().String(), done
 }
 
-// runKillCycle streams a workload through a journaled daemon, kills the
-// daemon in-process at roughly killAt events, restarts it on the same
-// address with Recover, and requires the client's transparently resumed
-// run to deliver profiles bit-identical to an uninterrupted local run.
-func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uint64) {
+// runKillCycle streams a workload through a journaled daemon in frames of
+// batchSize events, kills the daemon in-process at roughly killAt events,
+// restarts it on the same address with Recover, and requires the client's
+// transparently resumed run to deliver profiles bit-identical to an
+// uninterrupted local run.
+func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed, killAt, batchSize uint64) {
 	t.Helper()
 	const intervals = 5
-	const batchSize = 100
 	cfg := server.Config{
 		JournalDir:  t.TempDir(),
 		JournalSync: sync,
@@ -104,7 +104,7 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 	resCh := make(chan result, 1)
 	sess, err := client.Dial(addr, ccfg, client.Options{
 		Shards:    2,
-		BatchSize: batchSize,
+		BatchSize: int(batchSize),
 		Reconnect: true,
 		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond},
 	})
@@ -170,20 +170,29 @@ func runKillCycle(t *testing.T, sync journal.SyncPolicy, seed uint64, killAt uin
 }
 
 // TestKillRecoverResume is the crash-durability contract, extended from
-// PR 5's connection-kill suite to a full daemon kill: at N randomized
+// the connection-kill suite to a full daemon kill: at N randomized
 // offsets the daemon dies mid-stream with kill -9 semantics (buffered
 // journal bytes lost, no goodbyes), restarts, replays the journal, and
 // the reconnecting client's final profiles are bit-identical to an
-// uninterrupted run — under both durable sync policies.
+// uninterrupted run — under both durable sync policies. With frames of
+// 128 events, which do not divide the 1000-event interval, an interval-sync
+// crash past the first boundary recovers inside a frame the client logged,
+// so the client resends only that frame's tail.
 func TestKillRecoverResume(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260807))
 	for _, sync := range []journal.SyncPolicy{journal.SyncBatch, journal.SyncInterval} {
 		for i := 0; i < 3; i++ {
 			killAt := 500 + uint64(rng.Int63n(4000))
 			t.Run(fmt.Sprintf("sync=%v/killAt=%d", sync, killAt), func(t *testing.T) {
-				runKillCycle(t, sync, 1000+killAt, killAt)
+				runKillCycle(t, sync, 1000+killAt, killAt, 100)
 			})
 		}
+	}
+	for i := 0; i < 3; i++ {
+		killAt := 1200 + uint64(rng.Int63n(3000))
+		t.Run(fmt.Sprintf("sync=%v/batch=128/killAt=%d", journal.SyncInterval, killAt), func(t *testing.T) {
+			runKillCycle(t, journal.SyncInterval, 1000+killAt, killAt, 128)
+		})
 	}
 }
 

@@ -182,8 +182,9 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 type Conn struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
-	scratch [binary.MaxVarintLen64 + 1]byte
-	payload []byte // reused ReadFrame buffer
+	scratch [binary.MaxVarintLen64 + 1]byte // WriteFrame's header and checksum
+	crc     [4]byte                         // ReadFrame's checksum
+	payload []byte                          // reused ReadFrame buffer
 }
 
 // NewConn wraps rw for framed message exchange. Perform the handshake
@@ -267,9 +268,8 @@ func (c *Conn) WriteFrame(typ byte, payload []byte) error {
 	if _, err := c.w.Write(payload); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload, crcTable))
-	if _, err := c.w.Write(crc[:]); err != nil {
+	binary.LittleEndian.PutUint32(c.scratch[:4], crc32.Checksum(payload, crcTable))
+	if _, err := c.w.Write(c.scratch[:4]); err != nil {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	if err := c.w.Flush(); err != nil {
@@ -304,12 +304,11 @@ func (c *Conn) ReadFrame() (typ byte, payload []byte, err error) {
 	if _, err := io.ReadFull(c.r, c.payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: frame payload: %w", ErrTruncated, err)
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(c.r, crc[:]); err != nil {
+	if _, err := io.ReadFull(c.r, c.crc[:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: frame checksum: %w", ErrTruncated, err)
 	}
 	got := crc32.Checksum(c.payload, crcTable)
-	if want := binary.LittleEndian.Uint32(crc[:]); want != got {
+	if want := binary.LittleEndian.Uint32(c.crc[:]); want != got {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch: stored %#x, computed %#x", ErrCorrupt, want, got)
 	}
 	return typ, c.payload, nil
@@ -480,7 +479,10 @@ type Resume struct {
 	Intervals uint64
 
 	// Floor is the client's replay floor as an absolute stream position:
-	// the client can resend every event from Floor onward.
+	// the first position of its frame log, from which it can resend every
+	// event. The client prunes whole frames, so Floor may lie below the
+	// position its profiles prove consumed; a server accepts any Floor at
+	// or below its own position.
 	Floor uint64
 }
 

@@ -173,6 +173,44 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameIOAllocatesNothing: writing a frame allocates nothing, and
+// neither does reading one once the reused payload buffer has grown.
+func TestFrameIOAllocatesNothing(t *testing.T) {
+	type rw struct {
+		io.Reader
+		io.Writer
+	}
+	const runs = 100
+	payload := AppendBatch(nil, []event.Tuple{{A: 1, B: 2}, {A: 3, B: 40}})
+	w := NewConn(rw{Writer: io.Discard})
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := w.WriteFrame(MsgBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteFrame: %v allocations per frame, want 0", n)
+	}
+
+	var stream bytes.Buffer
+	sw := NewConn(rw{Writer: &stream})
+	for i := 0; i < runs+2; i++ {
+		if err := sw.WriteFrame(MsgBatch, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewConn(rw{Reader: bytes.NewReader(stream.Bytes())})
+	if _, _, err := r.ReadFrame(); err != nil { // grows the payload buffer
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(runs, func() {
+		if _, _, err := r.ReadFrame(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadFrame: %v allocations per frame, want 0", n)
+	}
+}
+
 // TestFrameTruncation cuts the stream at every byte position: the reader
 // must deliver some prefix of the original frames and then fail with
 // ErrTruncated — or io.EOF exactly when the cut lands on a frame boundary.

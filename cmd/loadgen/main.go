@@ -29,9 +29,10 @@
 // trail splits the mirror: each geometry-changing notice (live resize,
 // ladder coarsen/shrink/restore) cold-starts a fresh local engine at the
 // announced shape and stream boundary — the park-and-restage contract,
-// checked end to end from the client side. Sessions whose profiles are
-// lossy (shed policy) or whose geometry changed invisibly (a daemon crash
-// lost the notice) are reported and skipped, not failed.
+// checked end to end from the client side. The daemon delivers every
+// notice across resumes and its own restarts, so the trail is a complete
+// geometry timeline. Sessions whose profiles are lossy (shed policy) are
+// reported and skipped, not failed.
 //
 // Sessions refused admission are reported and tolerated (an overloaded
 // daemon refusing work is correct behavior); any other session failure
@@ -84,7 +85,7 @@ func main() {
 		backoff  = flag.Duration("backoff-base", 20*time.Millisecond, "reconnect backoff base delay")
 		attempts = flag.Int("max-attempts", 10, "failures per outage before a session gives up, the break included (-1: unlimited)")
 
-		verify = flag.Bool("verify", false, "mirror every session's accepted stream through local engines and require the daemon's profiles bit-identical; resize/degrade notices split the mirror into cold-started segments, so this holds against an elastic daemon too (lossy shed-policy sessions and geometry changes hidden by a daemon crash are reported and skipped)")
+		verify = flag.Bool("verify", false, "mirror every session's accepted stream through local engines and require the daemon's profiles bit-identical; resize/degrade notices split the mirror into cold-started segments, so this holds against an elastic daemon too (lossy shed-policy sessions are reported and skipped)")
 
 		treeDaemons = flag.String("tree-daemons", "", "comma-separated profiled -publish daemons; enables tree mode: one marked session per daemon, the scenario's stream fanned out by shard route (the scenario's shards must equal the daemon count)")
 		treeRoot    = flag.String("tree-root", "", "root aggregator to subscribe to for merged fleet epochs (tree mode)")

@@ -208,14 +208,6 @@ func (g *generator) session(idx int) outcome {
 			// Shed events never reached the daemon's engine; no local mirror
 			// can reproduce lossy profiles.
 			out.skipped = fmt.Sprintf("%d event(s) shed; profiles are lossy", out.shed)
-		case out.resizes > geometryChanges(cfg, g.scn.Shards, trail):
-			// The client counted a geometry change (from a resume ack) the
-			// trail does not carry — the session resumed against a restarted
-			// daemon that lost its kept notices, and the mirror cannot place
-			// the segment split. The opposite inequality is normal: an ack
-			// coalesces several in-outage changes into one count while the
-			// redelivered notices keep the trail itself complete.
-			out.skipped = "a geometry change during an outage is missing from the notice trail"
 		default:
 			if verr := verifySession(cfg, g.scn.Shards, rec.buf, profs, trail); verr != nil {
 				out.err = verr
@@ -261,28 +253,6 @@ func (r *recordSource) Next() (hwprof.Tuple, bool) {
 }
 
 func (r *recordSource) Err() error { return r.inner.Err() }
-
-// geometryChanges folds a session's notice trail from its admitted
-// geometry and counts the notices that actually changed the engine shape —
-// the same arithmetic the client's Resizes counter runs, so a mismatch
-// between the two means a change happened that the trail does not record.
-func geometryChanges(cfg hwprof.Config, shards int, trail []hwprof.RemoteNotice) uint64 {
-	var n uint64
-	for _, nt := range trail {
-		if nt.IntervalLength == 0 {
-			continue
-		}
-		if nt.IntervalLength != cfg.IntervalLength || nt.TotalEntries != cfg.TotalEntries ||
-			nt.NumTables != cfg.NumTables || nt.Shards != shards {
-			n++
-		}
-		cfg.IntervalLength = nt.IntervalLength
-		cfg.TotalEntries = nt.TotalEntries
-		cfg.NumTables = nt.NumTables
-		shards = nt.Shards
-	}
-	return n
-}
 
 // verifySession mirrors the accepted stream through local engines and
 // requires the daemon's delivered profiles bit-identical. Every notice

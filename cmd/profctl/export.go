@@ -9,7 +9,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"hwprof/internal/event"
@@ -31,7 +30,6 @@ type exporter struct {
 
 	events  uint64
 	digests []uint32
-	enc     []byte
 }
 
 func (x *exporter) Start(meta journal.Meta, state journal.State) error {
@@ -70,18 +68,20 @@ func (x *exporter) Boundary(index, shed uint64, profile []byte) error {
 	if msg.Index != uint64(len(x.digests)) {
 		return fmt.Errorf("boundary frame index %d, expected %d", msg.Index, len(x.digests))
 	}
-	// Re-encode without the serving-side shed counter: the scenario digest
-	// is the CRC32 of the canonical <index, counts> encoding, and shed
-	// events never reached the engine or the journal, so the replayed
-	// profile matches it exactly.
-	x.enc = wire.AppendProfile(x.enc[:0], wire.ProfileMsg{Index: msg.Index, Counts: msg.Counts})
-	x.digests = append(x.digests, crc32.ChecksumIEEE(x.enc))
+	// The scenario digest covers the index and counts only: shed events
+	// never reached the engine or the journal, so the replayed profile
+	// matches it exactly.
+	x.digests = append(x.digests, scenario.Digest(int(msg.Index), msg.Counts))
 	return nil
 }
 
-func (x *exporter) Resize(h wire.Hello) error {
-	return fmt.Errorf("journal contains an elastic resize (to %v, %d shard(s)) at interval %d: a scenario runs one fixed geometry",
-		h.Config, h.Shards, len(x.digests))
+// Notice accepts a rung-only notice and refuses a resize.
+func (x *exporter) Notice(_ []byte, h wire.Hello) error {
+	if h != x.meta.Hello {
+		return fmt.Errorf("journal contains an elastic resize (to %v, %d shard(s)) at interval %d: a scenario runs one fixed geometry",
+			h.Config, h.Shards, len(x.digests))
+	}
+	return nil
 }
 
 // runExport replays one session's journal read-only and writes it as a

@@ -91,15 +91,12 @@ func main() {
 		machineID     = flag.String("machine-id", server.DefaultMachineID, "this machine's name in published epochs")
 		epochLength   = flag.Uint64("epoch-length", server.DefaultEpochLength, "fleet events-per-epoch contract; sessions matching it publish")
 		epochDeadline = flag.Duration("epoch-deadline", 0, "straggler deadline before an epoch closes partial (0: default; set well above reconnect time; negative disables)")
-		epochWindow   = flag.Int("epoch-window", 0, "open epochs before force-close (0: default)")
-		epochRetain   = flag.Int("epoch-retain", 0, "closed epochs retained for subscriber resubscription (0: default)")
 
-		journalDir     = flag.String("journal-dir", "", "directory for per-session write-ahead journals; empty disables crash durability")
-		journalSync    = flag.String("journal-sync", "interval", "journal durability barrier: none, interval, or batch")
-		journalSegment = flag.Int64("journal-segment-bytes", 0, "journal segment rotation threshold in bytes (0: default)")
-		tenantRate     = flag.Float64("tenant-rate", 0, "per-tenant session admission rate in sessions/s (0 disables)")
-		tenantBurst    = flag.Float64("tenant-burst", 0, "per-tenant admission burst (0: ceil of -tenant-rate)")
-		tenantBudget   = flag.Float64("tenant-budget", 0, "per-tenant slice of the cost budget in reference-session units (0 disables)")
+		journalDir   = flag.String("journal-dir", "", "directory for per-session write-ahead journals; empty disables crash durability")
+		journalSync  = flag.String("journal-sync", "interval", "journal durability barrier: none, interval, or batch")
+		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant session admission rate in sessions/s (0 disables)")
+		tenantBurst  = flag.Float64("tenant-burst", 0, "per-tenant admission burst (0: ceil of -tenant-rate)")
+		tenantBudget = flag.Float64("tenant-budget", 0, "per-tenant slice of the cost budget in reference-session units (0 disables)")
 
 		elastic        = flag.Bool("elastic", false, "run the per-session online controller: live resizes and the degradation ladder (requires resume; marked sessions are left alone)")
 		elasticEngage  = flag.Int("elastic-engage", 0, "boundaries of sustained pressure before the controller acts (0: default)")
@@ -132,15 +129,12 @@ func main() {
 		MachineID:     *machineID,
 		EpochLength:   *epochLength,
 		EpochDeadline: *epochDeadline,
-		EpochWindow:   *epochWindow,
-		EpochRetain:   *epochRetain,
 
-		JournalDir:          *journalDir,
-		JournalSync:         sync,
-		JournalSegmentBytes: *journalSegment,
-		TenantRate:          *tenantRate,
-		TenantBurst:         *tenantBurst,
-		TenantBudget:        *tenantBudget,
+		JournalDir:   *journalDir,
+		JournalSync:  sync,
+		TenantRate:   *tenantRate,
+		TenantBurst:  *tenantBurst,
+		TenantBudget: *tenantBudget,
 
 		Elastic:        *elastic,
 		ElasticEngage:  *elasticEngage,

@@ -20,9 +20,11 @@
 // corruption on either side — the session redials under jittered
 // exponential backoff, sends a Resume naming its session and the log's
 // first position, resends the log's suffix past the daemon's acknowledged
-// stream position, and continues. Profiles the daemon resends are
-// deduplicated by index, so the caller observes each interval exactly once
-// and the delivered sequence is bit-identical to an uninterrupted run.
+// stream position, and continues. The daemon resends the profiles and
+// notices the session may have missed, in the order it first sent them;
+// profiles are deduplicated by index and notices against NoticeTrail, so
+// the caller observes each interval and each notice exactly once and the
+// delivered sequence is bit-identical to an uninterrupted run.
 // Failures that reflect a bug rather than a broken stream — protocol
 // violations, refused or unknown sessions, daemon-internal errors — are
 // terminal.
@@ -169,9 +171,9 @@ type Session struct {
 	reconnects atomic.Uint64
 	// rung is the degradation-ladder rung last announced by the daemon.
 	rung atomic.Int32
-	// resizes counts notices (and resume acks) that changed the session's
-	// geometry; noticeDrops counts notices the Notices channel could not
-	// hold (they are still applied and recorded in the trail).
+	// resizes counts notices that changed the session's geometry;
+	// noticeDrops counts notices the Notices channel could not hold (they
+	// are still applied and recorded in the trail).
 	resizes     atomic.Uint64
 	noticeDrops atomic.Uint64
 
@@ -197,9 +199,10 @@ type Session struct {
 	// Elastic anchor: a complete profile i ≥ baseIdx proves the daemon
 	// consumed obsBase + (i+1−baseIdx)·curLen observed events. With no
 	// resize the anchor stays at (cfg.IntervalLength, 0, 0) and the
-	// arithmetic reduces to the fixed-length (i+1)·L form. Notices and
-	// resume acks move it. curEntries/curTables/curShards complete the
-	// geometry snapshot so the Resizes counter catches changes on any axis.
+	// arithmetic reduces to the fixed-length (i+1)·L form. Notices move
+	// it. curEntries/curTables/curShards complete the geometry snapshot,
+	// from the Hello's config and the HelloAck's shard count, so the
+	// Resizes counter catches changes on any axis.
 	curLen     uint64
 	baseIdx    uint64
 	obsBase    uint64
@@ -290,7 +293,7 @@ func open(r *wire.Redialer, conn net.Conn, wc *wire.Conn, cfg core.Config, opts 
 		curLen:     cfg.IntervalLength,
 		curEntries: cfg.TotalEntries,
 		curTables:  cfg.NumTables,
-		curShards:  max(opts.Shards, 1),
+		curShards:  ack.Shards,
 	}
 	go s.readLoop()
 	return s, nil
@@ -320,8 +323,10 @@ func (s *Session) Reconnects() uint64 { return s.reconnects.Load() }
 // last announced (0 = full service; see the server's ladder).
 func (s *Session) Rung() int { return int(s.rung.Load()) }
 
-// Resizes returns how many geometry changes the daemon has announced for
-// this session, via notices or resume acks.
+// Resizes returns how many notices changed the session's geometry. The
+// daemon delivers every notice in order, across resumes and daemon
+// restarts, and the session drops the ones it already holds, so this is
+// exactly the geometry changes NoticeTrail records.
 func (s *Session) Resizes() uint64 { return s.resizes.Load() }
 
 // Notices returns the channel of elastic-serving announcements. Delivery
@@ -474,9 +479,9 @@ func (s *Session) admitProfile(m wire.ProfileMsg) (Profile, bool) {
 // boundary the client placed. Otherwise it is a batch ending at or below
 // the interval's closing observed position plus everything shed; the
 // elastic anchor generalizes the fixed-length (idx+1)·L arithmetic across
-// resizes, and a profile resent from before the anchor prunes nothing.
-// Under-pruning is always safe, so the batch that straddles the floor
-// stays.
+// resizes, and a profile from before the anchor, which in-order delivery
+// never produces, prunes nothing. Under-pruning is always safe, so the
+// batch that straddles the floor stays.
 func (s *Session) pruneLocked(idx, shed uint64) {
 	if !s.opts.Marked && idx+1 <= s.baseIdx {
 		return
@@ -508,9 +513,10 @@ func (s *Session) floorLocked() uint64 {
 
 // applyNotice re-anchors the session's position arithmetic at the
 // announced geometry and surfaces the notice to the caller. After a resume
-// the daemon redelivers every notice from the boundary the session may
-// have missed on, so one it already holds can arrive again: that copy is
-// dropped, keeping NoticeTrail and Resizes exact.
+// the daemon resends every notice from the boundary of the session's last
+// profile on, so one it already holds can arrive again: that copy is
+// dropped, keeping NoticeTrail and Resizes exact. Every other notice is
+// new and arrives in order, so it moves the anchor.
 func (s *Session) applyNotice(n wire.Notice) {
 	nt := Notice{
 		Kind:           n.Kind,
@@ -533,11 +539,7 @@ func (s *Session) applyNotice(n wire.Notice) {
 	}
 	s.lastShed.Store(n.Shed)
 	s.rung.Store(int32(n.Rung))
-	// A notice for a boundary older than the current anchor is a
-	// redelivery after a resume whose ack already resynchronized the
-	// geometry: record it in the trail (it carries the timeline detail the
-	// ack lacks) but leave the counter and anchor alone.
-	if n.IntervalLength > 0 && !s.opts.Marked && n.Index+1 >= s.baseIdx {
+	if n.IntervalLength > 0 && !s.opts.Marked {
 		if n.IntervalLength != s.curLen || n.TotalEntries != s.curEntries ||
 			n.NumTables != s.curTables || n.Shards != s.curShards {
 			s.resizes.Add(1)
@@ -659,21 +661,6 @@ func (s *Session) resumeOnce() error {
 			ack.StreamPos, floor, s.sentPos))
 	}
 	s.lastShed.Store(ack.Shed)
-	if !s.opts.Marked && ack.IntervalLength > 0 {
-		// The ack re-anchors the prune-floor arithmetic at the daemon's
-		// current geometry: interval ack.Intervals begins at observed
-		// position StreamPos − Shed − Offset, with IntervalLength events
-		// per interval from there on. Profiles the daemon resends from
-		// before the anchor skip pruning (under-pruning is safe).
-		if ack.IntervalLength != s.curLen || ack.TotalEntries != s.curEntries ||
-			ack.NumTables != s.curTables || ack.Shards != s.curShards {
-			s.resizes.Add(1)
-		}
-		s.curLen = ack.IntervalLength
-		s.curEntries, s.curTables, s.curShards = ack.TotalEntries, ack.NumTables, ack.Shards
-		s.baseIdx = ack.Intervals
-		s.obsBase = (ack.StreamPos - ack.Shed) - ack.Offset
-	}
 	// Resend the log's unconsumed suffix as it was sent. Marks the ack's
 	// interval count proves consumed and batches ending at or below its
 	// stream position are skipped; every other frame sits at or past that

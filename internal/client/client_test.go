@@ -104,7 +104,7 @@ func observe(t *testing.T, s *Session, n uint64) {
 // TestDialRefusesOtherVersion: a daemon that answers the handshake with
 // any version but wire.Version fails Dial with wire.ErrProtocol.
 func TestDialRefusesOtherVersion(t *testing.T) {
-	for _, v := range []byte{0, 1, 2, 3, 4, 5, wire.Version + 1} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, wire.Version + 1} {
 		dialer := func(string, time.Duration) (net.Conn, error) {
 			client, server := net.Pipe()
 			go func() {
@@ -126,14 +126,15 @@ func TestDialRefusesOtherVersion(t *testing.T) {
 
 // TestReconnectResumes drops the link after the first profile and checks
 // the redial: Reconnects rises, the Resume carries the client's replay
-// floor, and a ResumeAck that changes IntervalLength counts as a resize
-// while later profiles are still accepted.
+// floor, and a notice resent after the ResumeAck that changes
+// IntervalLength counts as a resize while later profiles are still
+// accepted.
 func TestReconnectResumes(t *testing.T) {
 	cfg := testConfig()
 	L := cfg.IntervalLength
 	for _, tc := range []struct {
 		name        string
-		ackLen      uint64
+		ackLen      uint64 // the interval length in force after the resume
 		wantResizes uint64
 	}{
 		{"same geometry", L, 0},
@@ -148,7 +149,7 @@ func TestReconnectResumes(t *testing.T) {
 					if _, err := expect(wc, wire.MsgHello); err != nil {
 						return err
 					}
-					ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4}
+					ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4, Shards: 1}
 					if err := wc.WriteFrame(wire.MsgHelloAck, wire.AppendHelloAck(nil, ack)); err != nil {
 						return err
 					}
@@ -171,10 +172,18 @@ func TestReconnectResumes(t *testing.T) {
 						return err
 					}
 					resumes <- r
-					ack := wire.ResumeAck{Intervals: 1, StreamPos: L, IntervalLength: tc.ackLen,
-						TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1}
+					ack := wire.ResumeAck{Intervals: 1, StreamPos: L}
 					if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
 						return err
+					}
+					if tc.ackLen != L {
+						// A resize committed at boundary 0 whose notice the
+						// cut link lost: the daemon resends it after the ack.
+						n := wire.Notice{Kind: wire.NoticeResize, Index: 0, Observed: L, IntervalLength: tc.ackLen,
+							TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1, Reason: "operator resize"}
+						if err := wc.WriteFrame(wire.MsgNotice, wire.AppendNotice(nil, n)); err != nil {
+							return err
+						}
 					}
 					if err := readEvents(wc, tc.ackLen); err != nil {
 						return err
@@ -240,18 +249,17 @@ func helloAck(wc *wire.Conn) error {
 	if _, err := expect(wc, wire.MsgHello); err != nil {
 		return err
 	}
-	ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4}
+	ack := wire.HelloAck{SessionID: 7, Resume: true, QueueDepth: 4, Shards: 1}
 	return wc.WriteFrame(wire.MsgHelloAck, wire.AppendHelloAck(nil, ack))
 }
 
 // resumeAck answers a scripted attachment's Resume at interval 1 and
-// stream position L, under the given interval length.
-func resumeAck(wc *wire.Conn, cfg core.Config, length uint64) error {
+// stream position L.
+func resumeAck(wc *wire.Conn, cfg core.Config) error {
 	if _, err := expect(wc, wire.MsgResume); err != nil {
 		return err
 	}
-	ack := wire.ResumeAck{Intervals: 1, StreamPos: cfg.IntervalLength, IntervalLength: length,
-		TotalEntries: cfg.TotalEntries, NumTables: cfg.NumTables, Shards: 1}
+	ack := wire.ResumeAck{Intervals: 1, StreamPos: cfg.IntervalLength}
 	return wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack))
 }
 
@@ -293,7 +301,7 @@ func TestResumeDropsResentProfile(t *testing.T) {
 			return nil
 		},
 		func(wc *wire.Conn) error {
-			if err := resumeAck(wc, cfg, L); err != nil {
+			if err := resumeAck(wc, cfg); err != nil {
 				return err
 			}
 			// A pipe has no buffer: the resend a daemon would write right
@@ -356,7 +364,7 @@ func TestResumeDropsRedeliveredNotice(t *testing.T) {
 			return nil
 		},
 		func(wc *wire.Conn) error {
-			if err := resumeAck(wc, cfg, 2*L); err != nil {
+			if err := resumeAck(wc, cfg); err != nil {
 				return err
 			}
 			if err := readEvents(wc, 2*L); err != nil {

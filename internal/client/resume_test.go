@@ -232,10 +232,6 @@ func (d *resumeDaemon) resumeLocked(r wire.Resume) ([]frame, error) {
 		intervals = max(uint64(before+d.sc.intervals%(at-before+1)), d.profiles)
 	}
 	d.ack = wire.ResumeAck{Intervals: intervals, StreamPos: pos}
-	if !d.sc.marked {
-		d.ack.Offset, d.ack.IntervalLength = pos%resumeInterval, resumeInterval
-		d.ack.TotalEntries, d.ack.NumTables, d.ack.Shards = 256, 4, 1
-	}
 	var want []frame
 	for _, f := range d.first {
 		switch {

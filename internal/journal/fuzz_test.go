@@ -11,29 +11,46 @@ import (
 	"hwprof/internal/wire"
 )
 
-// FuzzJournal mutates one journal segment and replays it. Meta and resize
-// records decode through wire.DecodeHello, so this covers the Hello bytes
-// journals store as well as the record framing. Whatever the bytes, Replay
-// must not panic, and two replays of the same directory must agree: the
-// same records delivered and the same State and Stats, or the same error.
+// FuzzJournal mutates one journal segment and replays it. Meta records
+// decode through wire.DecodeHello and notice records through
+// wire.DecodeNotice, so this covers the Hello and Notice bytes journals
+// store as well as the record framing. The seeds are every segment of a
+// rotated journal: one with a resize notice and a rung-only notice, and a
+// checkpoint whose send log holds both. Whatever the bytes, Replay must
+// not panic, and two replays of the same directory must agree: the same
+// records delivered and the same State and Stats, or the same error.
 func FuzzJournal(f *testing.F) {
 	for _, end := range []bool{false, true} {
 		dir := f.TempDir()
-		meta := testMeta(1, false)
-		w, err := Create(Options{Dir: dir, Sync: SyncBatch}, meta)
+		meta := testMeta(1, true) // Retain: rotation keeps every segment
+		w, err := Create(Options{Dir: dir, Sync: SyncBatch, SegmentBytes: 1}, meta)
 		if err != nil {
 			f.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(1))
-		prof := wire.AppendProfile(nil, wire.ProfileMsg{Counts: map[event.Tuple]uint64{{A: 3, B: 1}: 40}})
-		resized := meta.Hello
-		resized.Config.IntervalLength *= 2
-		resized.Shards = 1
+		prof := func(index uint64) []byte {
+			return wire.AppendProfile(nil, wire.ProfileMsg{Index: index, Counts: map[event.Tuple]uint64{{A: 3, B: 1}: 40}})
+		}
+		c := meta.Hello.Config
+		resize := wire.AppendNotice(nil, wire.Notice{Kind: wire.NoticeResize, Index: 0, Observed: 300,
+			IntervalLength: 2 * c.IntervalLength, TotalEntries: c.TotalEntries, NumTables: c.NumTables, Shards: 1,
+			Reason: "operator resize"})
+		rung := wire.AppendNotice(nil, wire.Notice{Kind: wire.NoticeDegrade, Rung: 1, Index: 0, Observed: 300,
+			IntervalLength: 2 * c.IntervalLength, TotalEntries: c.TotalEntries, NumTables: c.NumTables, Shards: 1,
+			Reason: "shed"})
+		entry := func(typ byte, frame []byte) []byte { return append([]byte{typ}, frame...) }
+		log := [][]byte{entry(wire.MsgProfile, prof(0)), entry(wire.MsgNotice, resize), entry(wire.MsgNotice, rung),
+			entry(wire.MsgProfile, prof(1))}
+		// Every boundary rotates: segment 2 opens with a checkpoint and
+		// holds both notices, segment 3's checkpoint holds them in its log.
 		for _, step := range []func() error{
 			func() error { return w.Batch(testEvents(rng, 300), 0) },
-			func() error { return w.Boundary(0, 0, prof, [][]byte{prof}) },
-			func() error { return w.Resize(resized) },
+			func() error { return w.Boundary(0, 0, prof(0), log[:1]) },
+			func() error { return w.Notice(resize) },
+			func() error { return w.Notice(rung) },
 			func() error { return w.Batch(testEvents(rng, 200), 5) },
+			func() error { return w.Boundary(1, 5, prof(1), log) },
+			func() error { return w.Batch(testEvents(rng, 100), 5) },
 		} {
 			if err := step(); err != nil {
 				f.Fatal(err)
@@ -47,11 +64,13 @@ func FuzzJournal(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := os.ReadFile(segPath(sessionDir(dir, 1), 1))
-		if err != nil {
-			f.Fatal(err)
+		for seg := 1; seg <= 3; seg++ {
+			data, err := os.ReadFile(segPath(sessionDir(dir, 1), seg))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
 		}
-		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

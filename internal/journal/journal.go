@@ -1,11 +1,11 @@
 // Package journal makes sessions crash-durable: every accepted session
 // mirrors its admitted configuration, each accepted batch in acceptance
 // order, every interval boundary it closed (with the emitted profile
-// frame — the ack that the client may have seen it), and its clean end
-// into a per-session write-ahead journal. After a process kill, the
-// daemon replays each journal's unacked suffix through a fresh engine and
-// re-parks the session, so a reconnecting client's Resume continues
-// bit-identically where the crashed process left off.
+// frame — the ack that the client may have seen it), every notice it
+// sent, and its clean end into a per-session write-ahead journal. After a
+// process kill, the daemon replays each journal's unacked suffix through a
+// fresh engine and re-parks the session, so a reconnecting client's Resume
+// continues bit-identically where the crashed process left off.
 //
 // # Format
 //
@@ -25,17 +25,20 @@
 //	         opened after a resize carries the CURRENT geometry, so a
 //	         checkpoint entry point always builds the right engine.
 //	state    checkpoint at rotation: interval, observed events, shed
-//	         count, and the resume ring length (ring entries follow as
-//	         ring records)
-//	ring     one retained encoded profile frame (follows state)
+//	         count, and the length of the session's send log (its entries
+//	         follow as ring records)
+//	ring     one send-log entry, opaque to the journal (follows state)
 //	batch    cumulative shed count + the events, wire batch codec
 //	boundary interval index, cumulative shed, and the encoded profile
 //	         frame written to the client for it
-//	resize   an elastic geometry change committed at the preceding
-//	         boundary: the session's new Hello. Replay rebuilds a fresh
-//	         engine from it — a resize IS a fresh-engine restart point by
+//	notice   one notice frame written to the client at the preceding
+//	         boundary (wire.AppendNotice). Its geometry applied to the
+//	         current Hello gives the session's Hello after the action it
+//	         announces; where that differs, replay rebuilds a fresh engine
+//	         from it — a resize IS a fresh-engine restart point by
 //	         construction, for every policy combination, because the old
 //	         engine (retained candidates included) is discarded outright.
+//	         A rung-only notice leaves the Hello, and the engine, as is.
 //	end      clean end: the client got its final profile and goodbye;
 //	         there is nothing to recover
 //
@@ -65,8 +68,9 @@
 // recoverable, and mid-interval batches lost to a crash are still in the
 // client's replay buffer, so recovery stays bit-identical for blocking
 // sessions. SyncBatch additionally fsyncs every batch record: nothing
-// accepted is ever lost, at one fsync per batch. Rotation barriers
-// (checkpoint before any deletion) are fsynced under every policy.
+// accepted is ever lost, at one fsync per batch. Notice records and
+// rotation barriers (checkpoint before any deletion) are fsynced under
+// every policy: a notice the client may have seen is never lost.
 package journal
 
 import (
@@ -93,10 +97,11 @@ const Magic = "HWPJ"
 // Version is the journal format version. v2 added the tenant key to the
 // meta record and the resize record; v3 carries batch records in the wire
 // codec's fixed-width layout (wire.AppendBatch), and v4 in its layout with
-// a base tuple per batch. Journals at any other version are refused
-// (recovery across a daemon upgrade is not a supported path — drain before
-// upgrading).
-const Version = 4
+// a base tuple per batch; v5 replaces the resize record with the notice
+// record, and its ring records hold the session's send log, notices
+// included. Journals at any other version are refused (recovery across a
+// daemon upgrade is not a supported path — drain before upgrading).
+const Version = 5
 
 // DefaultSegmentBytes is the rotation threshold for journal segments.
 const DefaultSegmentBytes = 8 << 20
@@ -119,7 +124,7 @@ const (
 	recBatch
 	recBoundary
 	recEnd
-	recResize
+	recNotice
 )
 
 // SyncPolicy selects the journal's durability barrier.
@@ -214,7 +219,7 @@ type Meta struct {
 
 	// Hello is the admitted session shape: config, post-clamp shard
 	// count, marked flag — exactly what the engine was built from. After
-	// a resize it tracks the CURRENT geometry (Writer.Resize updates it),
+	// a resize it tracks the CURRENT geometry (Writer.Notice updates it),
 	// so checkpoint segments always describe the engine they continue.
 	Hello wire.Hello
 
@@ -235,9 +240,9 @@ type Meta struct {
 func (m Meta) restartable() bool { return !m.Hello.Config.Retain }
 
 // State is a stream position: completed intervals, events observed into
-// engines, and events shed. Ring carries the retained encoded profile
-// frames at a checkpoint (oldest first); replay callbacks deliver
-// post-checkpoint profiles separately.
+// engines, and events shed. Ring carries the session's send log at a
+// checkpoint (oldest first), entries as the writer was given them; replay
+// callbacks deliver post-checkpoint profiles and notices separately.
 type State struct {
 	Interval uint64
 	Observed uint64
@@ -275,10 +280,21 @@ type Handler interface {
 	// shed count at the close, and the encoded profile frame the client
 	// was sent for it. The frame slice is the handler's to keep.
 	Boundary(index, shed uint64, profile []byte) error
-	// Resize delivers an elastic geometry change committed at the
-	// preceding boundary: the handler must discard its engine and build a
-	// fresh one from h, exactly as the live session did.
-	Resize(h wire.Hello) error
+	// Notice delivers one notice frame the client was sent at the
+	// preceding boundary, and h, the session's Hello after the action it
+	// announces. Where h differs from the Hello before it, the handler
+	// must discard its engine and build a fresh one from h, exactly as
+	// the live session did. The frame slice is the handler's to keep.
+	Notice(frame []byte, h wire.Hello) error
+}
+
+// noticeHello is the Hello after notice n's action: h with n's geometry.
+func noticeHello(h wire.Hello, n wire.Notice) wire.Hello {
+	h.Config.IntervalLength = n.IntervalLength
+	h.Config.TotalEntries = n.TotalEntries
+	h.Config.NumTables = n.NumTables
+	h.Shards = n.Shards
+	return h
 }
 
 // sessionDir names a session's journal directory.
@@ -395,8 +411,8 @@ func (w *Writer) openSegment(idx int, ring [][]byte, checkpoint bool) error {
 		if err := w.append(encodeState(w.buf[:0], State{Interval: w.interval, Observed: w.observed, Shed: w.shed}, len(ring))); err != nil {
 			return err
 		}
-		for _, p := range ring {
-			w.buf = append(append(w.buf[:0], recRing), p...)
+		for _, e := range ring {
+			w.buf = append(append(w.buf[:0], recRing), e...)
 			if err := w.append(w.buf); err != nil {
 				return err
 			}
@@ -471,8 +487,8 @@ func (w *Writer) Batch(events []event.Tuple, shed uint64) error {
 // Boundary journals one closed interval — index, cumulative shed, and
 // the encoded profile frame — making it durable under SyncInterval and
 // SyncBatch before returning, so the caller may only then show the
-// profile to the client. ring is the session's retained resend ring
-// after this profile (used only if the segment rotates here).
+// profile to the client. ring is the session's send log after this
+// profile (checkpointed only if the segment rotates here).
 func (w *Writer) Boundary(index, shed uint64, profile []byte, ring [][]byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -505,27 +521,30 @@ func (w *Writer) Boundary(index, shed uint64, profile []byte, ring [][]byte) err
 	return nil
 }
 
-// Resize journals an elastic geometry change committed at the current
-// boundary and makes it durable under every sync policy (resizes are rare
-// and recovery must never rebuild the wrong engine shape), then adopts h
-// as the session's meta Hello so later checkpoint segments describe the
-// engine they continue. Call it only at an interval boundary, after that
-// boundary's record.
-func (w *Writer) Resize(h wire.Hello) error {
+// Notice journals one notice frame (a wire.Notice payload) the session is
+// about to send at the current boundary, after that boundary's record, and
+// makes it durable under every sync policy before returning: notices are
+// rare, and a crash must neither lose one the client may have seen nor
+// rebuild the wrong engine shape. The notice's geometry becomes the meta
+// Hello's, so later checkpoint segments describe the engine they continue.
+func (w *Writer) Notice(frame []byte) error {
+	n, err := wire.DecodeNotice(frame)
+	if err != nil {
+		return fmt.Errorf("journal: notice: %w", err)
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.dead {
 		return nil
 	}
 	if w.closed {
-		return errors.New("journal: resize after close")
+		return errors.New("journal: notice after close")
 	}
-	w.buf = append(w.buf[:0], recResize)
-	w.buf = wire.AppendHello(w.buf, h)
+	w.buf = append(append(w.buf[:0], recNotice), frame...)
 	if err := w.append(w.buf); err != nil {
 		return err
 	}
-	w.meta.Hello = h
+	w.meta.Hello = noticeHello(w.meta.Hello, n)
 	return w.flushSync()
 }
 
@@ -829,18 +848,18 @@ func (r *replayer) record(p []byte) error {
 		}
 		r.cur.Interval = index + 1
 		r.cur.Shed = shed
-	case recResize:
+	case recNotice:
 		if err := r.ensureStarted(); err != nil {
 			return err
 		}
-		h, err := wire.DecodeHello(body)
+		n, err := wire.DecodeNotice(body)
 		if err != nil {
-			return fmt.Errorf("%w: resize record: %w", ErrCorrupt, err)
+			return fmt.Errorf("%w: notice record: %w", ErrCorrupt, err)
 		}
 		// Track the current geometry so the writer returned by Recover
 		// checkpoints the engine it actually continues.
-		r.meta.Hello = h
-		if err := r.h.Resize(h); err != nil {
+		r.meta.Hello = noticeHello(r.meta.Hello, n)
+		if err := r.h.Notice(append([]byte(nil), body...), r.meta.Hello); err != nil {
 			return err
 		}
 	case recEnd:

@@ -47,7 +47,10 @@ type recording struct {
 		Index, Shed uint64
 		Profile     []byte
 	}
-	resizes []wire.Hello
+	notices []struct {
+		Frame []byte
+		Hello wire.Hello
+	}
 }
 
 func (r *recording) Start(meta Meta, state State) error {
@@ -68,8 +71,11 @@ func (r *recording) Boundary(index, shed uint64, profile []byte) error {
 	return nil
 }
 
-func (r *recording) Resize(h wire.Hello) error {
-	r.resizes = append(r.resizes, h)
+func (r *recording) Notice(frame []byte, h wire.Hello) error {
+	r.notices = append(r.notices, struct {
+		Frame []byte
+		Hello wire.Hello
+	}{frame, h})
 	return nil
 }
 

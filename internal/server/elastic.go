@@ -93,8 +93,9 @@ func (s *Server) newElastic(sess *session) *adaptive.Elastic {
 
 // ResizeSession stages a new geometry for session id. The worker applies it
 // at its next interval boundary through the same commit path the controller
-// uses — re-price, fresh engine, durable journal record, client notice — so
-// an operator resize carries the identical bit-identity guarantee.
+// uses — re-price, fresh engine, then the notice, logged, journaled durably
+// and sent — so an operator resize carries the identical bit-identity
+// guarantee.
 // Asynchronous: the client observes the result as a NoticeResize; a
 // geometry the worker cannot apply (invalid config) is logged and dropped.
 // Staging onto a parked session is allowed — it takes effect at the first
@@ -175,22 +176,24 @@ func (s *session) applyAction(a adaptive.Action) bool {
 	if a.Resizes(cur) {
 		return s.commitResize(a, true)
 	}
-	// Rung-only transitions: no engine rebuild, nothing to re-price or
-	// journal — the geometry in the notice restates the current shape.
+	// Rung-only transitions: no engine rebuild, nothing to re-price — the
+	// geometry in the notice restates the current shape.
 	s.elastic.Commit(a, cur)
 	s.setRung(a.Rung)
 	s.srv.metrics.ElasticActions.With(string(a.Op)).Inc()
 	switch a.Op {
 	case adaptive.OpPark:
-		s.sendNotice(wire.NoticePark, a)
+		if !s.sendNotice(wire.NoticePark, a) {
+			return false
+		}
 		if s.connDead {
 			break // the failed notice write already staged the park
 		}
 		// Flip into connDead mode FIRST: a later profile write failing
 		// would full-Close the socket with unread inbound batches, and
 		// that RST can destroy the park notice still buffered on the
-		// client side. With connDead set the worker ring-buffers instead
-		// of writing, and parkNext makes the eventual reader failure park
+		// client side. With connDead set the worker logs instead of
+		// writing, and parkNext makes the eventual reader failure park
 		// rather than remove the session.
 		s.connDead = true
 		s.parkNext.Store(true)
@@ -207,18 +210,20 @@ func (s *session) applyAction(a adaptive.Action) bool {
 		}
 		s.conn.Close()
 	default: // OpShed, rung-only OpRestore
-		s.sendNotice(wire.NoticeDegrade, a)
+		return s.sendNotice(wire.NoticeDegrade, a)
 	}
 	return true
 }
 
 // commitResize applies a geometry change through the park-and-restage
-// cycle: re-price admission, build the fresh engine, make the resize
-// durable, then swap — in that order, so a crash at any point leaves a
-// journal that recovers to a consistent geometry the client can resume
-// against. proposed says the action came from the controller and must be
-// answered with Commit or Refuse. Returns false only when the session
-// failed (journal append) and the worker must stop.
+// cycle: re-price admission, build the fresh engine, swap it in, then send
+// the notice, which is journaled durably before it is written — so a crash
+// at any point leaves a journal that recovers to a geometry the client can
+// resume against: the old one if the client cannot have seen the notice,
+// the new one, with the notice in the send log, if it may have. proposed
+// says the action came from the controller and must be answered with
+// Commit or Refuse. Returns false only when the session failed and the
+// worker must stop.
 func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 	cur := s.geometry()
 	newCfg := s.cfg
@@ -248,18 +253,6 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 		}
 		return true
 	}
-	if s.jw != nil {
-		// The resize record must be durable before any effect is visible:
-		// a crash before it recovers the old geometry (the client never saw
-		// the notice); a crash after it rebuilds the new one and the
-		// resume ack re-anchors the client.
-		if err := s.jw.Resize(wire.Hello{Config: newCfg, Shards: newShards, Marked: s.marked}); err != nil {
-			eng.Close()
-			s.srv.admission.release(s.tenant, newCost-s.cost)
-			s.fail(fmt.Errorf("journal: %w", err), wire.CodeInternal)
-			return false
-		}
-	}
 	s.eng.Close()
 	s.eng = eng
 	s.cfg = newCfg
@@ -271,7 +264,9 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 	case adaptive.OpCoarsen, adaptive.OpShrinkTables, adaptive.OpRestore:
 		kind = wire.NoticeDegrade
 	}
-	s.sendNotice(kind, a)
+	if !s.sendNotice(kind, a) {
+		return false
+	}
 	if s.elastic != nil {
 		s.elastic.Commit(a, cur)
 	}
@@ -284,13 +279,13 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 	return true
 }
 
-// sendNotice writes a MsgNotice snapshot of the boundary the worker just
-// placed: interval s.interval-1 closed, the current geometry in force from
-// s.interval on. A resumable session keeps the frame for redelivery on
-// resume, written or not. A write failure on a resumable session flips the
-// attachment into connDead mode exactly as a failed profile write would.
-func (s *session) sendNotice(kind byte, a adaptive.Action) {
-	n := wire.Notice{
+// sendNotice announces the boundary the worker just placed: interval
+// s.interval-1 closed, the current geometry in force from s.interval on.
+// Like a profile, the frame is logged, then journaled — durably, under
+// every sync policy — then sent. It reports whether the worker should
+// continue.
+func (s *session) sendNotice(kind byte, a adaptive.Action) bool {
+	s.enc = wire.AppendNotice(s.enc[:0], wire.Notice{
 		Kind:           kind,
 		Rung:           byte(a.Rung),
 		Index:          s.interval - 1,
@@ -301,25 +296,15 @@ func (s *session) sendNotice(kind byte, a adaptive.Action) {
 		NumTables:      s.cfg.NumTables,
 		Shards:         s.shards,
 		Reason:         a.Reason,
-	}
-	s.enc = wire.AppendNotice(s.enc[:0], n)
-	if s.srv.cfg.resumeEnabled() {
-		s.notices = append(s.notices, keptNotice{index: n.Index, frame: append([]byte(nil), s.enc...)})
-	}
-	if s.connDead {
-		return
-	}
-	if err := s.wc.WriteFrame(wire.MsgNotice, s.enc); err != nil {
-		s.srv.logf("session %d: writing notice: %v", s.id, err)
-		if s.parkable() {
-			s.connDead = true
-			s.parkNext.Store(true)
-			s.conn.Close()
-			return
+	})
+	s.logFrame(wire.MsgNotice, s.enc)
+	if s.jw != nil {
+		if err := s.jw.Notice(s.enc); err != nil {
+			s.fail(fmt.Errorf("journal: %w", err), wire.CodeInternal)
+			return false
 		}
-		s.srv.metrics.SessionErrors.Inc()
-		s.conn.Close()
 	}
+	return s.send(wire.MsgNotice, s.enc, true)
 }
 
 // setRung moves the session to ladder rung r, keeping the per-rung and

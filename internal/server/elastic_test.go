@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"hwprof/internal/client"
 	"hwprof/internal/core"
 	"hwprof/internal/event"
+	"hwprof/internal/faultinject"
 	"hwprof/internal/journal"
 	"hwprof/internal/server"
 	"hwprof/internal/wire"
@@ -217,7 +220,7 @@ func TestElasticResizeDifferential(t *testing.T) {
 
 // TestElasticResizeCrashRecovery crashes the daemon after a live resize
 // committed and requires recovery to rebuild the session at the RESIZED
-// geometry from the journal's resize record — the resumed stream must stay
+// geometry from the journal's notice record — the resumed stream must stay
 // bit-identical through crash, recovery, and a further resize staged on the
 // restarted daemon.
 func TestElasticResizeCrashRecovery(t *testing.T) {
@@ -312,6 +315,142 @@ func TestElasticResizeCrashRecovery(t *testing.T) {
 	if err := <-done2; err != nil {
 		t.Fatalf("second daemon's Serve: %v", err)
 	}
+}
+
+// gateConn lets a test stall a client connection. While held, a read
+// waits for release, which delivers the bytes, or for Close, which drops
+// them; while muted, writes vanish and report success.
+type gateConn struct {
+	net.Conn
+	mute atomic.Bool
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	held   bool
+	closed bool
+}
+
+func newGateConn(conn net.Conn) *gateConn {
+	c := &gateConn{Conn: conn}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
+func (c *gateConn) hold(held bool) {
+	c.mu.Lock()
+	c.held = held
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+func (c *gateConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.held && !c.closed {
+		c.cond.Wait()
+	}
+	if c.closed {
+		return 0, net.ErrClosed
+	}
+	return n, err
+}
+
+func (c *gateConn) Write(p []byte) (int, error) {
+	if c.mute.Load() {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *gateConn) Close() error {
+	c.mu.Lock()
+	c.closed = true
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return c.Conn.Close()
+}
+
+// TestTwoResizesInOneOutage commits two geometry changes, one lengthening
+// the interval and one shortening it, while the client reads nothing,
+// then cuts the client, which resumes. The resumed daemon resends both
+// notices, each before the profiles of its geometry, so the client counts
+// both resizes and prunes its log by the right geometry: when a second
+// outage loses frames in flight, its log still holds them and the second
+// resume is accepted. Every profile matches the segmented reference.
+func TestTwoResizesInOneOutage(t *testing.T) {
+	ccfg := testConfig(41)
+	stream := materialize(t, "gcc", ccfg.Seed, 10_000)
+	srv, addr := startServer(t, server.Config{ResumeGrace: 20 * time.Second})
+	m := srv.Metrics()
+
+	var conns []*gateConn // the client's connections, in dial order
+	dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		conns = append(conns, newGateConn(conn))
+		return conns[len(conns)-1], nil
+	}
+	sess, err := client.Dial(addr, ccfg, client.Options{
+		Shards:    2,
+		BatchSize: 100,
+		Reconnect: true,
+		Link:      wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Dialer: dial},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns[0].hold(true) // the first connection delivers nothing past the hello-ack
+	var delivered atomic.Int64
+	stage := func(length uint64) {
+		if err := srv.ResizeSession(sess.ID(), length, 256, 2); err != nil {
+			t.Errorf("staging resize: %v", err)
+		}
+	}
+	stage(2000) // lands at boundary 0, at 1000 events
+	src := &hookSource{tuples: stream, hooks: map[int]func(){
+		// One staged resize at a time: the second lands at boundary 1, at
+		// 3000 events, and intervals are 250 events from there on.
+		2000: func() {
+			waitFor(t, "the first resize to commit", func() bool { return m.ElasticResizes.Load() == 1 })
+			stage(250)
+		},
+		// The first cut.
+		4000: func() {
+			waitFor(t, "the second resize to commit", func() bool { return m.ElasticResizes.Load() == 2 })
+			conns[0].Close()
+		},
+		// The second outage, once the first resume has delivered: the
+		// profiles of the intervals up to 6000 events are held back until
+		// the frames after 6000 are lost in flight, then the link is cut.
+		5000: func() {
+			waitFor(t, "the first resume to deliver", func() bool { return delivered.Load() >= 6 })
+			conns[1].hold(true)
+		},
+		6000: func() { conns[1].mute.Store(true) },
+		6500: func() {
+			conns[1].hold(false)
+			waitFor(t, "the profiles up to 6000 events", func() bool { return delivered.Load() == 14 })
+			conns[1].Close()
+		},
+	}}
+	var got []map[event.Tuple]uint64
+	if _, err := sess.Run(src, func(_ int, counts map[event.Tuple]uint64) {
+		got = append(got, counts)
+		delivered.Add(1)
+	}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if n := sess.Reconnects(); n != 2 {
+		t.Fatalf("reconnects = %d, want 2", n)
+	}
+	resizes := resizeNotices(sess.NoticeTrail())
+	if len(resizes) != 2 || sess.Resizes() != 2 {
+		t.Fatalf("Resizes = %d with resize notices %+v, want both resizes once", sess.Resizes(), resizes)
+	}
+	assertSameProfiles(t, wantSegmented(t, ccfg, 2, stream, resizes), got, "two resizes in one outage")
 }
 
 // TestElasticControllerDegradesUnderPressure runs the organic path: a
@@ -439,6 +578,8 @@ func TestElasticResizeRefusedByTenantBudget(t *testing.T) {
 // count from a request: a Hello at admission and an operator resize. Each
 // clamps the request to MaxShards and then fits it to divide the entries,
 // so 16 and 12 requested both run as 4 under MaxShards 6 with 256 entries.
+// A client starts from the count its hello-ack states, so a clamped
+// session resumed across a cut counts no resize.
 func TestShardCountFit(t *testing.T) {
 	srv, addr := startServer(t, server.Config{MaxShards: 6, ResumeGrace: 20 * time.Second})
 	ccfg := testConfig(11) // 256 entries: only powers of two divide them
@@ -460,26 +601,36 @@ func TestShardCountFit(t *testing.T) {
 		if err != nil || typ != wire.MsgHelloAck {
 			t.Fatalf("hello-ack: type %d, err %v", typ, err)
 		}
+		// The hello-ack reports the shard count the session runs.
 		ack, err := wire.DecodeHelloAck(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.Close()
-		waitFor(t, "the session to park", func() bool {
-			return srv.Metrics().SessionsParked.Load() == 1
-		})
-		// The resume ack reports the geometry the session runs.
-		conn2, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: ack.SessionID})
-		defer conn2.Close()
-		if typ != wire.MsgResumeAck {
-			t.Fatalf("resume: expected resume-ack, got type %d", typ)
+		if ack.Shards != 4 {
+			t.Fatalf("hello asking 16 shards runs %d, want 4", ack.Shards)
 		}
-		ra, err := wire.DecodeResumeAck(payload)
+	})
+
+	t.Run("resume", func(t *testing.T) {
+		hangup := func(c net.Conn) net.Conn { return &faultinject.HangupConn{Conn: c, After: 2500} }
+		sess, err := client.Dial(addr, ccfg, client.Options{Shards: 16, BatchSize: 100, Reconnect: true,
+			Link: wire.Link{BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
+				Dialer: faultyDialer([]func(net.Conn) net.Conn{hangup})}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ra.Shards != 4 {
-			t.Fatalf("hello asking 16 shards runs %d, want 4", ra.Shards)
+		src, err := hwprof.NewWorkload("gcc", hwprof.KindValue, ccfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Run(hwprof.Limit(src, 5*ccfg.IntervalLength), nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Reconnects(); got != 1 {
+			t.Fatalf("reconnects = %d, want 1", got)
+		}
+		if got := sess.Resizes(); got != 0 {
+			t.Fatalf("Resizes = %d with no resize anywhere (trail %+v), want 0", got, sess.NoticeTrail())
 		}
 	})
 

@@ -45,8 +45,9 @@ type recoveredReport struct {
 
 // recoverHandler replays one session's journal into the session itself,
 // implementing journal.Handler: the engine is built and re-staged through
-// the Hello path's restage, and replayed frames are kept through the live
-// worker's keepProfile.
+// the Hello path's restage, and replayed frames are logged through the live
+// worker's logFrame, so the recovered send log is the one a live daemon
+// would hold.
 type recoverHandler struct {
 	sess       *session
 	firstEpoch uint64 // epoch of the replay entry point
@@ -61,7 +62,12 @@ func (h *recoverHandler) Start(meta journal.Meta, state journal.State) error {
 	sess.marked = meta.Hello.Marked
 	sess.tenant = meta.Tenant
 	sess.pubBase = meta.PubBase
-	sess.ring = state.Ring
+	for _, e := range state.Ring {
+		if len(e) == 0 || e[0] != wire.MsgProfile && e[0] != wire.MsgNotice {
+			return fmt.Errorf("%w: checkpoint log entry is neither a profile nor a notice", journal.ErrCorrupt)
+		}
+		sess.logFrame(e[0], e[1:])
+	}
 	if meta.Pub && sess.srv.feed != nil {
 		sess.pub = sess.srv.pubName(meta.SessionID)
 		h.firstEpoch = meta.PubBase + state.Interval
@@ -75,16 +81,22 @@ func (h *recoverHandler) Batch(events []event.Tuple) error {
 	return h.sess.eng.Err()
 }
 
-// Resize re-stages the replay engine at the journaled geometry, exactly as
-// the crashed daemon's worker did at this boundary: the old engine (and its
-// retained candidates) is discarded outright and a fresh one continues.
-func (h *recoverHandler) Resize(hello wire.Hello) error {
-	if h.sess.events != 0 {
-		return fmt.Errorf("resize record %d event(s) into an interval; resizes only happen at boundaries", h.sess.events)
+// Notice logs a journaled notice frame. A notice that changed the geometry
+// first re-stages the replay engine, exactly as the crashed daemon's worker
+// did at this boundary: the old engine (and its retained candidates) is
+// discarded outright and a fresh one continues. A rung-only notice must
+// not re-stage: a Retain session would lose its retained candidates.
+func (h *recoverHandler) Notice(frame []byte, hello wire.Hello) error {
+	sess := h.sess
+	if hello.Config != sess.cfg || hello.Shards != sess.shards {
+		if sess.events != 0 {
+			return fmt.Errorf("resize notice %d event(s) into an interval; resizes only happen at boundaries", sess.events)
+		}
+		if err := sess.restage(hello); err != nil {
+			return fmt.Errorf("journaled resize: %w", err)
+		}
 	}
-	if err := h.sess.restage(hello); err != nil {
-		return fmt.Errorf("journaled resize: %w", err)
-	}
+	sess.logFrame(wire.MsgNotice, frame)
 	return nil
 }
 
@@ -105,7 +117,7 @@ func (h *recoverHandler) Boundary(index, shed uint64, profile []byte) error {
 	} else {
 		sess.eng.Recycle(prof)
 	}
-	sess.keepProfile(index, profile)
+	sess.logFrame(wire.MsgProfile, profile)
 	sess.events = 0
 	return nil
 }
@@ -202,7 +214,7 @@ func (s *Server) recoverSession(id uint64) (*recoverHandler, error) {
 	// Recovered sessions pass the same admission the original did: the
 	// restarted daemon may be configured tighter than the one that crashed.
 	// The cost prices the journal's CURRENT geometry — replayed resize
-	// records re-staged the engine — so a session that crashed resized
+	// notices re-staged the engine — so a session that crashed resized
 	// re-admits at its resized price. A refusal counts only as a failed
 	// recovery, never as a refused admission.
 	cost := sessionCost(sess.cfg, sess.shards)

@@ -11,6 +11,7 @@ import (
 	"hwprof/internal/client"
 	"hwprof/internal/event"
 	"hwprof/internal/faultinject"
+	"hwprof/internal/journal"
 	"hwprof/internal/server"
 	"hwprof/internal/wire"
 )
@@ -231,52 +232,82 @@ func TestResumeRacesPark(t *testing.T) {
 // the client reads profile 0 and the resize notice after it, then the
 // connection drops. The daemon cannot tell what the client read, so a
 // resume at interval 1 must resend the notice for boundary 0 right after
-// the ack — notices are redelivered by boundary index, like profiles —
-// and the client drops the copy it already holds.
+// the ack, and the client drops the copy it already holds. In the crash
+// cases the daemon is then killed and restarted from its journal, which
+// must redeliver the notice under every sync policy: a notice is journaled
+// durably before it is written.
 func TestResumeRedeliversWrittenNotice(t *testing.T) {
-	srv, addr := startServer(t, server.Config{})
-	conn, wc := rawSession(t, addr, testConfig(5))
-	if err := srv.ResizeSession(1, 2000, 256, 1); err != nil { // first session the daemon issued
-		t.Fatal(err)
-	}
-	batch := make([]event.Tuple, 1000)
-	for i := range batch {
-		batch[i] = event.Tuple{A: uint64(i % 13), B: 1}
-	}
-	if err := wc.WriteFrame(wire.MsgBatch, wire.AppendBatch(nil, batch)); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []byte{wire.MsgProfile, wire.MsgNotice} {
-		typ, _, err := wc.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != want {
-			t.Fatalf("frame type %d, want %d", typ, want)
-		}
-	}
-	conn.Close()
+	for _, tc := range []struct {
+		name  string
+		crash bool
+		sync  journal.SyncPolicy
+	}{
+		{"live", false, 0},
+		{"crash/none", true, journal.SyncNone},
+		{"crash/interval", true, journal.SyncInterval},
+		{"crash/batch", true, journal.SyncBatch},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := server.Config{ResumeGrace: 20 * time.Second}
+			if tc.crash {
+				cfg.JournalDir, cfg.JournalSync = t.TempDir(), tc.sync
+			}
+			srv, addr, done := crashServer(t, cfg, "127.0.0.1:0", 0)
+			conn, wc := rawSession(t, addr, testConfig(5))
+			if err := srv.ResizeSession(1, 2000, 256, 1); err != nil { // first session the daemon issued
+				t.Fatal(err)
+			}
+			batch := make([]event.Tuple, 1000)
+			for i := range batch {
+				batch[i] = event.Tuple{A: uint64(i % 13), B: 1}
+			}
+			if err := wc.WriteFrame(wire.MsgBatch, wire.AppendBatch(nil, batch)); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []byte{wire.MsgProfile, wire.MsgNotice} {
+				typ, _, err := wc.ReadFrame()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if typ != want {
+					t.Fatalf("frame type %d, want %d", typ, want)
+				}
+			}
+			conn.Close()
+			if tc.crash {
+				srv.Kill()
+				if err := <-done; err != nil {
+					t.Fatalf("killed daemon's Serve: %v", err)
+				}
+				srv, _, done = crashServer(t, cfg, addr, 1)
+			}
+			defer func() {
+				srv.Kill()
+				<-done
+			}()
 
-	conn, wc, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: 1, Floor: 1000})
-	defer conn.Close()
-	if typ != wire.MsgResumeAck {
-		e, _ := wire.DecodeError(payload)
-		t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err := wc.ReadFrame()
-	if err != nil {
-		t.Fatalf("no frame after the resume ack: %v", err)
-	}
-	if typ != wire.MsgNotice {
-		t.Fatalf("frame type %d after the resume ack, want the notice", typ)
-	}
-	n, err := wire.DecodeNotice(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Kind != wire.NoticeResize || n.Index != 0 || n.Observed != 1000 || n.IntervalLength != 2000 {
-		t.Fatalf("redelivered notice = %+v, want the resize to interval 2000 at boundary 0, observed 1000", n)
+			conn, wc, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: 1, Floor: 1000})
+			defer conn.Close()
+			if typ != wire.MsgResumeAck {
+				e, _ := wire.DecodeError(payload)
+				t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			typ, payload, err := wc.ReadFrame()
+			if err != nil {
+				t.Fatalf("no frame after the resume ack: %v", err)
+			}
+			if typ != wire.MsgNotice {
+				t.Fatalf("frame type %d after the resume ack, want the notice", typ)
+			}
+			n, err := wire.DecodeNotice(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.Kind != wire.NoticeResize || n.Index != 0 || n.Observed != 1000 || n.IntervalLength != 2000 {
+				t.Fatalf("redelivered notice = %+v, want the resize to interval 2000 at boundary 0, observed 1000", n)
+			}
+		})
 	}
 }
 
@@ -320,5 +351,101 @@ func TestRefusedResumeStaysResumable(t *testing.T) {
 	if typ != wire.MsgResumeAck {
 		e, _ := wire.DecodeError(payload)
 		t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
+	}
+}
+
+// TestResumeWindowEdge resumes a session whose log keeps ResumeWindow = 3
+// profiles. A client exactly 3 profiles behind receives, in sent order,
+// the notice of the boundary before the oldest kept profile, then every
+// kept profile and later notice. One profile further behind is refused
+// as unknown, and a claim of more intervals than the daemon has as a
+// protocol error; each refusal leaves the session parked.
+func TestResumeWindowEdge(t *testing.T) {
+	srv, addr := startServer(t, server.Config{ResumeWindow: 3})
+	m := srv.Metrics()
+	conn, wc := rawSession(t, addr, testConfig(17))
+	send := func(n int) {
+		t.Helper()
+		batch := make([]event.Tuple, n)
+		for i := range batch {
+			batch[i] = event.Tuple{A: uint64(i % 13), B: 1}
+		}
+		if err := wc.WriteFrame(wire.MsgBatch, wire.AppendBatch(nil, batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Intervals 0 to 3 end at 1000, 3000, 5000 and 5500 events: a resize
+	// to 2000-event intervals at boundary 0, to 500 at boundary 2.
+	if err := srv.ResizeSession(1, 2000, 256, 1); err != nil { // first session the daemon issued
+		t.Fatal(err)
+	}
+	send(1000)
+	if typ, _, err := wc.ReadFrame(); err != nil || typ != wire.MsgProfile {
+		t.Fatalf("profile 0: type %d, err %v", typ, err)
+	}
+	send(2000)
+	waitFor(t, "profile 1", func() bool { return m.IntervalsTotal.Load() == 2 })
+	if err := srv.ResizeSession(1, 500, 256, 1); err != nil {
+		t.Fatal(err)
+	}
+	send(2500)
+	waitFor(t, "profile 3", func() bool { return m.IntervalsTotal.Load() == 4 })
+	conn.Close()
+	waitFor(t, "the session to park", func() bool { return m.SessionsParked.Load() == 1 })
+
+	for _, tc := range []struct {
+		intervals uint64
+		code      byte
+		msg       string
+	}{
+		{0, wire.CodeUnknownSession, "resume window exceeded: client at interval 0, server at 4 with 3 profile(s) retained"},
+		{5, wire.CodeProtocol, "resume claims 5 intervals, server has 4"},
+	} {
+		conn, _, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: tc.intervals})
+		conn.Close()
+		if typ != wire.MsgError {
+			t.Fatalf("resume at %d intervals: frame type %d, want the refusal", tc.intervals, typ)
+		}
+		if e, err := wire.DecodeError(payload); err != nil || e.Code != tc.code || e.Msg != tc.msg {
+			t.Fatalf("resume at %d intervals: refusal %+v (%v), want code %d %q", tc.intervals, e, err, tc.code, tc.msg)
+		}
+		waitFor(t, "the refused session to park again", func() bool { return m.SessionsParked.Load() == 1 })
+	}
+
+	conn, wc, typ, payload := rawResume(t, addr, wire.Resume{SessionID: 1, Intervals: 1, Floor: 1000})
+	defer conn.Close()
+	if typ != wire.MsgResumeAck {
+		e, _ := wire.DecodeError(payload)
+		t.Fatalf("frame type %d (%+v), want resume-ack", typ, e)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i, want := range []struct {
+		typ   byte
+		index uint64
+	}{
+		{wire.MsgNotice, 0}, {wire.MsgProfile, 1}, {wire.MsgProfile, 2}, {wire.MsgNotice, 2}, {wire.MsgProfile, 3},
+	} {
+		typ, payload, err := wc.ReadFrame()
+		if err != nil {
+			t.Fatalf("resent frame %d: %v", i, err)
+		}
+		var index uint64
+		switch typ {
+		case wire.MsgNotice:
+			n, err := wire.DecodeNotice(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			index = n.Index
+		case wire.MsgProfile:
+			p, err := wire.DecodeProfile(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			index = p.Index
+		}
+		if typ != want.typ || index != want.index {
+			t.Fatalf("resent frame %d: type %d for index %d, want type %d for index %d", i, typ, index, want.typ, want.index)
+		}
 	}
 }

@@ -45,8 +45,9 @@
 // instead: the worker finishes the queued batches, the engine and the
 // session's exact stream position are retained for a grace period, and a
 // client that reconnects with a Resume frame continues bit-identically
-// where the stream broke, with recently written profiles resent from a
-// bounded ring. A tombstone whose grace expires is discarded and counted.
+// where the stream broke, with the recently written profiles and notices
+// resent, as first sent, from a bounded send log. A tombstone whose grace
+// expires is discarded and counted.
 // Every wire connection reads and writes under per-operation deadlines, so
 // a hung peer surfaces as a timeout instead of pinning a goroutine.
 //
@@ -88,8 +89,8 @@ const (
 	// DefaultResumeGrace is how long a disconnected session's engine is
 	// retained for resumption.
 	DefaultResumeGrace = 30 * time.Second
-	// DefaultResumeWindow is how many recent interval profiles a session
-	// retains (encoded) for resend on resume.
+	// DefaultResumeWindow is how many recent interval profiles a session's
+	// send log keeps, with the notices among them, for resend on resume.
 	DefaultResumeWindow = 32
 	// DefaultReadTimeout bounds each read off a session socket.
 	DefaultReadTimeout = 5 * time.Minute
@@ -142,9 +143,10 @@ type Config struct {
 	// negative disables resumption entirely.
 	ResumeGrace time.Duration
 
-	// ResumeWindow is how many recent encoded interval profiles each
-	// session retains for resend on resume; a client further behind than
-	// the window cannot resume. 0 selects DefaultResumeWindow.
+	// ResumeWindow is how many recent interval profiles each session's
+	// send log keeps, with the notices sent among them, for resend on
+	// resume; a client further behind than the window cannot resume.
+	// 0 selects DefaultResumeWindow.
 	ResumeWindow int
 
 	// ReadTimeout bounds every read from a session socket; a client that
@@ -180,14 +182,6 @@ type Config struct {
 	// of closing partial.
 	EpochDeadline time.Duration
 
-	// EpochWindow bounds open epochs before force-close; 0 selects the agg
-	// default.
-	EpochWindow int
-
-	// EpochRetain bounds the closed-epoch ring kept for subscribers;
-	// 0 selects the agg default.
-	EpochRetain int
-
 	// JournalDir enables crash-durable sessions: every accepted session
 	// mirrors its accepted batches and interval boundaries into a
 	// write-ahead journal under this directory, and a restarted daemon
@@ -201,10 +195,6 @@ type Config struct {
 	// until rotation, SyncInterval fsyncs at every interval boundary before
 	// the profile frame reaches the client, SyncBatch fsyncs every record.
 	JournalSync journal.SyncPolicy
-
-	// JournalSegmentBytes is the journal segment rotation threshold;
-	// 0 selects the journal default.
-	JournalSegmentBytes int64
 
 	// TenantRate limits how fast one tenant (remote host) may open new
 	// sessions, in sessions per second; excess Hellos are refused with
@@ -531,11 +521,10 @@ func New(cfg Config) *Server {
 	}
 	if cfg.JournalDir != "" {
 		s.journal = journal.Options{
-			Dir:          cfg.JournalDir,
-			Sync:         cfg.JournalSync,
-			SegmentBytes: cfg.JournalSegmentBytes,
-			OnAppend:     func(n int64) { m.JournalBytes.Add(uint64(n)) },
-			OnSync:       func() { m.JournalFsyncs.Inc() },
+			Dir:      cfg.JournalDir,
+			Sync:     cfg.JournalSync,
+			OnAppend: func(n int64) { m.JournalBytes.Add(uint64(n)) },
+			OnSync:   func() { m.JournalFsyncs.Inc() },
 		}
 	}
 	if cfg.TenantRate > 0 {
@@ -545,9 +534,7 @@ func New(cfg Config) *Server {
 		s.feed = agg.NewFeed(agg.FeedConfig{
 			Source:      cfg.MachineID,
 			EpochLength: cfg.EpochLength,
-			Window:      cfg.EpochWindow,
 			Deadline:    cfg.EpochDeadline,
-			Retain:      cfg.EpochRetain,
 			Logf:        cfg.Logf,
 			OnEpoch: func(ep agg.Epoch) {
 				m.EpochsTotal.Inc()

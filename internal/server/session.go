@@ -38,8 +38,8 @@ type item struct {
 // Ownership: the attachment fields (conn, wc, queue, attachDone) are
 // replaced only by attach, between attachments, under the resume path's
 // synchronization (srv.mu plus the previous attachment's attachDone).
-// events, interval, ring, notices and enc belong to the worker goroutine
-// during an attachment; the park/resume path reads them only after the
+// events, interval, log and enc belong to the worker goroutine during an
+// attachment; the park/resume path reads them only after the
 // attachment is fully done. Publishing the tombstone (entomb, under
 // srv.mu) hands the session to the next resume, which may adopt it at
 // once: the parking attachment touches no session field after that.
@@ -93,17 +93,17 @@ type session struct {
 	left     bool
 
 	// Stream position, persisted across attachments.
-	events   uint64   // events observed in the current partial interval
-	observed uint64   // total events observed into the engine (shed excluded)
-	interval uint64   // completed intervals, = next profile index
-	ring     [][]byte // recent encoded profiles, oldest first, for resend on resume
-	// notices holds every notice frame sent, oldest first, for as long as
-	// the ring keeps its boundary. The resume path resends the ones the
-	// client may have missed by boundary index, exactly as it resends
-	// profiles — whether the frame was lost with a cut connection or never
-	// written to a dead one — so the client's notice trail stays a complete
-	// geometry timeline across outages, not just a re-anchored one.
-	notices   []keptNotice
+	events   uint64 // events observed in the current partial interval
+	observed uint64 // total events observed into the engine (shed excluded)
+	interval uint64 // completed intervals, = next profile index
+	// log is the send log of a resumable session: every profile and
+	// notice frame sent, in send order, for the last ResumeWindow
+	// profiles, each entry the frame's type byte followed by its payload.
+	// The resume path resends the entries after the client's last profile
+	// as they were first sent — whether a frame was lost with a cut
+	// connection or never written to a dead one — so the client sees
+	// exactly the frame sequence a live attachment would have shown it.
+	log       [][]byte
 	streamPos atomic.Uint64 // client-stream events consumed: observed + shed
 	shed      atomic.Uint64 // cumulative events dropped under shed policy
 
@@ -111,7 +111,7 @@ type session struct {
 	// is mirrored here before the client learns of it, so a restarted
 	// daemon can replay the session to this exact position. nil unless
 	// journaling is enabled. Owned by the worker goroutine during an
-	// attachment (like events/interval/ring); teardown paths touch it only
+	// attachment (like events/interval/log); teardown paths touch it only
 	// after the attachment is done.
 	jw *journal.Writer
 
@@ -120,17 +120,10 @@ type session struct {
 	parkNext  atomic.Bool // worker verdict: park this attachment, don't remove
 	draining  atomic.Bool // server-initiated drain in progress
 
-	connDead bool // worker-local: write side failed; ring-buffer, don't write
+	connDead bool // worker-local: write side failed; log, don't write
 	gateOn   bool // reader-local: hysteresis shed gate engaged
 
 	enc []byte // reused frame-encoding buffer (worker goroutine only)
-}
-
-// keptNotice is an encoded notice frame kept for redelivery, with the
-// boundary it announced: interval index closed under the old geometry.
-type keptNotice struct {
-	index uint64
-	frame []byte
 }
 
 // release discards the session's engine and returns its admission cost.
@@ -266,6 +259,7 @@ func (s *Server) openSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 		Shed:       s.cfg.Shed,
 		QueueDepth: s.cfg.QueueDepth,
 		Resume:     s.cfg.resumeEnabled(),
+		Shards:     sess.shards,
 	}
 	if err := wc.WriteFrame(wire.MsgHelloAck, wire.AppendHelloAck(nil, ack)); err != nil {
 		s.logf("session %d: writing hello-ack: %v", id, err)
@@ -313,7 +307,7 @@ func (s *Server) attach(sess *session, conn net.Conn, wc *wire.Conn) bool {
 // restage validates h's configuration and swaps in a fresh engine built
 // from it, discarding the previous engine (and its retained candidates)
 // outright: a session's first engine, at Hello or at the start of a
-// journal replay, and every journaled resize the replay re-applies.
+// journal replay, and every journaled resize notice the replay re-applies.
 func (s *session) restage(h wire.Hello) error {
 	if err := h.Config.Validate(); err != nil {
 		return err
@@ -386,20 +380,21 @@ func (s *Server) resumeSession(conn net.Conn, wc *wire.Conn, payload []byte) {
 
 // adopt reattaches conn to a session pulled out of the tombstone map. The
 // client's claimed position is validated against the engine's, the exact
-// server position is acked, retained profiles the client has not seen are
-// resent, and the attachment goroutines start.
+// server position is acked, the logged frames the client may not have seen
+// are resent, and the attachment goroutines start.
 func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resume) {
 	pos := sess.streamPos.Load()
+	kept := sess.loggedProfiles()
 	var code byte
 	var refusal string
 	switch {
 	case r.Intervals > sess.interval:
 		code = wire.CodeProtocol
 		refusal = fmt.Sprintf("resume claims %d intervals, server has %d", r.Intervals, sess.interval)
-	case sess.interval-r.Intervals > uint64(len(sess.ring)):
+	case sess.interval-r.Intervals > uint64(kept):
 		code = wire.CodeUnknownSession
 		refusal = fmt.Sprintf("resume window exceeded: client at interval %d, server at %d with %d profile(s) retained",
-			r.Intervals, sess.interval, len(sess.ring))
+			r.Intervals, sess.interval, kept)
 	case r.Floor > pos:
 		code = wire.CodeProtocol
 		refusal = fmt.Sprintf("resume replay floor %d is beyond the server's stream position %d", r.Floor, pos)
@@ -421,46 +416,35 @@ func (s *Server) adopt(sess *session, conn net.Conn, wc *wire.Conn, r wire.Resum
 	// channel through a local, never through the session.
 	done := sess.attachDone
 
-	// The ack carries the session's current geometry: after an elastic
-	// resize the client's Hello-time geometry is stale, and the ack is what
-	// re-anchors its prune-floor arithmetic.
-	ack := wire.ResumeAck{
-		Intervals: sess.interval, Offset: sess.events, StreamPos: pos, Shed: sess.shed.Load(),
-		IntervalLength: sess.cfg.IntervalLength, TotalEntries: sess.cfg.TotalEntries,
-		NumTables: sess.cfg.NumTables, Shards: sess.shards,
-	}
+	ack := wire.ResumeAck{Intervals: sess.interval, StreamPos: pos, Shed: sess.shed.Load()}
 	if err := wc.WriteFrame(wire.MsgResumeAck, wire.AppendResumeAck(nil, ack)); err != nil {
 		s.logf("session %d: writing resume-ack: %v", sess.id, err)
 		s.entomb(sess, true)
 		close(done)
 		return
 	}
-	// Redeliver by boundary index, notices first: the ack already
-	// re-anchored the client's arithmetic, but only the notice frames carry
-	// the boundary positions and reasons a verifying client needs for its
-	// geometry timeline. A notice for boundary r.Intervals−1 follows that
-	// interval's profile on the wire, so it may have been lost even though
-	// the profile arrived; the client drops the ones it already has.
-	for _, n := range sess.notices {
-		if n.index+1 < r.Intervals {
+	// Resend every logged frame after the client's last profile, as first
+	// sent: that boundary's notices, which the cut connection may have lost
+	// even though the profile arrived, then every later profile and notice.
+	// The client drops the notices it already holds.
+	resend := sess.interval - r.Intervals
+	held := kept - int(resend) // logged profiles the client holds
+	for _, e := range sess.log {
+		if held > 0 {
+			if e[0] == wire.MsgProfile {
+				held--
+			}
 			continue
 		}
-		if err := wc.WriteFrame(wire.MsgNotice, n.frame); err != nil {
-			s.logf("session %d: resending notice: %v", sess.id, err)
+		if err := wc.WriteFrame(e[0], e[1:]); err != nil {
+			s.logf("session %d: resending: %v", sess.id, err)
 			s.entomb(sess, true)
 			close(done)
 			return
 		}
-	}
-	resend := int(sess.interval - r.Intervals)
-	for i := len(sess.ring) - resend; i < len(sess.ring); i++ {
-		if err := wc.WriteFrame(wire.MsgProfile, sess.ring[i]); err != nil {
-			s.logf("session %d: resending profile: %v", sess.id, err)
-			s.entomb(sess, true)
-			close(done)
-			return
+		if e[0] == wire.MsgProfile {
+			s.metrics.IntervalsTotal.Inc()
 		}
-		s.metrics.IntervalsTotal.Inc()
 	}
 	s.metrics.ResumesTotal.Inc()
 	s.logf("session %d: resumed from %s at interval %d+%d (stream pos %d), resent %d profile(s)",
@@ -671,24 +655,16 @@ func (s *session) parkable() bool {
 
 // workLoop is the worker: feed the engine, place interval boundaries,
 // write profiles. It is the connection's only writer after the HelloAck.
-// After a terminal event (drain, goodbye, failure) it keeps consuming —
-// and discarding — the queue until the reader closes it. Because the
-// reader enqueues its failure item after every batch it accepted, a park
-// verdict always finds the engine caught up with everything the client was
-// told (through streamPos accounting) the server consumed.
+// It returns at a terminal item (drain, goodbye, failure) or a session
+// failure, leaving what follows in the queue to work. Because the reader
+// enqueues its failure item after every batch it accepted, a park verdict
+// always finds the engine caught up with everything the client was told
+// (through streamPos accounting) the server consumed.
 func (s *session) workLoop() {
 	defer s.recoverPanic("worker")
 
-	var dead bool
 	for it := range s.queue {
 		s.srv.metrics.QueueDepth.Add(-1)
-		if dead {
-			if it.batch != nil {
-				*it.batch = (*it.batch)[:0]
-				s.srv.batchPool.Put(it.batch)
-			}
-			continue
-		}
 		switch {
 		case it.err != nil:
 			if it.park && s.parkable() {
@@ -703,112 +679,108 @@ func (s *session) workLoop() {
 			} else {
 				s.fail(it.err, it.code)
 			}
-			dead = true
-			continue
+			return
 		case it.mark:
 			switch {
 			case !s.marked:
 				s.fail(errors.New("mark on a session not opened marked"), wire.CodeProtocol)
-				dead = true
+				return
 			case it.markIdx != s.interval:
 				// A desynchronized coordinator must surface as a protocol
 				// error, not as misaligned fleet epochs.
 				s.fail(fmt.Errorf("mark closes interval %d, server is at %d", it.markIdx, s.interval),
 					wire.CodeProtocol)
-				dead = true
+				return
 			case !s.emitProfile(false):
-				dead = true
-			default:
-				s.interval++
-				s.events = 0
+				return
 			}
-			continue
+			s.interval++
+			s.events = 0
 		case it.goodbye:
 			s.srv.logf("session %d: goodbye, %d interval(s)", s.id, s.interval)
 			s.endClean = s.events == 0
 			s.eng.Close()
 			s.endJournal()
-			dead = true
-			continue
+			return
 		case it.drain:
 			s.endClean = s.events == 0
 			s.finish()
 			s.endJournal()
-			dead = true
-			continue
-		}
-
-		batch := *it.batch
-		s.srv.metrics.BatchesTotal.Inc()
-		s.srv.metrics.EventsTotal.Add(uint64(len(batch)))
-		if s.marked {
-			// The client owns the boundaries: observe the whole batch, wait
-			// for its MsgMark.
-			s.eng.ObserveBatch(batch)
-			s.events += uint64(len(batch))
-			s.observed += uint64(len(batch))
-			if !s.journalBatch(batch) {
-				dead = true
-			}
-			batch = nil
-		}
-		// Clip at interval boundaries exactly like core.RunBatchedContext,
-		// so boundary placement — and hence every profile — matches a
-		// local run over the same stream.
-		for len(batch) > 0 && !dead {
-			n := uint64(len(batch))
-			if remaining := s.cfg.IntervalLength - s.events; n > remaining {
-				n = remaining
-			}
-			s.eng.ObserveBatch(batch[:n])
-			s.events += n
-			s.observed += n
-			if !s.journalBatch(batch[:n]) {
-				dead = true
-				continue
-			}
-			batch = batch[n:]
-			if s.events == s.cfg.IntervalLength {
-				if !s.emitProfile(false) {
-					dead = true
-					continue
-				}
-				s.interval++
-				s.events = 0
-				// Boundary actions: apply a staged operator resize, then let
-				// the elastic controller act on this interval's signals. Any
-				// committed geometry change takes effect for the remainder of
-				// this batch — the clip loop re-reads cfg.IntervalLength —
-				// exactly as a cold start at this stream offset would.
-				if !s.boundaryActions() {
-					dead = true
-					continue
-				}
-			}
-		}
-		*it.batch = (*it.batch)[:0]
-		s.srv.batchPool.Put(it.batch)
-		if !dead {
-			if err := s.eng.Err(); err != nil {
-				s.fail(fmt.Errorf("engine failed: %w", err), wire.CodeInternal)
-				dead = true
+			return
+		default:
+			ok := s.observe(*it.batch)
+			*it.batch = (*it.batch)[:0]
+			s.srv.batchPool.Put(it.batch)
+			if !ok {
+				return
 			}
 		}
 	}
-	if !dead && !s.parkNext.Load() {
+	if !s.parkNext.Load() {
 		// Queue closed without a terminal item (contained reader panic):
 		// nothing more is coming; discard the unfinished interval.
 		s.eng.Close()
 	}
 }
 
-// emitProfile ends the engine's interval and writes the profile frame,
-// retaining an encoded copy in the resume ring and recycling the profile
-// map back into the engine. It reports whether the worker should continue;
-// a write failure on a resumable session flips the attachment into
-// connDead mode — the engine keeps consuming the queue so the stream
-// position stays exact, profiles land in the ring only, and the reader's
-// subsequent failure parks the session.
+// observe feeds one batch to the engine, reporting whether the worker
+// should continue.
+func (s *session) observe(batch []event.Tuple) bool {
+	s.srv.metrics.BatchesTotal.Inc()
+	s.srv.metrics.EventsTotal.Add(uint64(len(batch)))
+	if s.marked {
+		// The client owns the boundaries: observe the whole batch, wait
+		// for its MsgMark.
+		s.eng.ObserveBatch(batch)
+		s.events += uint64(len(batch))
+		s.observed += uint64(len(batch))
+		if !s.journalBatch(batch) {
+			return false
+		}
+		batch = nil
+	}
+	// Clip at interval boundaries exactly like core.RunBatchedContext,
+	// so boundary placement — and hence every profile — matches a
+	// local run over the same stream.
+	for len(batch) > 0 {
+		n := uint64(len(batch))
+		if remaining := s.cfg.IntervalLength - s.events; n > remaining {
+			n = remaining
+		}
+		s.eng.ObserveBatch(batch[:n])
+		s.events += n
+		s.observed += n
+		if !s.journalBatch(batch[:n]) {
+			return false
+		}
+		batch = batch[n:]
+		if s.events == s.cfg.IntervalLength {
+			if !s.emitProfile(false) {
+				return false
+			}
+			s.interval++
+			s.events = 0
+			// Boundary actions: apply a staged operator resize, then let
+			// the elastic controller act on this interval's signals. Any
+			// committed geometry change takes effect for the remainder of
+			// this batch — the clip loop re-reads cfg.IntervalLength —
+			// exactly as a cold start at this stream offset would.
+			if !s.boundaryActions() {
+				return false
+			}
+		}
+	}
+	if err := s.eng.Err(); err != nil {
+		s.fail(fmt.Errorf("engine failed: %w", err), wire.CodeInternal)
+		return false
+	}
+	return true
+}
+
+// emitProfile ends the engine's interval and sends the profile frame,
+// recycling the profile map back into the engine. A complete interval's
+// frame is logged, then journaled, then sent. It reports whether the
+// worker should continue.
 func (s *session) emitProfile(final bool) bool {
 	start := time.Now()
 	var prof map[event.Tuple]uint64
@@ -821,17 +793,15 @@ func (s *session) emitProfile(final bool) bool {
 	msg := wire.ProfileMsg{Index: s.interval, Shed: shed, Final: final, Counts: prof}
 	s.enc = wire.AppendProfile(s.enc[:0], msg)
 	if !final {
-		if s.srv.cfg.resumeEnabled() {
-			s.keepProfile(s.interval, append([]byte(nil), s.enc...))
-		}
+		s.logFrame(wire.MsgProfile, s.enc)
 		if s.jw != nil {
 			// The boundary must be durable (per the sync policy) before the
 			// profile frame reaches the client: once the client sees the
 			// profile it prunes its replay buffer past this interval, and a
 			// crashed daemon that lost the boundary could no longer reach a
-			// state the pruned client can resume against. The ring rides in
+			// state the pruned client can resume against. The log rides in
 			// the boundary's rotation checkpoint, so it is updated first.
-			if err := s.jw.Boundary(s.interval, shed, s.enc, s.ring); err != nil {
+			if err := s.jw.Boundary(s.interval, shed, s.enc, s.log); err != nil {
 				s.fail(fmt.Errorf("journal: %w", err), wire.CodeInternal)
 				return false
 			}
@@ -846,44 +816,77 @@ func (s *session) emitProfile(final bool) bool {
 		}
 		s.eng.Recycle(prof) // encoded; hand the map back for the next boundary
 	}
-	if s.connDead {
-		return true
-	}
-	if err := s.wc.WriteFrame(wire.MsgProfile, s.enc); err != nil {
-		s.srv.logf("session %d: writing profile %d: %v", s.id, s.interval, err)
-		if !final && s.parkable() {
-			s.connDead = true
-			s.parkNext.Store(true)
-			s.conn.Close() // surface the failure to the reader too
-			return true
-		}
-		s.srv.metrics.SessionErrors.Inc()
-		if !final {
-			s.eng.Close()
-		}
-		// Close the conn too: a client that keeps writing would otherwise
-		// hold the reader — and through it the attachment — alive forever.
-		s.conn.Close()
+	if !s.send(wire.MsgProfile, s.enc, !final) {
 		return false
 	}
-	s.srv.metrics.IntervalsTotal.Inc()
-	s.srv.metrics.IntervalLatency.Observe(time.Since(start).Seconds())
+	if !s.connDead {
+		s.srv.metrics.IntervalsTotal.Inc()
+		s.srv.metrics.IntervalLatency.Observe(time.Since(start).Seconds())
+	}
 	return true
 }
 
-// keepProfile retains the encoded profile of interval index in the resume
-// ring, evicting the oldest past the resume window, and forgets notices
-// for boundaries the ring no longer holds. The live worker and the journal
-// replay both keep frames through here.
-func (s *session) keepProfile(index uint64, frame []byte) {
-	s.ring = append(s.ring, frame)
-	if n := len(s.ring) - s.srv.cfg.ResumeWindow; n > 0 {
-		s.ring = s.ring[:copy(s.ring, s.ring[n:])]
+// send writes one frame to the client unless the write side is already
+// dead, reporting whether the worker should continue. When a write fails
+// and the frame may park — a logged frame on a parkable session — the
+// attachment flips into connDead mode: the engine keeps consuming the
+// queue so the stream position stays exact, frames land in the log only,
+// and the reader's subsequent failure parks the session. Any other failed
+// write is a session error that stops the worker.
+func (s *session) send(typ byte, payload []byte, park bool) bool {
+	if s.connDead {
+		return true
 	}
-	oldest := index + 1 - uint64(len(s.ring))
-	for len(s.notices) > 0 && s.notices[0].index < oldest {
-		s.notices = s.notices[1:]
+	err := s.wc.WriteFrame(typ, payload)
+	if err == nil {
+		return true
 	}
+	s.srv.logf("session %d: writing frame type %d at interval %d: %v", s.id, typ, s.interval, err)
+	if park && s.parkable() {
+		s.connDead = true
+		s.parkNext.Store(true)
+		s.conn.Close() // surface the failure to the reader too
+		return true
+	}
+	s.srv.metrics.SessionErrors.Inc()
+	s.eng.Close()
+	// Close the conn too: a client that keeps writing would otherwise
+	// hold the reader — and through it the attachment — alive forever.
+	s.conn.Close()
+	return false
+}
+
+// logFrame appends one boundary frame to a resumable session's send log.
+// A profile that would make the log hold more than ResumeWindow profiles
+// first drops the log's prefix through its oldest profile, whose buffer
+// the new entry reuses; the notices after that profile stay, since they
+// belong to the boundary whose profile a client at the window's edge
+// already holds. The live worker and the journal replay both log here.
+func (s *session) logFrame(typ byte, payload []byte) {
+	if !s.srv.cfg.resumeEnabled() {
+		return
+	}
+	var buf []byte
+	if typ == wire.MsgProfile && s.loggedProfiles() >= s.srv.cfg.ResumeWindow {
+		i := 0
+		for s.log[i][0] != wire.MsgProfile {
+			i++
+		}
+		buf = s.log[i][:0]
+		s.log = append(s.log[:0], s.log[i+1:]...)
+	}
+	s.log = append(s.log, append(append(buf, typ), payload...))
+}
+
+// loggedProfiles counts the profiles in the send log.
+func (s *session) loggedProfiles() int {
+	n := 0
+	for _, e := range s.log {
+		if e[0] == wire.MsgProfile {
+			n++
+		}
+	}
+	return n
 }
 
 // journalBatch mirrors an engine-observed slice into the session journal,
@@ -934,12 +937,9 @@ func (s *session) finish() {
 	// Leave the feed before the goodbye, so a client whose Drain returned
 	// finds the departure already recorded.
 	s.leaveFeed()
-	if err := s.wc.WriteFrame(wire.MsgGoodbye, nil); err != nil {
-		s.srv.metrics.SessionErrors.Inc()
-		s.srv.logf("session %d: writing goodbye: %v", s.id, err)
-		return
+	if s.send(wire.MsgGoodbye, nil, false) {
+		s.srv.logf("session %d: drained, %d complete interval(s)", s.id, s.interval)
 	}
-	s.srv.logf("session %d: drained, %d complete interval(s)", s.id, s.interval)
 }
 
 // leaveFeed records the session's departure from the epoch feed, once:

@@ -63,13 +63,13 @@ func FuzzWire(f *testing.F) {
 	var buf bytes.Buffer
 	c := NewConn(duplex{r: &bytes.Buffer{}, w: &buf})
 	c.WriteFrame(MsgHello, AppendHello(nil, Hello{Config: testConfig(), Shards: 2, Marked: true}))
+	c.WriteFrame(MsgHelloAck, AppendHelloAck(nil, HelloAck{SessionID: 7, Resume: true, QueueDepth: 16, Shards: 2}))
 	c.WriteFrame(MsgBatch, AppendBatch(nil, []event.Tuple{{A: 1, B: 2}, {A: 5, B: 5}}))
 	c.WriteFrame(MsgProfile, AppendProfile(nil, ProfileMsg{Index: 1, Counts: map[event.Tuple]uint64{{A: 3, B: 4}: 9}}))
 	c.WriteFrame(MsgDrain, nil)
 	c.WriteFrame(MsgError, AppendError(nil, ErrorMsg{Code: CodeProtocol, Msg: "x"}))
 	c.WriteFrame(MsgResume, AppendResume(nil, Resume{SessionID: 7, Intervals: 2, Floor: 20_040}))
-	c.WriteFrame(MsgResumeAck, AppendResumeAck(nil, ResumeAck{Intervals: 2, Offset: 40, StreamPos: 20_040, Shed: 1,
-		IntervalLength: 10_000, TotalEntries: 2048, NumTables: 4, Shards: 2}))
+	c.WriteFrame(MsgResumeAck, AppendResumeAck(nil, ResumeAck{Intervals: 2, StreamPos: 20_040, Shed: 1}))
 	c.WriteFrame(MsgNotice, AppendNotice(nil, Notice{Kind: NoticeResize, Rung: 2, Index: 3, Observed: 40_000,
 		Shed: 7, IntervalLength: 20_000, TotalEntries: 1024, NumTables: 4, Shards: 2, Reason: "pressure 0.9 >= 0.75"}))
 	c.WriteFrame(MsgSubscribe, AppendSubscribe(nil, Subscribe{Start: 3}))

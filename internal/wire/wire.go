@@ -19,14 +19,14 @@
 // # Messages
 //
 // A session is one connection. The client opens with Hello (its profiler
-// configuration and shard count); the server answers HelloAck (session id
-// and the backpressure policy in force) or Error. The client then streams
-// Batch frames; the server asynchronously returns one Profile frame per
-// completed interval. Drain asks the server to finish gracefully: it
-// answers with a final Profile (Final flag set, the unfinished interval's
-// partial profile) followed by Goodbye. Either side may send Error before
-// tearing the session down; Goodbye from the client abandons the session
-// without the final profile.
+// configuration and shard count); the server answers HelloAck (session id,
+// the backpressure policy in force and the shard count it admitted) or
+// Error. The client then streams Batch frames; the server asynchronously
+// returns one Profile frame per completed interval. Drain asks the server
+// to finish gracefully: it answers with a final Profile (Final flag set,
+// the unfinished interval's partial profile) followed by Goodbye. Either
+// side may send Error before tearing the session down; Goodbye from the
+// client abandons the session without the final profile.
 //
 // Fleet aggregation: a subscriber opens with Subscribe instead of Hello;
 // the publisher answers SubscribeAck and then streams one Epoch frame per
@@ -41,9 +41,12 @@
 // degradation-ladder transition, or an imminent park. A Notice is an
 // absolute snapshot (full geometry plus the boundary's exact stream
 // coordinates), so duplicates are harmless and the client never has to
-// reconstruct history. A ResumeAck carries the session's current geometry
-// for the same reason: a client that missed a Notice across an outage is
-// resynchronized by the ack.
+// reconstruct history. Notices are the only geometry channel after the
+// HelloAck, which states the admitted shard count: a resuming server
+// resends every Profile and Notice past the client's last profile in the
+// order it first sent them, so a client that missed a Notice across an
+// outage receives it before any profile of the geometry it announces. The
+// ResumeAck carries position only.
 //
 // All encodings are deterministic, and both batches and profiles code each
 // tuple as a zigzagged delta from the frame's previous one, with the delta
@@ -78,8 +81,10 @@ const Magic = "HWPS"
 // Version is the protocol version this package speaks, and the only one:
 // both handshake sides refuse a peer at any other version. v5 replaced the
 // batch payload's uvarint records with fixed-width ones; v6 codes each
-// batch's first tuple as a uvarint base outside the records.
-const Version = 6
+// batch's first tuple as a uvarint base outside the records; v7 adds the
+// admitted shard count to the HelloAck and drops the ResumeAck's offset
+// and geometry.
+const Version = 7
 
 // MaxPayload bounds a frame payload. Batches and interval profiles are both
 // far smaller in practice; the bound exists so a corrupt length prefix
@@ -426,6 +431,10 @@ type HelloAck struct {
 	// engine for a grace period, so the client may reconnect and Resume.
 	// A client should not bother reconnecting to a server that says false.
 	Resume bool
+
+	// Shards is the shard count the session runs: the Hello's request,
+	// clamped by the server. Later changes arrive as Notices.
+	Shards int
 }
 
 // HelloAck flag bits.
@@ -446,7 +455,7 @@ func AppendHelloAck(dst []byte, a HelloAck) []byte {
 	}
 	dst = append(dst, b)
 	dst = binary.AppendUvarint(dst, uint64(a.QueueDepth))
-	return dst
+	return binary.AppendUvarint(dst, uint64(a.Shards))
 }
 
 // DecodeHelloAck decodes a HelloAck payload.
@@ -458,6 +467,7 @@ func DecodeHelloAck(p []byte) (HelloAck, error) {
 	a.Shed = flags&ackFlagShed != 0
 	a.Resume = flags&ackFlagResume != 0
 	a.QueueDepth = d.vint()
+	a.Shards = d.vint()
 	if err := d.finish("hello-ack"); err != nil {
 		return HelloAck{}, err
 	}
@@ -467,9 +477,10 @@ func DecodeHelloAck(p []byte) (HelloAck, error) {
 // Resume reattaches a new connection to a session whose previous
 // connection was lost. It opens the stream where a Hello otherwise would.
 // The client states what it already holds; the server answers with a
-// ResumeAck carrying its own exact position, resends any retained profiles
-// past Intervals, and the client replays its event stream from the acked
-// StreamPos — so the resumed run is bit-identical to an uninterrupted one.
+// ResumeAck carrying its own exact position, resends every Profile and
+// Notice it sent after the client's last profile, as first sent, and the
+// client replays its event stream from the acked StreamPos — so the
+// resumed run is bit-identical to an uninterrupted one.
 type Resume struct {
 	// SessionID is the id the HelloAck assigned.
 	SessionID uint64
@@ -507,14 +518,11 @@ func DecodeResume(p []byte) (Resume, error) {
 }
 
 // ResumeAck accepts a Resume: the server's exact position in the session.
+// It carries no geometry; the Notices resent after it do.
 type ResumeAck struct {
 	// Intervals is the number of complete intervals the server's engine
 	// has finished.
 	Intervals uint64
-
-	// Offset is the number of events observed into the current (partial)
-	// interval.
-	Offset uint64
 
 	// StreamPos is the total number of client-stream events the server has
 	// consumed — observed plus shed. The client must resume sending at
@@ -523,27 +531,13 @@ type ResumeAck struct {
 
 	// Shed is the session's cumulative shed count so far.
 	Shed uint64
-
-	// IntervalLength, TotalEntries, NumTables and Shards are the session's
-	// geometry as of this ack. An elastic server may have resized the
-	// session while the client was away; the ack resynchronizes the client
-	// without it having to see every Notice.
-	IntervalLength uint64
-	TotalEntries   int
-	NumTables      int
-	Shards         int
 }
 
 // AppendResumeAck encodes a onto dst.
 func AppendResumeAck(dst []byte, a ResumeAck) []byte {
 	dst = binary.AppendUvarint(dst, a.Intervals)
-	dst = binary.AppendUvarint(dst, a.Offset)
 	dst = binary.AppendUvarint(dst, a.StreamPos)
-	dst = binary.AppendUvarint(dst, a.Shed)
-	dst = binary.AppendUvarint(dst, a.IntervalLength)
-	dst = binary.AppendUvarint(dst, uint64(a.TotalEntries))
-	dst = binary.AppendUvarint(dst, uint64(a.NumTables))
-	return binary.AppendUvarint(dst, uint64(a.Shards))
+	return binary.AppendUvarint(dst, a.Shed)
 }
 
 // DecodeResumeAck decodes a ResumeAck payload.
@@ -551,13 +545,8 @@ func DecodeResumeAck(p []byte) (ResumeAck, error) {
 	d := decoder{p: p}
 	var a ResumeAck
 	a.Intervals = d.uvarint()
-	a.Offset = d.uvarint()
 	a.StreamPos = d.uvarint()
 	a.Shed = d.uvarint()
-	a.IntervalLength = d.uvarint()
-	a.TotalEntries = d.vint()
-	a.NumTables = d.vint()
-	a.Shards = d.vint()
 	if err := d.finish("resume-ack"); err != nil {
 		return ResumeAck{}, err
 	}

@@ -65,6 +65,7 @@ func TestHandshakeNegotiation(t *testing.T) {
 		{3, ErrProtocol},
 		{4, ErrProtocol},
 		{5, ErrProtocol},
+		{6, ErrProtocol},
 		{Version + 1, ErrProtocol},
 	} {
 		theirs := Magic + string([]byte{tc.peer})
@@ -327,11 +328,11 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournaledEncodingsPinned pins the Hello and ResumeAck bytes to the
-// encodings protocol versions 2 and 3 produced. Session journals store
-// Hello bytes in their meta and resize records, so journals written before
-// the protocol moved to one version must still decode to the same
-// configuration.
+// TestJournaledEncodingsPinned pins the Hello bytes to the encoding
+// protocol versions 2 and 3 produced, and the HelloAck and ResumeAck bytes
+// to version 7's. Session journals store Hello bytes in their meta
+// records, so journals written before the protocol moved to one version
+// must still decode to the same configuration.
 func TestJournaledEncodingsPinned(t *testing.T) {
 	cfg := core.BestMultiHash(core.ShortIntervalConfig())
 	cfg.Seed = 0x1234_5678_9abc_def0
@@ -347,9 +348,12 @@ func TestJournaledEncodingsPinned(t *testing.T) {
 			t.Fatalf("hello (marked %v) = %s, want %s", tc.marked, got, tc.want)
 		}
 	}
-	a := ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3,
-		IntervalLength: 20_000, TotalEntries: 4096, NumTables: 4, Shards: 2}
-	if got, want := hex.EncodeToString(AppendResumeAck(nil, a)), "05d804a88b0303a09c0180200402"; got != want {
+	ha := HelloAck{SessionID: 300, Shed: true, Resume: true, QueueDepth: 16, Shards: 4}
+	if got, want := hex.EncodeToString(AppendHelloAck(nil, ha)), "ac02031004"; got != want {
+		t.Fatalf("hello-ack = %s, want %s", got, want)
+	}
+	a := ResumeAck{Intervals: 5, StreamPos: 50_600, Shed: 3}
+	if got, want := hex.EncodeToString(AppendResumeAck(nil, a)), "05a88b0303"; got != want {
 		t.Fatalf("resume-ack = %s, want %s", got, want)
 	}
 }
@@ -357,9 +361,9 @@ func TestJournaledEncodingsPinned(t *testing.T) {
 func TestHelloAckRoundTrip(t *testing.T) {
 	for _, a := range []HelloAck{
 		{},
-		{SessionID: 99, Shed: true, QueueDepth: 16},
-		{SessionID: 7, Resume: true, QueueDepth: 8},
-		{SessionID: 8, Shed: true, Resume: true, QueueDepth: 4},
+		{SessionID: 99, Shed: true, QueueDepth: 16, Shards: 1},
+		{SessionID: 7, Resume: true, QueueDepth: 8, Shards: 4},
+		{SessionID: 8, Shed: true, Resume: true, QueueDepth: 4, Shards: 16},
 	} {
 		got, err := DecodeHelloAck(AppendHelloAck(nil, a))
 		if err != nil {
@@ -386,8 +390,7 @@ func TestResumeRoundTrip(t *testing.T) {
 func TestResumeAckRoundTrip(t *testing.T) {
 	for _, want := range []ResumeAck{
 		{},
-		{Intervals: 3, Offset: 999, StreamPos: 30_999, Shed: 17,
-			IntervalLength: 20_000, TotalEntries: 1024, NumTables: 4, Shards: 2},
+		{Intervals: 3, StreamPos: 30_999, Shed: 17},
 	} {
 		got, err := DecodeResumeAck(AppendResumeAck(nil, want))
 		if err != nil {
@@ -757,7 +760,7 @@ func TestDecodersRejectPrefixesAndTrailingGarbage(t *testing.T) {
 	}{
 		{"hello", AppendHello(nil, Hello{Config: testConfig(), Shards: 3, Marked: true}),
 			func(p []byte) error { _, err := DecodeHello(p); return err }},
-		{"hello-ack", AppendHelloAck(nil, HelloAck{SessionID: 5, Shed: true, QueueDepth: 8}),
+		{"hello-ack", AppendHelloAck(nil, HelloAck{SessionID: 5, Shed: true, QueueDepth: 8, Shards: 2}),
 			func(p []byte) error { _, err := DecodeHelloAck(p); return err }},
 		{"batch", AppendBatch(nil, []event.Tuple{{A: 300, B: 2}, {A: 1, B: 900}}),
 			func(p []byte) error { _, err := DecodeBatch(p, nil); return err }},
@@ -767,8 +770,7 @@ func TestDecodersRejectPrefixesAndTrailingGarbage(t *testing.T) {
 			func(p []byte) error { _, err := DecodeError(p); return err }},
 		{"resume", AppendResume(nil, Resume{SessionID: 300, Intervals: 4, Floor: 40_150}),
 			func(p []byte) error { _, err := DecodeResume(p); return err }},
-		{"resume-ack", AppendResumeAck(nil, ResumeAck{Intervals: 5, Offset: 600, StreamPos: 50_600, Shed: 3,
-			IntervalLength: 10_000, TotalEntries: 2048, NumTables: 4, Shards: 2}),
+		{"resume-ack", AppendResumeAck(nil, ResumeAck{Intervals: 5, StreamPos: 50_600, Shed: 3}),
 			func(p []byte) error { _, err := DecodeResumeAck(p); return err }},
 		{"notice", AppendNotice(nil, Notice{Kind: NoticeDegrade, Rung: 3, Index: 7, Observed: 70_000, Shed: 2,
 			IntervalLength: 40_000, TotalEntries: 512, NumTables: 4, Shards: 1, Reason: "shed 0.31 >= 0.25"}),

@@ -3,7 +3,7 @@
 // or other aggd instances — merges each epoch across the fleet under the
 // watermark protocol, and serves the merged epochs to its own subscribers
 // over the same wire Subscribe surface. Trees compose: point an aggd at
-// other aggds for a multi-level fleet, and profctl -subscribe at the root.
+// other aggds for a multi-level fleet, and subscribe profctl at the root.
 //
 // Usage:
 //
@@ -23,18 +23,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"hwprof/cmd/internal/cli"
 	"hwprof/internal/agg"
 )
 
@@ -77,63 +74,18 @@ func run(listen, telemetry string, cfg agg.Config, drainTimeout time.Duration, q
 	if err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", listen, err)
-	}
-	log.Printf("aggd: serving merged epochs on %s as %q (epoch length %d, %d children)",
-		ln.Addr(), cfg.Source, cfg.EpochLength, len(cfg.Children))
-
-	var tsrv *http.Server
-	if telemetry != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", a.Metrics().Registry.Handler())
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		tsrv = &http.Server{Addr: telemetry, Handler: mux}
-		tln, err := net.Listen("tcp", telemetry)
-		if err != nil {
-			return fmt.Errorf("telemetry listen %s: %w", telemetry, err)
-		}
-		log.Printf("aggd: telemetry on http://%s/metrics", tln.Addr())
-		go func() {
-			if err := tsrv.Serve(tln); err != nil && err != http.ErrServerClosed {
-				log.Printf("aggd: telemetry server: %v", err)
-			}
-		}()
-	}
-
-	a.Start()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- a.Serve(ln) }()
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		log.Printf("aggd: %v: shutting down (deadline %v)", s, drainTimeout)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	go func() {
-		<-sig // a second signal force-closes immediately
-		cancel()
-	}()
-	if err := a.Shutdown(ctx); err != nil {
-		log.Printf("aggd: forced shutdown: %v", err)
-	} else {
-		log.Printf("aggd: shut down cleanly")
-	}
-	if tsrv != nil {
-		tsrv.Close()
-	}
-	if err := <-serveErr; err != nil {
-		return err
-	}
-	return nil
+	return cli.Process{
+		Name:         "aggd",
+		Listen:       listen,
+		Telemetry:    telemetry,
+		Metrics:      a.Metrics().Registry.Handler(),
+		DrainTimeout: drainTimeout,
+		Listening: func(addr net.Addr) {
+			log.Printf("aggd: serving merged epochs on %s as %q (epoch length %d, %d children)",
+				addr, cfg.Source, cfg.EpochLength, len(cfg.Children))
+		},
+		Start:    a.Start,
+		Draining: "shutting down",
+		Drained:  "shut down cleanly",
+	}.Run(a)
 }

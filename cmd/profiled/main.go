@@ -52,18 +52,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"runtime/pprof"
-	"syscall"
 	"time"
 
+	"hwprof/cmd/internal/cli"
 	"hwprof/internal/journal"
 	"hwprof/internal/server"
 )
@@ -198,64 +195,19 @@ func run(listen, telemetry string, cfg server.Config, drainTimeout time.Duration
 		}
 		log.Printf("profiled: journaling to %s (sync %v), %d session(s) recovered", cfg.JournalDir, cfg.JournalSync, n)
 	}
-
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		return fmt.Errorf("listen %s: %w", listen, err)
-	}
-	log.Printf("profiled: serving wire protocol on %s", ln.Addr())
-	if cfg.Publish {
-		log.Printf("profiled: publishing epochs as %q, epoch length %d", cfg.MachineID, cfg.EpochLength)
-	}
-
-	var tsrv *http.Server
-	if telemetry != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", srv.Metrics().Registry.Handler())
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		tsrv = &http.Server{Addr: telemetry, Handler: mux}
-		tln, err := net.Listen("tcp", telemetry)
-		if err != nil {
-			return fmt.Errorf("telemetry listen %s: %w", telemetry, err)
-		}
-		log.Printf("profiled: telemetry on http://%s/metrics", tln.Addr())
-		go func() {
-			if err := tsrv.Serve(tln); err != nil && err != http.ErrServerClosed {
-				log.Printf("profiled: telemetry server: %v", err)
+	return cli.Process{
+		Name:         "profiled",
+		Listen:       listen,
+		Telemetry:    telemetry,
+		Metrics:      srv.Metrics().Registry.Handler(),
+		DrainTimeout: drainTimeout,
+		Listening: func(addr net.Addr) {
+			log.Printf("profiled: serving wire protocol on %s", addr)
+			if cfg.Publish {
+				log.Printf("profiled: publishing epochs as %q, epoch length %d", cfg.MachineID, cfg.EpochLength)
 			}
-		}()
-	}
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case err := <-serveErr:
-		return err
-	case s := <-sig:
-		log.Printf("profiled: %v: draining sessions (deadline %v)", s, drainTimeout)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	go func() {
-		<-sig // a second signal force-closes immediately
-		cancel()
-	}()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("profiled: forced shutdown: %v", err)
-	} else {
-		log.Printf("profiled: drained cleanly")
-	}
-	if tsrv != nil {
-		tsrv.Close()
-	}
-	if err := <-serveErr; err != nil {
-		return err
-	}
-	return nil
+		},
+		Draining: "draining sessions",
+		Drained:  "drained cleanly",
+	}.Run(srv)
 }

@@ -148,7 +148,11 @@ type IntervalError = metrics.Interval
 // ErrorSummary aggregates interval errors over a run.
 type ErrorSummary = metrics.Summary
 
-// New builds a profiler from cfg.
+// New builds a profiler from cfg. Its hash tables are seeded from
+// cfg.Seed directly, so where tables alias its profiles are not
+// bit-identical to those of the one-shard engine that Profile, Connect and
+// the daemon build, which seeds its shard from a seed derived from
+// cfg.Seed.
 func New(cfg Config) (*Profiler, error) { return core.NewMultiHash(cfg) }
 
 // NewSharded builds a sharded concurrent engine that subdivides cfg's

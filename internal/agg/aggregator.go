@@ -54,7 +54,8 @@ type Metrics struct {
 	EpochsPartial *telemetry.Counter
 	// Watermark is the number of epochs closed (the fleet watermark).
 	Watermark *telemetry.Gauge
-	// Frontier is 1 + the highest epoch any child has reported.
+	// Frontier is 1 + the highest epoch any child has reported or
+	// skipped.
 	Frontier *telemetry.Gauge
 	// LateReports counts child reports dropped because their epoch had
 	// already closed.
@@ -137,9 +138,10 @@ func New(cfg Config) (*Aggregator, error) {
 			}
 			m.Watermark.Set(int64(ep.Epoch + 1))
 		},
-		OnReport: func(child string, _, lag uint64) {
+		OnReport: func(child string, epoch, lag uint64) {
 			m.ChildEpochs.With(child).Inc()
 			m.ChildLag.With(child).Set(int64(lag))
+			m.Frontier.Set(int64(epoch + 1 + lag))
 		},
 		OnLate: func(string, uint64) { m.LateReports.Inc() },
 	})
@@ -150,14 +152,31 @@ func New(cfg Config) (*Aggregator, error) {
 		}
 		seen[child] = true
 		a.feed.JoinAt(child, 0)
-		a.subs = append(a.subs, NewSubscriber(SubscriberConfig{
+		a.subs = append(a.subs, newSubscriber(SubscriberConfig{
 			Addr:        child,
 			EpochLength: cfg.EpochLength,
 			Link:        cfg.Link,
 			Logf:        cfg.Logf,
-		}, FeedHandler{Feed: a.feed, Name: child}))
+		}, childHandler{FeedHandler{Feed: a.feed, Name: child}, m.Frontier},
+			m.ChildReconnects.With(child), m.ChildGaps.With(child)))
 	}
 	return a, nil
+}
+
+// childHandler is a child link's FeedHandler that also publishes the
+// frontier a declared gap moves: a skip moves it without a report, so
+// OnReport never sees it.
+type childHandler struct {
+	FeedHandler
+	frontier *telemetry.Gauge
+}
+
+// HandleGap declares the lost span, then reads the feed's frontier outside
+// its lock. Raise, not Set: a report landing between the read and the
+// write may already have published a later frontier.
+func (h childHandler) HandleGap(from, to uint64) {
+	h.FeedHandler.HandleGap(from, to)
+	h.frontier.Raise(int64(h.Feed.Frontier()))
 }
 
 // Feed returns the aggregator's merge feed.
@@ -180,34 +199,13 @@ func (a *Aggregator) ChildReconnects() uint64 {
 func (a *Aggregator) Start() {
 	for i, sub := range a.subs {
 		child := a.cfg.Children[i]
-		reconnects := a.metrics.ChildReconnects.With(child)
-		gaps := a.metrics.ChildGaps.With(child)
 		a.linkWg.Add(1)
-		go func(sub *Subscriber) {
+		go func() {
 			defer a.linkWg.Done()
-			var lastRec, lastGap uint64
-			done := make(chan error, 1)
-			go func() { done <- sub.Run() }()
-			tick := time.NewTicker(250 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case err := <-done:
-					reconnects.Add(sub.Reconnects() - lastRec)
-					gaps.Add(sub.Gaps() - lastGap)
-					if err != nil {
-						a.cfg.Logf("agg: child link %s: %v", child, err)
-					}
-					return
-				case <-tick.C:
-					rec, gp := sub.Reconnects(), sub.Gaps()
-					reconnects.Add(rec - lastRec)
-					gaps.Add(gp - lastGap)
-					lastRec, lastGap = rec, gp
-					a.metrics.Frontier.Set(int64(a.feed.Frontier()))
-				}
+			if err := sub.Run(); err != nil {
+				a.cfg.Logf("agg: child link %s: %v", child, err)
 			}
-		}(sub)
+		}()
 	}
 }
 

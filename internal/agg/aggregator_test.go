@@ -227,3 +227,51 @@ func TestAggregatorShutdownClosesSubscribers(t *testing.T) {
 		t.Fatal("downstream subscriber did not end after Shutdown")
 	}
 }
+
+// TestAggregatorChildTelemetryIsCurrent: the per-child reconnect series and
+// the frontier gauge move where the link and the feed move them — a report
+// or a declared gap — so a scrape taken the moment either changes already
+// shows it.
+func TestAggregatorChildTelemetryIsCurrent(t *testing.T) {
+	m1 := NewFeed(FeedConfig{Source: "m1", EpochLength: 100, Deadline: -1})
+	defer m1.Close()
+	m1.Join("s")
+	srv1 := serveFeed(t, m1)
+	a, _ := startAgg(t, Config{
+		Source:      "mid",
+		Children:    []string{srv1.addr()},
+		EpochLength: 100,
+		Deadline:    -1,
+		Link:        wire.Link{BackoffBase: 5 * time.Millisecond},
+	})
+	sub, _ := a.Feed().Subscribe(0, 64)
+	m := a.Metrics()
+
+	m1.Report("s", 0, counts(1, 1, 1), nil)
+	next(t, (<-chan Epoch)(sub.C))
+	if got := m.Frontier.Load(); got != 1 {
+		t.Fatalf("frontier after epoch 0 closed = %d, want 1", got)
+	}
+
+	srv1.dropConns()
+	waitFor(t, func() bool { return a.ChildReconnects() == 1 }, "the child link to re-attach")
+	if got := m.ChildReconnects.With(srv1.addr()).Load(); got != 1 {
+		t.Fatalf("agg_child_reconnects_total = %d the moment the link counted its reconnect, want 1", got)
+	}
+	m1.Report("s", 1, counts(1, 1, 2), nil)
+	next(t, (<-chan Epoch)(sub.C))
+	if got := m.Frontier.Load(); got != 2 {
+		t.Fatalf("frontier after epoch 1 closed = %d, want 2", got)
+	}
+
+	// A gap that no report follows: the link declares epochs [2, 5) lost
+	// (as when a resubscribe's ack starts past the wanted epoch) and the
+	// skip closes them.
+	a.subs[0].handler.HandleGap(2, 5)
+	if got := m.Watermark.Load(); got != 5 {
+		t.Fatalf("watermark after the gap = %d, want 5", got)
+	}
+	if got := m.Frontier.Load(); got != 5 {
+		t.Fatalf("frontier after the gap = %d, want 5", got)
+	}
+}

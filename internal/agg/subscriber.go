@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hwprof/internal/telemetry"
 	"hwprof/internal/wire"
 )
 
@@ -76,9 +77,12 @@ type Subscriber struct {
 	redial  *wire.Redialer
 
 	next         atomic.Uint64 // next epoch not yet delivered
-	reconnects   atomic.Uint64 // successful re-attachments
-	gaps         atomic.Uint64 // declared gap spans
 	attachedOnce atomic.Bool   // an attachment has succeeded before
+
+	// reconnects counts successful re-attachments and gaps declared gap
+	// spans. An aggregator's child link counts straight into the
+	// aggregator's per-child series, so a scrape never trails the link.
+	reconnects, gaps *telemetry.Counter
 
 	mu  sync.Mutex
 	err error
@@ -86,10 +90,17 @@ type Subscriber struct {
 
 // NewSubscriber builds a subscriber delivering into handler.
 func NewSubscriber(cfg SubscriberConfig, handler EpochHandler) *Subscriber {
+	return newSubscriber(cfg, handler, new(telemetry.Counter), new(telemetry.Counter))
+}
+
+// newSubscriber builds a subscriber that counts its re-attachments and
+// declared gaps into the given counters.
+func newSubscriber(cfg SubscriberConfig, handler EpochHandler, reconnects, gaps *telemetry.Counter) *Subscriber {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	s := &Subscriber{cfg: cfg, handler: handler, redial: wire.NewRedialer(cfg.Addr, cfg.Link)}
+	s := &Subscriber{cfg: cfg, handler: handler, redial: wire.NewRedialer(cfg.Addr, cfg.Link),
+		reconnects: reconnects, gaps: gaps}
 	s.next.Store(cfg.Start)
 	return s
 }

@@ -13,8 +13,8 @@ import (
 // per boundary), shard count (worker goroutines plus per-shard storage),
 // and table entries (counter storage touched per event) multiply, then
 // normalize against the reference session so 1.0 means "one default
-// profctl session" — 10k-event intervals, one shard, 2048 entries. The
-// budget is denominated in those units.
+// `profile -addr` session" — 10k-event intervals, one shard, 2048
+// entries. The budget is denominated in those units.
 const (
 	// refIntervalLength and refEntries define the 1.0-cost reference
 	// session.

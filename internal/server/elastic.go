@@ -5,7 +5,6 @@ import (
 
 	"hwprof/internal/adaptive"
 	"hwprof/internal/journal"
-	"hwprof/internal/shard"
 	"hwprof/internal/wire"
 )
 
@@ -241,8 +240,7 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 		}
 		return true
 	}
-	eng, err := shard.New(shard.Config{Core: newCfg, NumShards: newShards})
-	if err != nil {
+	if err := s.restage(wire.Hello{Config: newCfg, Shards: newShards}); err != nil {
 		// Undo the re-price unconditionally: the ledger must match the
 		// engine we actually still run.
 		s.srv.admission.release(s.tenant, newCost-s.cost)
@@ -253,10 +251,6 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 		}
 		return true
 	}
-	s.eng.Close()
-	s.eng = eng
-	s.cfg = newCfg
-	s.shards = newShards
 	s.cost = newCost
 
 	kind := byte(wire.NoticeResize)

@@ -18,10 +18,11 @@
 // # Admission
 //
 // Sessions are admitted by estimated engine cost — interval length ×
-// shards × table entries, normalized so 1.0 is the default profctl
-// session — against a configurable budget, with MaxSessions as a hard
-// count backstop. A refused session gets a typed overload error naming the
-// costs involved; every refusal is counted by reason in telemetry.
+// shards × table entries, normalized so 1.0 is the default
+// `profile -addr` session — against a configurable budget, with
+// MaxSessions as a hard count backstop. A refused session gets a typed
+// overload error naming the costs involved; every refusal is counted by
+// reason in telemetry.
 //
 // # Backpressure
 //

@@ -307,7 +307,8 @@ func (s *Server) attach(sess *session, conn net.Conn, wc *wire.Conn) bool {
 // restage validates h's configuration and swaps in a fresh engine built
 // from it, discarding the previous engine (and its retained candidates)
 // outright: a session's first engine, at Hello or at the start of a
-// journal replay, and every journaled resize notice the replay re-applies.
+// journal replay, every live resize, and every journaled resize notice
+// the replay re-applies.
 func (s *session) restage(h wire.Hello) error {
 	if err := h.Config.Validate(); err != nil {
 		return err

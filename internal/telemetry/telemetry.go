@@ -45,6 +45,13 @@ func (g *Gauge) Set(n int64) { g.v.Store(n) }
 // Add moves the gauge by n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
+// Raise lifts the gauge to n when it reads less; of concurrent raises the
+// largest wins.
+func (g *Gauge) Raise(n int64) {
+	for cur := g.v.Load(); cur < n && !g.v.CompareAndSwap(cur, n); cur = g.v.Load() {
+	}
+}
+
 // Load returns the current value.
 func (g *Gauge) Load() int64 { return g.v.Load() }
 

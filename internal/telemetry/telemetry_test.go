@@ -20,6 +20,14 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if got := g.Load(); got != 7 {
 		t.Fatalf("gauge = %d, want 7", got)
 	}
+	g.Raise(5)
+	if got := g.Load(); got != 7 {
+		t.Fatalf("gauge after Raise(5) = %d, want 7", got)
+	}
+	g.Raise(9)
+	if got := g.Load(); got != 9 {
+		t.Fatalf("gauge after Raise(9) = %d, want 9", got)
+	}
 }
 
 func TestHistogramBuckets(t *testing.T) {

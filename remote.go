@@ -15,7 +15,7 @@ import (
 // everything with Run), and finish with Drain (keeps the partial interval)
 // or Close (discards it). On a session opened with WithMarks, place each
 // interval boundary with Mark. See cmd/profiled for the daemon and
-// cmd/profctl for the CLI client.
+// cmd/profile (its -addr flag) for the CLI client.
 type RemoteSession = client.Session
 
 // RemoteProfile is one interval profile delivered by a daemon, including

@@ -94,7 +94,7 @@ grep -Eq "reconnects: [1-9]" "$WORKDIR/tree.out" \
     || { echo "FAIL: the hangup injection produced no reconnects"; exit 1; }
 
 echo "== profctl replays the merged epochs from the root's retention"
-"$WORKDIR/profctl" -addr "$ROOT" -subscribe -interval "$EPOCH" -epochs 5 -top 3 \
+"$WORKDIR/profctl" -addr "$ROOT" -interval "$EPOCH" -epochs 5 -top 3 \
     >"$WORKDIR/profctl.out" \
     || { cat "$WORKDIR/profctl.out"; echo "FAIL: profctl saw partial epochs at the root"; exit 1; }
 grep -q 'epoch 4 from "root"' "$WORKDIR/profctl.out" \

@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# Daemon smoke test: build profiled and profctl, start the daemon, stream a
-# short synthetic workload through it, scrape the telemetry endpoint, then
-# drain with SIGTERM and assert a clean exit and a CPU profile that
-# `go tool pprof` reads. Five seconds of wall clock, exercising the whole
-# serving path end to end.
+# Daemon smoke test: build profiled and profile, start the daemon, stream a
+# short synthetic workload through it with `profile -addr`, check that it
+# prints the same interval lines as a local `profile` run with the same
+# flags, scrape the telemetry endpoint, then drain with SIGTERM and assert
+# a clean exit and a CPU profile that `go tool pprof` reads. Five seconds
+# of wall clock, exercising the whole serving path end to end.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 WORKDIR=$(mktemp -d)
-trap 'rm -rf "$WORKDIR"' EXIT
+DAEMON=""
+# A failed assertion must not leave the daemon holding the fixed ports.
+trap '{ [ -n "$DAEMON" ] && kill -9 "$DAEMON"; rm -rf "$WORKDIR"; } 2>/dev/null || true' EXIT
 
 echo "== build"
 go build -o "$WORKDIR/profiled" ./cmd/profiled
-go build -o "$WORKDIR/profctl" ./cmd/profctl
+go build -o "$WORKDIR/profile" ./cmd/profile
 
 LISTEN=127.0.0.1:19123
 TELEMETRY=127.0.0.1:19124
@@ -30,8 +33,18 @@ for i in $(seq 1 50); do
 done
 
 echo "== stream a workload through it"
-"$WORKDIR/profctl" -addr "$LISTEN" -workload gcc -intervals 3 -top 3 | tee "$WORKDIR/profctl.out"
-grep -q "interval 2:" "$WORKDIR/profctl.out" || { echo "FAIL: profctl printed no third interval"; exit 1; }
+# 256 entries make the tables alias, so an engine the daemon builds
+# differently from the local one shows in the very first interval.
+FLAGS=(-workload go -entries 256 -intervals 3 -top 50)
+"$WORKDIR/profile" -addr "$LISTEN" "${FLAGS[@]}" | tee "$WORKDIR/remote.out"
+grep -q "interval 2:" "$WORKDIR/remote.out" || { echo "FAIL: profile -addr printed no third interval"; exit 1; }
+
+echo "== compare with a local run"
+"$WORKDIR/profile" -exact=false "${FLAGS[@]}" >"$WORKDIR/local.out"
+# The first line names the session or the local configuration; every line
+# after it must match.
+diff <(tail -n +2 "$WORKDIR/local.out") <(tail -n +2 "$WORKDIR/remote.out") \
+    || { echo "FAIL: profile -addr printed other interval lines than a local run"; exit 1; }
 
 echo "== scrape telemetry"
 SCRAPE=$(curl -sf "http://$TELEMETRY/metrics" 2>/dev/null \

@@ -15,7 +15,7 @@
 //
 // Two more modes serve CI:
 //
-//	go run ./cmd/benchrun -gate BENCH_5.json
+//	go run ./cmd/benchrun -gate BENCH_6.json
 //
 // runs the suite and fails (exit 1) if any case allocates, or if any
 // case's headline time regressed by more than -gate-threshold relative

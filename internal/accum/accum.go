@@ -153,19 +153,75 @@ func (t *Table) Inc(tp event.Tuple) bool {
 	if !ok {
 		return false
 	}
-	t.IncSlot(i)
+	t.incSlot(i)
 	return true
 }
 
-// Probe looks tp up without mutating anything: (slot, true) when resident.
-// The slot stays valid until the next Insert or EndInterval (an Insert may
-// backward-shift entries), which lets a staged batch pipeline separate the
-// residency probe from the deferred IncSlot commit.
-func (t *Table) Probe(tp event.Tuple) (uint32, bool) { return t.slot(tp) }
+// Window is the most events one Partition call splits.
+const Window = 64
 
-// IncSlot applies Inc's count-and-flag update to an already-probed slot.
-// The slot must come from a Probe with no intervening Insert/EndInterval.
-func (t *Table) IncSlot(i uint32) {
+// Partition probes every tuple of win, which holds at most Window events,
+// without mutating anything and splits the window, in event order, into the
+// slots of its resident tuples and the offsets in win of the others, the
+// hash-path events. It writes the nres resident slots to the front of slots
+// and the len(win)-nres hash-path offsets to the front of miss, and returns
+// nres. The slots stay valid until the next Insert or EndInterval (an
+// Insert may backward-shift entries), which lets a staged batch pipeline
+// defer the residents' IncSlots.
+//
+// The probe does not branch on its result. The home slot's occupancy and
+// the tuple compare become 0/1 values; every tuple is written to both lists
+// and only its own list's cursor advances. At offset w the two cursors sum
+// to w, so neither list needs more than Window entries. Only a home slot
+// held by another tuple walks the probe chain.
+func (t *Table) Partition(win []event.Tuple, slots, miss *[Window]uint32) (nres int) {
+	if len(win) > Window {
+		panic("accum: Partition window longer than Window")
+	}
+	// The loop reads the table's fields through t: copied into locals,
+	// they would take registers the hash needs, and spill.
+	r := 0
+	for w, tp := range win {
+		i := slotHash(tp) & t.mask
+		held := t.tuples[i]
+		d := (held.A ^ tp.A) | (held.B ^ tp.B)
+		occ := uint32(t.meta[i] & occupied)
+		hit := occ &^ uint32((d|-d)>>63) // occupied and equal
+		if occ != hit {
+			i, hit = t.walk(tp)
+		}
+		// r <= w < Window, so the masks only spare the bounds checks.
+		slots[r&(Window-1)] = i
+		miss[(w-r)&(Window-1)] = uint32(w)
+		r += int(hit)
+	}
+	return r
+}
+
+// walk is Partition's chain walk through slot: (slot, 1) when tp is
+// resident, else (its first free slot, 0). Kept out of line, so the rare
+// walk costs Partition's loop no registers.
+//
+//go:noinline
+func (t *Table) walk(tp event.Tuple) (uint32, uint32) {
+	if i, ok := t.slot(tp); ok {
+		return i, 1
+	}
+	return 0, 0
+}
+
+// IncSlots applies Inc's count-and-flag update to each slot of res, slots
+// that Partition wrote with no Insert or EndInterval since.
+// Increments commute, so the order of res does not matter.
+func (t *Table) IncSlots(res []uint32) {
+	for _, i := range res {
+		t.incSlot(i)
+	}
+}
+
+// incSlot counts one occurrence at slot i. A retained (replaceable) entry
+// that reaches the threshold becomes non-replaceable (§5.4.1).
+func (t *Table) incSlot(i uint32) {
 	c := t.counts[i] + 1
 	t.counts[i] = c
 	if t.meta[i]&replaceable != 0 && c >= t.threshold {

@@ -18,6 +18,7 @@ import (
 	"hwprof/internal/core"
 	"hwprof/internal/event"
 	"hwprof/internal/hashfn"
+	"hwprof/internal/synth"
 	"hwprof/internal/wire"
 	"hwprof/internal/xrand"
 )
@@ -42,8 +43,15 @@ const streamLen = 1 << 16
 
 // Tuples returns the canned benchmark stream: a skewed mix where ~90% of
 // events come from a 256-tuple hot set (triangularly skewed, so a handful
-// of tuples dominate — the regime the accumulator exists for) and the rest
-// are near-unique noise. Deterministic in seed.
+// of tuples dominate) and the rest are near-unique noise. Deterministic in
+// seed.
+//
+// No tuple of this stream reaches 1% of a 10k-event interval, so the
+// short-interval cases barely use the accumulator: observe-batch/multi
+// runs with it empty (0% of events resident) and observe-batch/single
+// with 2% resident, while observe-batch/multi-long, at 0.1% of 1M-event
+// intervals, has 86% resident. observe-batch/multi-analog covers the
+// short-interval accumulator path on analogTuples instead.
 func Tuples(n int, seed uint64) []event.Tuple {
 	r := xrand.New(seed)
 	hot := make([]event.Tuple, 256)
@@ -63,6 +71,21 @@ func Tuples(n int, seed uint64) []event.Tuple {
 			continue
 		}
 		out[i] = event.Tuple{A: r.Uint64(), B: r.Uint64()}
+	}
+	return out
+}
+
+// analogTuples returns the first n events of the gcc value-stream analog
+// (internal/synth) at seed: the stream e2ebench replays. At the
+// short-interval regime 31% of its events are accumulator-resident.
+func analogTuples(n int, seed uint64) []event.Tuple {
+	g, err := synth.NewBenchmark("gcc", event.KindValue, seed)
+	if err != nil {
+		panic(err) // the analog's name is fixed
+	}
+	out := make([]event.Tuple, n)
+	for i := range out {
+		out[i], _ = g.Next()
 	}
 	return out
 }
@@ -98,12 +121,18 @@ func observeBatchCase(cfg core.Config) func(b *testing.B) {
 // break-even point: short batches amortize the stage pass poorly, long
 // ones keep the lookahead window full.
 func observeBatchLenCase(cfg core.Config, batch int) func(b *testing.B) {
+	return observeStreamCase(cfg, batch, Tuples)
+}
+
+// observeStreamCase is observeBatchLenCase on the streamLen-event stream
+// that stream returns at workloadSeed.
+func observeStreamCase(cfg core.Config, batch int, stream func(n int, seed uint64) []event.Tuple) func(b *testing.B) {
 	return func(b *testing.B) {
 		p, err := core.NewMultiHash(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tuples := Tuples(streamLen, workloadSeed)
+		tuples := stream(streamLen, workloadSeed)
 		// Warm one interval so map growth and table warm-up are not
 		// charged to the measured steady state.
 		var n uint64
@@ -281,9 +310,11 @@ func deepConfig() core.Config {
 // The observe-batch/multi case is the headline number: the paper's best
 // multi-hash configuration (4×512 C1 R0 P1) at the short-interval regime,
 // driven through ObserveBatch exactly as RunBatched drives it. The
-// multi-lenN cases sweep the batch length across the staged pipeline's
-// break-even point, and the deep case measures the ordered pipeline on a
-// cache-hostile counter set. The wire cases time the batch codec that a
+// multi-analog case runs the same configuration on the gcc analog, whose
+// resident share exercises the accumulator path. The multi-lenN cases
+// sweep the batch length across the staged pipeline's break-even point,
+// and the deep case measures the ordered pipeline on a cache-hostile
+// counter set. The wire cases time the batch codec that a
 // remote session runs on every event before the engine sees it.
 func Suite() []Case {
 	short := core.ShortIntervalConfig()
@@ -292,6 +323,7 @@ func Suite() []Case {
 		{Name: "observe-batch/multi", F: observeBatchCase(core.BestMultiHash(short))},
 		{Name: "observe-batch/single", F: observeBatchCase(core.BestSingleHash(short))},
 		{Name: "observe-batch/multi-long", F: observeBatchCase(core.BestMultiHash(long))},
+		{Name: "observe-batch/multi-analog", F: observeStreamCase(core.BestMultiHash(short), event.DefaultBatchSize, analogTuples)},
 		{Name: "observe-batch/multi-len8", F: observeBatchLenCase(core.BestMultiHash(short), 8)},
 		{Name: "observe-batch/multi-len64", F: observeBatchLenCase(core.BestMultiHash(short), 64)},
 		{Name: "observe-batch/multi-len512", F: observeBatchLenCase(core.BestMultiHash(short), 512)},

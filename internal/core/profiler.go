@@ -103,10 +103,6 @@ func NewMultiHash(cfg Config) (*MultiHash, error) {
 		acc:    acc,
 		idxBuf: make([]uint32, 0, cfg.NumTables),
 	}
-	if fused != nil {
-		m.sc.packed = make([]uint64, 0, stagedWindow)
-		m.sc.slots = make([]uint32, 0, stagedWindow)
-	}
 	return m, nil
 }
 

@@ -1,30 +1,34 @@
 package core
 
-// The staged batch pipeline (DESIGN.md §14). ObserveBatch's fused loops
-// used to walk events one at a time: an accumulator probe, sixteen
-// dependent hash-table loads, then n counter read-modify-writes, all
-// serialized behind a poorly-predictable resident/hash-path branch, with
-// every counter access re-loading the Set's epoch/width/mask through the
-// pointer receiver. The staged pipeline splits the same work into passes
-// over a lookahead window:
+// The staged batch pipeline (DESIGN.md §14). The pipeline splits the work
+// of a lookahead window into passes:
 //
-//  1. Stage (pure): probe accumulator residency and evaluate hashfn.Fused
-//     for every event of the window into recycled scratch (slot-or-flag +
-//     packed index word per event). Nothing is mutated, so staged results
-//     are discardable.
-//  2. Commit (ordered): walk the window in event order against a
-//     counter.Hot view — resident events apply their deferred exact-count
-//     increment via the staged slot, hash-path events do their n counter
-//     updates with all Set invariants held in registers.
+//  1. Stage (pure): accum.Table.Partition splits the window, in event
+//     order, into the slots of its resident events and the offsets of its
+//     hash-path events without branching on residency, and hashfn.Fused
+//     evaluates the packed index word of each hash-path event only.
+//     Nothing is mutated, so staged results are discardable.
+//  2. Commit (ordered): walk the hash-path events in event order against
+//     a counter.Hot view, doing their n counter updates with all Set
+//     invariants held in registers. The residents' deferred increments
+//     are applied in one batch: those staged before a hash-path event go
+//     ahead of its Insert attempt, the rest at the window's end.
+//
+// Why deferring the residents is exact: a resident increment touches only
+// accumulator counts and flags, a hash-path update touches only counter
+// words, and within a window Insert is the only code that reads the
+// former (its victim choice). So every Insert attempt sees exactly the
+// increments of the residents before it, as it would in event order.
 //
 // Staleness is the correctness crux: staged residency is valid only while
 // the accumulator's membership is unchanged, and membership changes exactly
 // at a successful promotion (an Insert adds the tuple and may evict a
 // victim, and its backward-shift delete may move slots). The commit loop
 // therefore stops at the first successful Insert and reports how many
-// events it consumed; the driver restages the rest of the window. Staging
-// is pure, so a restage costs only recomputed probes and hashes — there is
-// never anything to roll back. Promotions are bounded per interval by the
+// events it consumed; the residents staged after it are not applied, and
+// the driver restages the rest of the window. Staging is pure, so a
+// restage costs only recomputed probes and hashes — there is never
+// anything to roll back. Promotions are bounded per interval by the
 // accumulator's own capacity argument (§5.1), so restages are rare and the
 // steady state runs whole windows.
 //
@@ -33,50 +37,55 @@ package core
 // the C1 commit stays in event order.
 
 import (
+	"hwprof/internal/accum"
 	"hwprof/internal/counter"
 	"hwprof/internal/event"
 	"hwprof/internal/hashfn"
 )
 
-const (
-	// stagedWindow is the lookahead window length: how far the stage pass
-	// runs ahead of the commit cursor. Long enough that the stage pass's
-	// independent loads overlap, short enough that a restage after a
-	// promotion stays cheap.
-	stagedWindow = 64
+// stagedWindow is the lookahead window length: how far the stage pass runs
+// ahead of the commit cursor. Long enough that the stage pass's independent
+// loads overlap, short enough that a restage after a promotion stays cheap.
+// It is the longest window accum.Table.Partition takes.
+const stagedWindow = accum.Window
 
-	// stagedResident flags a staged slot word as "resident, slot in the
-	// low bits". Accumulator slot counts are tiny (2×capacity), so the
-	// top bit is always free.
-	stagedResident = 1 << 31
-)
-
-// stagedScratch is the recycled per-profiler scratch of the staged
-// pipeline. It is sized at construction, so the steady-state pipeline
-// never allocates.
+// stagedScratch is the per-profiler scratch of the staged pipeline: fixed
+// arrays inside the MultiHash, so the pipeline never allocates or grows.
 type stagedScratch struct {
-	packed []uint64 // stage: fused index word per window event
-	slots  []uint32 // stage: accumulator slot | stagedResident, or 0
+	slots  [stagedWindow]uint32 // Partition: resident slots
+	miss   [stagedWindow]uint32 // Partition: hash-path offsets
+	packed [stagedWindow]uint64 // fused index word per hash-path event
+
+	// nres counts the staged window's residents, applied those of them
+	// whose increments have been applied.
+	nres, applied int
 }
 
-// stage fills the scratch with the window's residency probes and fused
-// index words. Pure: the accumulator and counters are not touched, so a
-// stale window can simply be staged again.
-func (m *MultiHash) stage(win []event.Tuple) {
+// stage partitions the window into its resident and hash-path events and
+// evaluates the fused index word of each hash-path event. Pure: the
+// accumulator and counters are not touched, so a stale window can simply be
+// staged again.
+func (m *MultiHash) stage(win []event.Tuple) []uint32 {
 	sc := &m.sc
-	packed := sc.packed[:0]
-	slots := sc.slots[:0]
-	acc, fu := m.acc, m.fused
-	for _, tp := range win {
-		if s, ok := acc.Probe(tp); ok {
-			slots = append(slots, s|stagedResident)
-			packed = append(packed, 0)
-			continue
-		}
-		slots = append(slots, 0)
-		packed = append(packed, fu.Packed(tp))
+	sc.nres = m.acc.Partition(win, &sc.slots, &sc.miss)
+	sc.applied = 0
+	hp := sc.miss[:len(win)-sc.nres]
+	fu := m.fused
+	for k, w := range hp {
+		sc.packed[k&(stagedWindow-1)] = fu.Packed(win[w]) // k < stagedWindow
 	}
-	sc.packed, sc.slots = packed, slots
+	return hp
+}
+
+// applyResidents applies the deferred IncSlots of the window's first n
+// resident events that are not applied yet. A commit loop calls it with the
+// residents staged before a hash-path event ahead of that event's Insert
+// attempt, whose victim choice reads the counts and flags IncSlots changes,
+// and with all of them at the window's end.
+func (m *MultiHash) applyResidents(n int) {
+	sc := &m.sc
+	m.acc.IncSlots(sc.slots[sc.applied:n])
+	sc.applied = n
 }
 
 // observeStagedConservative drives the staged pipeline for shielded C1
@@ -90,11 +99,11 @@ func (m *MultiHash) observeStagedConservative(batch []event.Tuple, hot counter.H
 			hi = len(batch)
 		}
 		win := batch[lo:hi]
-		m.stage(win)
+		hp := m.stage(win)
 		if n == 4 {
-			lo += m.commitConservative4(win, hot)
+			lo += m.commitConservative4(win, hp, hot)
 		} else {
-			lo += m.commitConservativeN(win, hot, n)
+			lo += m.commitConservativeN(win, hp, hot, n)
 		}
 	}
 }
@@ -108,34 +117,29 @@ func (m *MultiHash) observeStagedPlain(batch []event.Tuple, hot counter.Hot) {
 			hi = len(batch)
 		}
 		win := batch[lo:hi]
-		m.stage(win)
+		hp := m.stage(win)
 		switch n {
 		case 4:
-			lo += m.commitPlain4(win, hot)
+			lo += m.commitPlain4(win, hp, hot)
 		case 1:
-			lo += m.commitPlain1(win, hot)
+			lo += m.commitPlain1(win, hp, hot)
 		default:
-			lo += m.commitPlainN(win, hot, n)
+			lo += m.commitPlainN(win, hp, hot, n)
 		}
 	}
 }
 
 // commitPlain1 is the single-hash architecture's commit: one counter, no
 // minimum to form.
-func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
+func (m *MultiHash) commitPlain1(win []event.Tuple, hp []uint32, hot counter.Hot) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		j := packed[w] & hashfn.FusedMask
+	packed := sc.packed[:len(hp)]
+	for k, w := range hp {
+		j := packed[k] & hashfn.FusedMask
 		var v uint32
 		if wd := words[j]; wd&^cmask == etag {
 			v = wd & cmask
@@ -147,13 +151,15 @@ func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
 		if v < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(v)) {
+		m.applyResidents(int(w) - k)
+		if acc.Insert(win[w], uint64(v)) {
 			if reset {
 				words[j] = etag
 			}
-			return w + 1
+			return int(w) + 1
 		}
 	}
+	m.applyResidents(sc.nres)
 	return len(win)
 }
 
@@ -169,21 +175,16 @@ func (m *MultiHash) commitPlain1(win []event.Tuple, hot counter.Hot) int {
 // word where the counter sat at the minimum and the word as loaded
 // elsewhere. That is exact only because the four indexes lie in disjoint
 // tables: no store can overwrite another's update.
-func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int {
+func (m *MultiHash) commitConservative4(win []event.Tuple, hp []uint32, hot counter.Hot) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	packed := sc.packed[:len(hp)]
+	for k, w := range hp {
+		p := packed[k]
 		j0 := int(p & hashfn.FusedMask)
 		j1 := size + int((p>>16)&hashfn.FusedMask)
 		j2 := 2*size + int((p>>32)&hashfn.FusedMask)
@@ -235,38 +236,35 @@ func (m *MultiHash) commitConservative4(win []event.Tuple, hot counter.Hot) int 
 		if nv < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(nv)) {
+		m.applyResidents(int(w) - k)
+		if acc.Insert(win[w], uint64(nv)) {
 			if reset {
 				words[j0] = etag
 				words[j1] = etag
 				words[j2] = etag
 				words[j3] = etag
 			}
-			return w + 1 // membership changed: staged suffix is stale
+			return int(w) + 1 // membership changed: staged suffix is stale
 		}
 	}
+	m.applyResidents(sc.nres)
 	return len(win)
 }
 
 // commitConservativeN is commitConservative4 for the other fusable shapes
 // (1–3 tables).
-func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, n int) int {
+func (m *MultiHash) commitConservativeN(win []event.Tuple, hp []uint32, hot counter.Hot, n int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
+	packed := sc.packed[:len(hp)]
 	var js [4]int
 	var vs [4]uint32
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	for k, w := range hp {
+		p := packed[k]
 		min := ^uint32(0)
 		base := 0
 		for t := 0; t < n; t++ {
@@ -296,36 +294,33 @@ func (m *MultiHash) commitConservativeN(win []event.Tuple, hot counter.Hot, n in
 		if nv < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(nv)) {
+		m.applyResidents(int(w) - k)
+		if acc.Insert(win[w], uint64(nv)) {
 			if reset {
 				for t := 0; t < n; t++ {
 					words[js[t]] = etag
 				}
 			}
-			return w + 1
+			return int(w) + 1
 		}
 	}
+	m.applyResidents(sc.nres)
 	return len(win)
 }
 
 // commitPlain4 commits a staged window under plain (C0) update with the
 // 4-table shape: every counter increments and the promotion minimum falls
 // out of the increment pass.
-func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot) int {
+func (m *MultiHash) commitPlain4(win []event.Tuple, hp []uint32, hot counter.Hot) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	packed := sc.packed[:len(hp)]
+	for k, w := range hp {
+		p := packed[k]
 		j0 := int(p & hashfn.FusedMask)
 		j1 := size + int((p>>16)&hashfn.FusedMask)
 		j2 := 2*size + int((p>>32)&hashfn.FusedMask)
@@ -373,37 +368,34 @@ func (m *MultiHash) commitPlain4(win []event.Tuple, hot counter.Hot) int {
 		if min < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(min)) {
+		m.applyResidents(int(w) - k)
+		if acc.Insert(win[w], uint64(min)) {
 			if reset {
 				words[j0] = etag
 				words[j1] = etag
 				words[j2] = etag
 				words[j3] = etag
 			}
-			return w + 1
+			return int(w) + 1
 		}
 	}
+	m.applyResidents(sc.nres)
 	return len(win)
 }
 
 // commitPlainN is commitPlain4 for the other fusable shapes (1–3 tables);
 // with one table it is the single-hash architecture's hot loop.
-func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, n int) int {
+func (m *MultiHash) commitPlainN(win []event.Tuple, hp []uint32, hot counter.Hot, n int) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
 	size := m.set.Size()
 	thresh := uint32(m.thresh)
 	reset := m.cfg.ResetOnPromote
-	packed, slots := sc.packed, sc.slots
+	packed := sc.packed[:len(hp)]
 	var js [4]int
-	for w, tp := range win {
-		s := slots[w]
-		if s&stagedResident != 0 {
-			acc.IncSlot(s &^ stagedResident)
-			continue
-		}
-		p := packed[w]
+	for k, w := range hp {
+		p := packed[k]
 		min := ^uint32(0)
 		base := 0
 		for t := 0; t < n; t++ {
@@ -426,14 +418,16 @@ func (m *MultiHash) commitPlainN(win []event.Tuple, hot counter.Hot, n int) int 
 		if min < thresh {
 			continue
 		}
-		if acc.Insert(tp, uint64(min)) {
+		m.applyResidents(int(w) - k)
+		if acc.Insert(win[w], uint64(min)) {
 			if reset {
 				for t := 0; t < n; t++ {
 					words[js[t]] = etag
 				}
 			}
-			return w + 1
+			return int(w) + 1
 		}
 	}
+	m.applyResidents(sc.nres)
 	return len(win)
 }

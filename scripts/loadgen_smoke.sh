@@ -10,7 +10,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORKDIR=$(mktemp -d)
-trap 'rm -rf "$WORKDIR"' EXIT
+DAEMON=""
+# A failed assertion must not leave the daemon holding the fixed ports.
+trap '{ [ -n "$DAEMON" ] && kill -9 "$DAEMON"; rm -rf "$WORKDIR"; } 2>/dev/null || true' EXIT
 
 echo "== build"
 go build -o "$WORKDIR/profiled" ./cmd/profiled

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"hwprof/internal/event"
+	"hwprof/internal/wire"
 )
 
 // Defaults for the feed's tuning knobs.
@@ -56,26 +57,9 @@ const (
 )
 
 // Epoch is one closed fleet epoch: the merged counts of every member
-// report, plus the partial-epoch marker naming what is missing.
-type Epoch struct {
-	// Source names the feed that closed this epoch (machine or aggregator
-	// ID).
-	Source string
-	// Epoch is the interval index the merged counts cover.
-	Epoch uint64
-	// Partial reports that at least one expected member's counts are
-	// absent; Missing names them.
-	Partial bool
-	// Children is how many direct members reported into this epoch.
-	Children uint64
-	// Missing lists, sorted, every expected member that did not report —
-	// direct members of this feed and missing members propagated from
-	// children's partial epochs alike.
-	Missing []string
-	// Counts is the merged profile. It is shared read-only once the epoch
-	// closes; do not mutate it.
-	Counts map[event.Tuple]uint64
-}
+// report, plus the partial-epoch marker naming what is missing. A feed
+// closes, retains and delivers the wire message itself; see wire.EpochMsg.
+type Epoch = wire.EpochMsg
 
 // FeedConfig tunes a Feed.
 type FeedConfig struct {

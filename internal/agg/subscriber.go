@@ -222,14 +222,7 @@ func (s *Subscriber) attachOnce() (attached bool, err error) {
 				s.gaps.Add(1)
 				s.handler.HandleGap(next, ep.Epoch)
 			}
-			s.handler.HandleEpoch(Epoch{
-				Source:   ep.Source,
-				Epoch:    ep.Epoch,
-				Partial:  ep.Partial,
-				Children: ep.Children,
-				Missing:  ep.Missing,
-				Counts:   ep.Counts,
-			})
+			s.handler.HandleEpoch(ep)
 			s.next.Store(ep.Epoch + 1)
 		case wire.MsgError:
 			e, derr := wire.DecodeError(payload)
@@ -300,14 +293,7 @@ func ServeSubscription(conn net.Conn, wc *wire.Conn, feed *Feed, payload []byte,
 				conn.Close() // feed closed or buffer overflowed
 				return nil
 			}
-			enc = wire.AppendEpoch(enc[:0], wire.EpochMsg{
-				Source:   ep.Source,
-				Epoch:    ep.Epoch,
-				Partial:  ep.Partial,
-				Children: ep.Children,
-				Missing:  ep.Missing,
-				Counts:   ep.Counts,
-			})
+			enc = wire.AppendEpoch(enc[:0], ep)
 			if err := wc.WriteFrame(wire.MsgEpoch, enc); err != nil {
 				conn.Close()
 				return err

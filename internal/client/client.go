@@ -3,8 +3,10 @@
 // event batches over the wire protocol, and delivers the interval profiles
 // the daemon returns.
 //
-// A Session runs one background goroutine that reads server frames and
-// feeds the Profiles channel; the caller's goroutine writes. Run is the
+// A Session runs one background goroutine that reads server frames, feeds
+// the Profiles channel and records the daemon's elastic-serving notices in
+// NoticeTrail, summarized by Rung and Resizes; the caller's goroutine
+// writes. Profiles and notices are the wire's own message types. Run is the
 // high-level driver — stream a whole Source, invoke a callback per interval
 // profile, drain — and mirrors hwprof.Profile closely enough that, on a
 // block-policy server, the two produce bit-identical profiles for the same
@@ -80,40 +82,9 @@ type Options struct {
 	Marked bool
 }
 
-// Notice is one elastic-serving announcement from the daemon: a live
-// resize, a degradation-ladder move, or an imminent park. It is an
-// absolute snapshot of the session's geometry from interval Index+1
-// on; the session applies it to its own position arithmetic before
-// surfacing it, so a caller may ignore notices entirely.
-type Notice struct {
-	// Kind classifies the announcement (NoticeResize, NoticeDegrade,
-	// NoticePark).
-	Kind byte
-
-	// Rung is the daemon's degradation-ladder rung now in effect for this
-	// session (0 = full service).
-	Rung int
-
-	// Index is the last interval completed under the previous geometry;
-	// the geometry below is in force from interval Index+1.
-	Index uint64
-
-	// Observed and Shed are the daemon's cumulative observed and shed
-	// event counts through that boundary.
-	Observed uint64
-	Shed     uint64
-
-	// IntervalLength, TotalEntries, NumTables and Shards are the session's
-	// full geometry from interval Index+1 on.
-	IntervalLength uint64
-	TotalEntries   int
-	NumTables      int
-	Shards         int
-
-	// Reason is the daemon's explanation — the controller's arithmetic or
-	// the pressure signal that tripped the ladder.
-	Reason string
-}
+// Notice is one elastic-serving announcement from the daemon, as the
+// wire carries it; see wire.Notice.
+type Notice = wire.Notice
 
 // Notice kinds, re-exported from the wire protocol.
 const (
@@ -127,22 +98,9 @@ const (
 // hits the cap has a misbehaving server.
 const maxNoticeTrail = 4096
 
-// Profile is one interval profile as delivered by the daemon.
-type Profile struct {
-	// Index is the interval index within the session, from 0.
-	Index uint64
-
-	// Shed is the cumulative count of events the daemon dropped under its
-	// shed backpressure policy; 0 on a block-policy daemon.
-	Shed uint64
-
-	// Final marks the drain reply: the unfinished interval's partial
-	// profile.
-	Final bool
-
-	// Counts is the profile: captured count per tuple.
-	Counts map[event.Tuple]uint64
-}
+// Profile is one interval profile as delivered by the daemon, as the wire
+// carries it; see wire.ProfileMsg.
+type Profile = wire.ProfileMsg
 
 // errGoodbye is readFrames's clean-end sentinel; it never escapes the
 // reader.
@@ -171,15 +129,8 @@ type Session struct {
 	reconnects atomic.Uint64
 	// rung is the degradation-ladder rung last announced by the daemon.
 	rung atomic.Int32
-	// resizes counts notices that changed the session's geometry;
-	// noticeDrops counts notices the Notices channel could not hold (they
-	// are still applied and recorded in the trail).
-	resizes     atomic.Uint64
-	noticeDrops atomic.Uint64
-
-	// notices surfaces elastic-serving announcements to the caller;
-	// delivery is best-effort (non-blocking), the trail is complete.
-	notices chan Notice
+	// resizes counts notices that changed the session's geometry.
+	resizes atomic.Uint64
 
 	closedFlag atomic.Bool
 
@@ -286,7 +237,6 @@ func open(r *wire.Redialer, conn net.Conn, wc *wire.Conn, cfg core.Config, opts 
 		batchSize:  batchSize,
 		pending:    make([]event.Tuple, 0, batchSize),
 		profiles:   make(chan Profile, 64),
-		notices:    make(chan Notice, 64),
 		conn:       conn,
 		wc:         wc,
 		replayOn:   opts.Reconnect && ack.Resume,
@@ -329,12 +279,6 @@ func (s *Session) Rung() int { return int(s.rung.Load()) }
 // exactly the geometry changes NoticeTrail records.
 func (s *Session) Resizes() uint64 { return s.resizes.Load() }
 
-// Notices returns the channel of elastic-serving announcements. Delivery
-// is best-effort: a notice nobody is reading is dropped from the channel
-// (but still applied to the session and recorded in NoticeTrail), so an
-// uninterested caller pays nothing.
-func (s *Session) Notices() <-chan Notice { return s.notices }
-
 // NoticeTrail returns a copy of every notice received so far, in arrival
 // order — the geometry timeline a driver needs to verify profiles against
 // a resizing daemon.
@@ -375,8 +319,6 @@ func retryable(err error) bool {
 // session is resumable, until goodbye, terminal error, or Close.
 func (s *Session) readLoop() {
 	defer close(s.profiles)
-	// Notices are only ever sent by this goroutine, so closing here is safe.
-	defer close(s.notices)
 	for {
 		s.mu.Lock()
 		wc, gen := s.wc, s.gen
@@ -418,11 +360,11 @@ func (s *Session) readFrames(wc *wire.Conn) error {
 		}
 		switch typ {
 		case wire.MsgProfile:
-			m, derr := wire.DecodeProfile(payload)
+			p, derr := wire.DecodeProfile(payload)
 			if derr != nil {
 				return derr // wraps ErrCorrupt: resumable transport damage
 			}
-			if p, deliver := s.admitProfile(m); deliver {
+			if s.admitProfile(p) {
 				s.profiles <- p
 			}
 		case wire.MsgNotice:
@@ -453,24 +395,23 @@ func (s *Session) readFrames(wc *wire.Conn) error {
 	}
 }
 
-// admitProfile deduplicates and accounts one profile frame: resends below
-// the expected index are dropped, the log is pruned by what the profile
-// proves the daemon consumed, and the shed count is published.
-func (s *Session) admitProfile(m wire.ProfileMsg) (Profile, bool) {
-	s.lastShed.Store(m.Shed)
-	p := Profile{Index: m.Index, Shed: m.Shed, Final: m.Final, Counts: m.Counts}
-	if m.Final {
-		return p, true
+// admitProfile deduplicates and accounts one profile frame, reporting
+// whether the caller should see it: resends below the expected index are
+// dropped, the log is pruned by what the profile proves the daemon
+// consumed, and the shed count is published.
+func (s *Session) admitProfile(p Profile) bool {
+	s.lastShed.Store(p.Shed)
+	if p.Final {
+		return true
 	}
-	next := s.nextIdx.Load()
-	if m.Index < next {
-		return Profile{}, false // duplicate resend after a resume
+	if p.Index < s.nextIdx.Load() {
+		return false // duplicate resend after a resume
 	}
-	s.nextIdx.Store(m.Index + 1)
+	s.nextIdx.Store(p.Index + 1)
 	s.mu.Lock()
-	s.pruneLocked(m.Index, m.Shed)
+	s.pruneLocked(p.Index, p.Shed)
 	s.mu.Unlock()
-	return p, true
+	return true
 }
 
 // pruneLocked drops the log's longest prefix that ends in a frame profile
@@ -512,28 +453,16 @@ func (s *Session) floorLocked() uint64 {
 }
 
 // applyNotice re-anchors the session's position arithmetic at the
-// announced geometry and surfaces the notice to the caller. After a resume
+// announced geometry and records the notice in NoticeTrail. After a resume
 // the daemon resends every notice from the boundary of the session's last
 // profile on, so one it already holds can arrive again: that copy is
 // dropped, keeping NoticeTrail and Resizes exact. Every other notice is
 // new and arrives in order, so it moves the anchor.
-func (s *Session) applyNotice(n wire.Notice) {
-	nt := Notice{
-		Kind:           n.Kind,
-		Rung:           int(n.Rung),
-		Index:          n.Index,
-		Observed:       n.Observed,
-		Shed:           n.Shed,
-		IntervalLength: n.IntervalLength,
-		TotalEntries:   n.TotalEntries,
-		NumTables:      n.NumTables,
-		Shards:         n.Shards,
-		Reason:         n.Reason,
-	}
+func (s *Session) applyNotice(n Notice) {
 	s.mu.Lock()
-	for i := len(s.noticeTrail) - 1; i >= 0 && s.noticeTrail[i].Index >= nt.Index; i-- {
-		if s.noticeTrail[i] == nt {
-			s.mu.Unlock()
+	defer s.mu.Unlock()
+	for i := len(s.noticeTrail) - 1; i >= 0 && s.noticeTrail[i].Index >= n.Index; i-- {
+		if s.noticeTrail[i] == n {
 			return
 		}
 	}
@@ -550,13 +479,7 @@ func (s *Session) applyNotice(n wire.Notice) {
 		s.obsBase = n.Observed
 	}
 	if len(s.noticeTrail) < maxNoticeTrail {
-		s.noticeTrail = append(s.noticeTrail, nt)
-	}
-	s.mu.Unlock()
-	select {
-	case s.notices <- nt:
-	default:
-		s.noticeDrops.Add(1)
+		s.noticeTrail = append(s.noticeTrail, n)
 	}
 }
 

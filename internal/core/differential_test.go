@@ -302,14 +302,20 @@ func TestDifferentialAllPolicyCombos(t *testing.T) {
 		numTables int
 		weak      bool
 		width     uint
+		entries   int
 	}{
-		{"multi4", 4, false, 8}, // low width forces saturation
-		{"single", 1, false, 8},
-		{"weak4", 4, true, 8}, // WeakFamily defeats fusing: exercises the generic path
+		{"multi4", 4, false, 8, 256}, // low width forces saturation
+		{"single", 1, false, 8, 256},
+		{"weak4", 4, true, 8, 256}, // WeakFamily defeats fusing: exercises the generic path
 		// Counters too wide to pack take the generic loop even though
 		// the family fuses.
-		{"multi4_w32", 4, false, 32},
-		{"single_w64", 1, false, 64},
+		{"multi4_w32", 4, false, 32, 256},
+		{"single_w64", 1, false, 64, 256},
+		// The 2- and 3-table shapes take the staged pipeline's generic
+		// commit under both update rules; per-table sizes are powers of
+		// two.
+		{"multi2", 2, false, 8, 256},
+		{"multi3", 3, false, 8, 192},
 	}
 	const intervalLen = 2000
 	for _, sh := range shapes {
@@ -317,7 +323,7 @@ func TestDifferentialAllPolicyCombos(t *testing.T) {
 			cfg := Config{
 				IntervalLength:     intervalLen,
 				ThresholdPercent:   1,
-				TotalEntries:       256, // small tables force aliasing and eviction
+				TotalEntries:       sh.entries, // small tables force aliasing and eviction
 				NumTables:          sh.numTables,
 				CounterWidth:       sh.width,
 				ConservativeUpdate: mask&1 != 0,

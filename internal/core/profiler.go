@@ -144,11 +144,7 @@ func (m *MultiHash) ObserveBatch(batch []event.Tuple) {
 	}
 	if m.fused != nil && !m.cfg.NoShield {
 		if hot, ok := m.set.Hot(); ok {
-			if m.cfg.ConservativeUpdate {
-				m.observeStagedConservative(batch, hot)
-			} else {
-				m.observeStagedPlain(batch, hot)
-			}
+			m.observeStaged(batch, hot)
 			return
 		}
 	}

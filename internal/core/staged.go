@@ -88,43 +88,25 @@ func (m *MultiHash) applyResidents(n int) {
 	sc.applied = n
 }
 
-// observeStagedConservative drives the staged pipeline for shielded C1
-// configurations: stage a window, commit it in event order, restage from
-// the first promotion.
-func (m *MultiHash) observeStagedConservative(batch []event.Tuple, hot counter.Hot) {
-	n := m.fused.Len()
+// observeStaged drives the staged pipeline for shielded configurations:
+// stage a window, commit it in event order, restage from the first
+// promotion. The shapes a benchmark or the CI gate runs keep unrolled
+// commits: C1 and C0 on the paper's 4 tables, and C0 on the single-hash
+// architecture's one. Every other shape takes commitN.
+func (m *MultiHash) observeStaged(batch []event.Tuple, hot counter.Hot) {
+	n, c1 := m.fused.Len(), m.cfg.ConservativeUpdate
 	for lo := 0; lo < len(batch); {
-		hi := lo + stagedWindow
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		win := batch[lo:hi]
+		win := batch[lo:min(lo+stagedWindow, len(batch))]
 		hp := m.stage(win)
-		if n == 4 {
+		switch {
+		case n == 4 && c1:
 			lo += m.commitConservative4(win, hp, hot)
-		} else {
-			lo += m.commitConservativeN(win, hp, hot, n)
-		}
-	}
-}
-
-// observeStagedPlain is the C0 counterpart.
-func (m *MultiHash) observeStagedPlain(batch []event.Tuple, hot counter.Hot) {
-	n := m.fused.Len()
-	for lo := 0; lo < len(batch); {
-		hi := lo + stagedWindow
-		if hi > len(batch) {
-			hi = len(batch)
-		}
-		win := batch[lo:hi]
-		hp := m.stage(win)
-		switch n {
-		case 4:
+		case n == 4:
 			lo += m.commitPlain4(win, hp, hot)
-		case 1:
+		case n == 1 && !c1:
 			lo += m.commitPlain1(win, hp, hot)
 		default:
-			lo += m.commitPlainN(win, hp, hot, n)
+			lo += m.commitN(win, hp, hot, n, c1)
 		}
 	}
 }
@@ -251,63 +233,6 @@ func (m *MultiHash) commitConservative4(win []event.Tuple, hp []uint32, hot coun
 	return len(win)
 }
 
-// commitConservativeN is commitConservative4 for the other fusable shapes
-// (1–3 tables).
-func (m *MultiHash) commitConservativeN(win []event.Tuple, hp []uint32, hot counter.Hot, n int) int {
-	sc := &m.sc
-	acc := m.acc
-	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
-	size := m.set.Size()
-	thresh := uint32(m.thresh)
-	reset := m.cfg.ResetOnPromote
-	packed := sc.packed[:len(hp)]
-	var js [4]int
-	var vs [4]uint32
-	for k, w := range hp {
-		p := packed[k]
-		min := ^uint32(0)
-		base := 0
-		for t := 0; t < n; t++ {
-			j := base + int(p&hashfn.FusedMask)
-			js[t] = j
-			var v uint32
-			if wd := words[j]; wd&^cmask == etag {
-				v = wd & cmask
-			}
-			vs[t] = v
-			if v < min {
-				min = v
-			}
-			p >>= 16
-			base += size
-		}
-		nv := min
-		if nv < max {
-			nv++
-		}
-		up := etag | nv
-		for t := 0; t < n; t++ {
-			if vs[t] == min {
-				words[js[t]] = up
-			}
-		}
-		if nv < thresh {
-			continue
-		}
-		m.applyResidents(int(w) - k)
-		if acc.Insert(win[w], uint64(nv)) {
-			if reset {
-				for t := 0; t < n; t++ {
-					words[js[t]] = etag
-				}
-			}
-			return int(w) + 1
-		}
-	}
-	m.applyResidents(sc.nres)
-	return len(win)
-}
-
 // commitPlain4 commits a staged window under plain (C0) update with the
 // 4-table shape: every counter increments and the promotion minimum falls
 // out of the increment pass.
@@ -383,9 +308,12 @@ func (m *MultiHash) commitPlain4(win []event.Tuple, hp []uint32, hot counter.Hot
 	return len(win)
 }
 
-// commitPlainN is commitPlain4 for the other fusable shapes (1–3 tables);
-// with one table it is the single-hash architecture's hot loop.
-func (m *MultiHash) commitPlainN(win []event.Tuple, hp []uint32, hot counter.Hot, n int) int {
+// commitN commits a staged window for any fusable shape (1–4 tables)
+// under either update rule: it reads the n counters and their minimum,
+// then advances every counter (C0) or only those at the minimum (C1),
+// saturating. Either way the updated minimum, the value a promotion
+// starts from, is the old minimum plus one, saturated.
+func (m *MultiHash) commitN(win []event.Tuple, hp []uint32, hot counter.Hot, n int, c1 bool) int {
 	sc := &m.sc
 	acc := m.acc
 	words, etag, cmask, max := hot.Words, hot.ETag, hot.CMask, hot.Max
@@ -394,6 +322,7 @@ func (m *MultiHash) commitPlainN(win []event.Tuple, hp []uint32, hot counter.Hot
 	reset := m.cfg.ResetOnPromote
 	packed := sc.packed[:len(hp)]
 	var js [4]int
+	var vs [4]uint32
 	for k, w := range hp {
 		p := packed[k]
 		min := ^uint32(0)
@@ -405,21 +334,32 @@ func (m *MultiHash) commitPlainN(win []event.Tuple, hp []uint32, hot counter.Hot
 			if wd := words[j]; wd&^cmask == etag {
 				v = wd & cmask
 			}
-			if v < max {
-				v++
-			}
-			words[j] = etag | v
+			vs[t] = v
 			if v < min {
 				min = v
 			}
 			p >>= 16
 			base += size
 		}
-		if min < thresh {
+		for t := 0; t < n; t++ {
+			v := vs[t]
+			if c1 && v != min {
+				continue
+			}
+			if v < max {
+				v++
+			}
+			words[js[t]] = etag | v
+		}
+		nv := min
+		if nv < max {
+			nv++
+		}
+		if nv < thresh {
 			continue
 		}
 		m.applyResidents(int(w) - k)
-		if acc.Insert(win[w], uint64(min)) {
+		if acc.Insert(win[w], uint64(nv)) {
 			if reset {
 				for t := 0; t < n; t++ {
 					words[js[t]] = etag

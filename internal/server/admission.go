@@ -82,17 +82,15 @@ func (s *Server) admitLocked(tenant string, cost float64) (refused *telemetry.Co
 func (a *admission) tryAcquire(tenant string, cost float64) (ok bool, reason string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.used+cost > a.budget {
+	switch fits, slice, used, limit := a.check(tenant, cost); {
+	case slice:
+		return false, fmt.Sprintf(
+			"admission refused: session cost %.3f exceeds tenant %s's available quota (%.3f of %.3f in use)",
+			cost, tenant, used, limit)
+	case !fits:
 		return false, fmt.Sprintf(
 			"admission refused: session cost %.3f exceeds available budget (%.3f of %.3f in use)",
-			cost, a.used, a.budget)
-	}
-	if a.tenantBudget > 0 {
-		if used := a.tenants[tenant]; used+cost > a.tenantBudget {
-			return false, fmt.Sprintf(
-				"admission refused: session cost %.3f exceeds tenant %s's available quota (%.3f of %.3f in use)",
-				cost, tenant, used, a.tenantBudget)
-		}
+			cost, used, limit)
 	}
 	a.charge(tenant, cost)
 	return true, ""
@@ -104,22 +102,17 @@ func (a *admission) tryAcquire(tenant string, cost float64) (ok bool, reason str
 func (a *admission) reprice(tenant string, old, new float64) (ok bool, reason string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delta := new - old
-	if delta > 0 {
-		if a.used+delta > a.budget {
-			return false, fmt.Sprintf(
-				"resize refused: re-priced cost %.3f (was %.3f) exceeds available budget (%.3f of %.3f in use)",
-				new, old, a.used, a.budget)
-		}
-		if a.tenantBudget > 0 {
-			if used := a.tenants[tenant]; used+delta > a.tenantBudget {
-				return false, fmt.Sprintf(
-					"resize refused: re-priced cost %.3f (was %.3f) exceeds tenant %s's quota (%.3f of %.3f in use)",
-					new, old, tenant, used, a.tenantBudget)
-			}
-		}
+	switch fits, slice, used, limit := a.check(tenant, new-old); {
+	case slice:
+		return false, fmt.Sprintf(
+			"resize refused: re-priced cost %.3f (was %.3f) exceeds tenant %s's quota (%.3f of %.3f in use)",
+			new, old, tenant, used, limit)
+	case !fits:
+		return false, fmt.Sprintf(
+			"resize refused: re-priced cost %.3f (was %.3f) exceeds available budget (%.3f of %.3f in use)",
+			new, old, used, limit)
 	}
-	a.charge(tenant, delta)
+	a.charge(tenant, new-old)
 	return true, ""
 }
 
@@ -130,17 +123,24 @@ func (a *admission) reprice(tenant string, old, new float64) (ok bool, reason st
 func (a *admission) fits(tenant string, old, new float64) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	delta := new - old
-	if delta <= 0 {
-		return true
+	fits, _, _, _ := a.check(tenant, new-old)
+	return fits
+}
+
+// check tests a charge of delta to tenant against the global budget, then,
+// when per-tenant quotas are on, against the tenant's slice; a delta ≤ 0
+// always fits. A charge that does not fit reports the refusing ledger's
+// cost in use and limit, with slice set when that ledger is the tenant's.
+// Callers hold mu.
+func (a *admission) check(tenant string, delta float64) (fits, slice bool, used, limit float64) {
+	switch {
+	case delta <= 0:
+	case a.used+delta > a.budget:
+		return false, false, a.used, a.budget
+	case a.tenantBudget > 0 && a.tenants[tenant]+delta > a.tenantBudget:
+		return false, true, a.tenants[tenant], a.tenantBudget
 	}
-	if a.used+delta > a.budget {
-		return false
-	}
-	if a.tenantBudget > 0 && a.tenants[tenant]+delta > a.tenantBudget {
-		return false
-	}
-	return true
+	return true, false, 0, 0
 }
 
 // charge adjusts both ledgers by delta (may be negative) and sets their

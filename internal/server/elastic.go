@@ -281,7 +281,7 @@ func (s *session) commitResize(a adaptive.Action, proposed bool) bool {
 func (s *session) sendNotice(kind byte, a adaptive.Action) bool {
 	s.enc = wire.AppendNotice(s.enc[:0], wire.Notice{
 		Kind:           kind,
-		Rung:           byte(a.Rung),
+		Rung:           a.Rung,
 		Index:          s.interval - 1,
 		Observed:       s.observed,
 		Shed:           s.shed.Load(),

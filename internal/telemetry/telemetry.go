@@ -96,7 +96,7 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
 // metric is one registered metric with its metadata. Exactly one of the
-// value fields is set; vectors render one line per label value.
+// value fields is set; a family renders one line per label value.
 type metric struct {
 	name string
 	help string
@@ -104,8 +104,9 @@ type metric struct {
 	c    *Counter
 	g    *Gauge
 	h    *Histogram
-	cv   *CounterVec
-	gv   *GaugeVec
+	vec  interface {
+		write(w io.Writer, name string) error
+	}
 }
 
 // Registry holds named metrics and renders them. Registration is expected
@@ -177,24 +178,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			if err := writeHistogram(w, m.name, m.h); err != nil {
 				return err
 			}
-		case m.cv != nil:
-			m.cv.mu.Lock()
-			for _, k := range sortedKeys(m.cv.kids) {
-				if _, err := fmt.Fprintf(w, "%s{%s=%s} %d\n", m.name, m.cv.label, quoteLabel(k), m.cv.kids[k].Load()); err != nil {
-					m.cv.mu.Unlock()
-					return err
-				}
+		case m.vec != nil:
+			if err := m.vec.write(w, m.name); err != nil {
+				return err
 			}
-			m.cv.mu.Unlock()
-		case m.gv != nil:
-			m.gv.mu.Lock()
-			for _, k := range sortedKeys(m.gv.kids) {
-				if _, err := fmt.Fprintf(w, "%s{%s=%s} %d\n", m.name, m.gv.label, quoteLabel(k), m.gv.kids[k].Load()); err != nil {
-					m.gv.mu.Unlock()
-					return err
-				}
-			}
-			m.gv.mu.Unlock()
 		}
 	}
 	return nil

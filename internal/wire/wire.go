@@ -676,7 +676,8 @@ func decodeRecords(out []event.Tuple, src []byte, prev event.Tuple, wA, wB int) 
 	return prev
 }
 
-// ProfileMsg is one interval's profile as carried on the wire.
+// ProfileMsg is one interval's profile as carried on the wire, and as a
+// client session delivers it (client.Profile, hwprof.RemoteProfile).
 type ProfileMsg struct {
 	// Index is the interval's index within the session, from 0. For a
 	// final (partial) profile it is the index the interval would have had.
@@ -877,9 +878,11 @@ func DecodeSubscribeAck(p []byte) (SubscribeAck, error) {
 // EpochMsg is one closed fleet epoch as carried on the wire: the
 // merged counts of every member that reported interval Epoch, stamped with
 // the publisher's identity. Epochs are delivered strictly in index order
-// per subscription.
+// per subscription. A feed closes, retains and delivers epochs in this
+// type too (agg.Epoch, hwprof.EpochProfile).
 type EpochMsg struct {
-	// Source is the publisher's machine id.
+	// Source is the publisher's machine or aggregator ID: the feed that
+	// closed the epoch.
 	Source string
 
 	// Epoch is the epoch index: the interval index of the member profiles
@@ -896,12 +899,15 @@ type EpochMsg struct {
 	// epoch at the publisher.
 	Children uint64
 
-	// Missing names the members absent from a partial epoch, sorted;
-	// missing lists propagate upward through the tree, so at the root they
-	// name the actual absent leaves/links.
+	// Missing names the members absent from a partial epoch, sorted:
+	// direct members that did not report and the missing members of
+	// children's partial epochs alike. Missing lists propagate upward
+	// through the tree, so at the root they name the actual absent
+	// leaves/links.
 	Missing []string
 
-	// Counts is the merged profile.
+	// Counts is the merged profile. It is shared read-only once the epoch
+	// closes; do not mutate it.
 	Counts map[event.Tuple]uint64
 }
 
@@ -997,10 +1003,14 @@ const (
 )
 
 // Notice is a server-initiated elastic-serving announcement, sent at
-// an interval boundary. It is an absolute snapshot: the boundary's exact
+// an interval boundary: a live resize, a degradation-ladder move, or an
+// imminent park. It is an absolute snapshot: the boundary's exact
 // coordinates plus the full geometry now in force, so applying the same
 // notice twice is a no-op and a client can rebuild its position arithmetic
-// from any single notice.
+// from any single notice. A client session applies each notice to its own
+// position arithmetic and records it in its notice trail as this type
+// (client.Notice, hwprof.RemoteNotice), so a caller may ignore notices
+// entirely.
 //
 // A client streaming to an elastic server derives its replay-buffer prune
 // floor for profile i >= BaseIndex as
@@ -1015,8 +1025,9 @@ type Notice struct {
 	// NoticePark).
 	Kind byte
 
-	// Rung is the degradation-ladder rung now in effect (0 = full service).
-	Rung byte
+	// Rung is the degradation-ladder rung now in effect (0 = full service),
+	// coded as one byte.
+	Rung int
 
 	// Index is the last interval completed under the previous geometry —
 	// the boundary this notice was placed at. The new geometry is in force
@@ -1046,7 +1057,7 @@ type Notice struct {
 
 // AppendNotice encodes n onto dst.
 func AppendNotice(dst []byte, n Notice) []byte {
-	dst = append(dst, n.Kind, n.Rung)
+	dst = append(dst, n.Kind, byte(n.Rung))
 	dst = binary.AppendUvarint(dst, n.Index)
 	dst = binary.AppendUvarint(dst, n.Observed)
 	dst = binary.AppendUvarint(dst, n.Shed)
@@ -1067,7 +1078,7 @@ func DecodeNotice(p []byte) (Notice, error) {
 	d := decoder{p: p}
 	var n Notice
 	n.Kind = d.byte()
-	n.Rung = d.byte()
+	n.Rung = int(d.byte())
 	n.Index = d.uvarint()
 	n.Observed = d.uvarint()
 	n.Shed = d.uvarint()

@@ -23,11 +23,12 @@ type RemoteSession = client.Session
 type RemoteProfile = client.Profile
 
 // RemoteNotice is one elastic-serving announcement from a daemon — a live
-// resize, a degradation-ladder move, or an imminent park — as surfaced by
-// RemoteSession.Notices and RemoteSession.NoticeTrail. It is an absolute
-// snapshot of the session's geometry from interval Index+1 on; the session
-// applies it to its own stream arithmetic before surfacing it, so callers
-// may ignore notices entirely.
+// resize, a degradation-ladder move, or an imminent park — as recorded in
+// RemoteSession.NoticeTrail. It is an absolute snapshot of the session's
+// geometry from interval Index+1 on; the session applies it to its own
+// stream arithmetic before recording it, so callers may ignore notices
+// entirely, or read their summary from RemoteSession.Rung and
+// RemoteSession.Resizes.
 type RemoteNotice = client.Notice
 
 // Notice kinds carried by RemoteNotice.Kind.

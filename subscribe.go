@@ -12,29 +12,10 @@ import (
 // a profiled daemon with publishing enabled, or an aggd merging a subtree.
 // Epochs are identified by interval index, never wall clock; the counts
 // are the merged profile of every member that reported the interval.
-type EpochProfile struct {
-	// Source is the publisher's machine or aggregator ID.
-	Source string
-
-	// Epoch is the interval index the merged counts cover.
-	Epoch uint64
-
-	// Partial reports that at least one expected member's counts are
-	// absent — a straggler deadline fired, an open-epoch window
-	// overflowed, or a subtree's own epoch was partial. Missing names
-	// them; at the tree root they name the actual absent leaves.
-	Partial bool
-
-	// Children is how many direct members reported into this epoch at the
-	// publisher.
-	Children uint64
-
-	// Missing lists the absent members, sorted.
-	Missing []string
-
-	// Counts is the merged profile.
-	Counts map[Tuple]uint64
-}
+// Partial reports that a straggler deadline fired, an open-epoch window
+// overflowed, or a subtree's own epoch was partial, and Missing names the
+// absent members: at the tree root, the actual absent leaves.
+type EpochProfile = agg.Epoch
 
 // Subscription is one attached epoch subscription. Read C until it closes,
 // then check Err: nil means the subscription was closed deliberately;
@@ -59,16 +40,9 @@ type Subscription struct {
 // subscription channel, giving up when the subscription is closed.
 type subHandler struct{ s *Subscription }
 
-func (h subHandler) HandleEpoch(ep agg.Epoch) {
+func (h subHandler) HandleEpoch(ep EpochProfile) {
 	select {
-	case h.s.ch <- EpochProfile{
-		Source:   ep.Source,
-		Epoch:    ep.Epoch,
-		Partial:  ep.Partial,
-		Children: ep.Children,
-		Missing:  ep.Missing,
-		Counts:   ep.Counts,
-	}:
+	case h.s.ch <- ep:
 	case <-h.s.done:
 	}
 }

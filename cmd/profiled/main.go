@@ -67,78 +67,46 @@ import (
 
 func main() {
 	var (
+		cfg          server.Config
 		listen       = flag.String("listen", ":9123", "TCP address to serve the wire protocol on")
 		telemetry    = flag.String("telemetry", ":9124", "HTTP address for /metrics and /healthz; empty disables")
-		queue        = flag.Int("queue", server.DefaultQueueDepth, "per-session queue depth in batches")
-		maxSessions  = flag.Int("max-sessions", server.DefaultMaxSessions, "maximum concurrent sessions (live + parked)")
-		maxShards    = flag.Int("max-shards", server.DefaultMaxShards, "clamp on per-session shard count")
-		budget       = flag.Float64("budget", server.DefaultCostBudget, "admission cost budget in reference-session units")
-		shed         = flag.Bool("shed", false, "shed (drop and count) batches when a session queue is full instead of blocking the stream")
-		shedHigh     = flag.Int("shed-high", 0, "queue length that engages the shed gate (0: 3/4 of -queue)")
-		shedLow      = flag.Int("shed-low", 0, "queue length that disengages the shed gate (0: 1/4 of -queue)")
-		resumeGrace  = flag.Duration("resume-grace", server.DefaultResumeGrace, "how long a disconnected session stays resumable (negative disables resume)")
-		resumeWindow = flag.Int("resume-window", server.DefaultResumeWindow, "profiles retained per session for resend on resume")
-		readTimeout  = flag.Duration("read-timeout", server.DefaultReadTimeout, "per-read wire deadline (negative disables)")
-		writeTimeout = flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write wire deadline (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline before force-closing sessions")
 		quiet        = flag.Bool("quiet", false, "suppress per-session log lines")
 		cpuProfile   = flag.String("cpu-profile", "", "write a CPU profile of the daemon to this file, from start until the shutdown drain completes (go tool pprof)")
-
-		publish       = flag.Bool("publish", false, "publish per-epoch machine profiles for aggd subscribers")
-		machineID     = flag.String("machine-id", server.DefaultMachineID, "this machine's name in published epochs")
-		epochLength   = flag.Uint64("epoch-length", server.DefaultEpochLength, "fleet events-per-epoch contract; sessions matching it publish")
-		epochDeadline = flag.Duration("epoch-deadline", 0, "straggler deadline before an epoch closes partial (0: default; set well above reconnect time; negative disables)")
-
-		journalDir   = flag.String("journal-dir", "", "directory for per-session write-ahead journals; empty disables crash durability")
-		journalSync  = flag.String("journal-sync", "interval", "journal durability barrier: none, interval, or batch")
-		tenantRate   = flag.Float64("tenant-rate", 0, "per-tenant session admission rate in sessions/s (0 disables)")
-		tenantBurst  = flag.Float64("tenant-burst", 0, "per-tenant admission burst (0: ceil of -tenant-rate)")
-		tenantBudget = flag.Float64("tenant-budget", 0, "per-tenant slice of the cost budget in reference-session units (0 disables)")
-
-		elastic        = flag.Bool("elastic", false, "run the per-session online controller: live resizes and the degradation ladder (requires resume; marked sessions are left alone)")
-		elasticEngage  = flag.Int("elastic-engage", 0, "boundaries of sustained pressure before the controller acts (0: default)")
-		elasticRelease = flag.Int("elastic-release", 0, "calm boundaries before the controller de-escalates (0: default)")
-		elasticSettle  = flag.Int("elastic-settle", 0, "cooldown boundaries after every committed action (0: default)")
 	)
+	flag.IntVar(&cfg.QueueDepth, "queue", server.DefaultQueueDepth, "per-session queue depth in batches")
+	flag.IntVar(&cfg.MaxSessions, "max-sessions", server.DefaultMaxSessions, "maximum concurrent sessions (live + parked)")
+	flag.IntVar(&cfg.MaxShards, "max-shards", server.DefaultMaxShards, "clamp on per-session shard count")
+	flag.Float64Var(&cfg.CostBudget, "budget", server.DefaultCostBudget, "admission cost budget in reference-session units")
+	flag.BoolVar(&cfg.Shed, "shed", false, "shed (drop and count) batches when a session queue is full instead of blocking the stream")
+	flag.IntVar(&cfg.ShedHighWater, "shed-high", 0, "queue length that engages the shed gate (0: 3/4 of -queue)")
+	flag.IntVar(&cfg.ShedLowWater, "shed-low", 0, "queue length that disengages the shed gate (0: 1/4 of -queue)")
+	flag.DurationVar(&cfg.ResumeGrace, "resume-grace", server.DefaultResumeGrace, "how long a disconnected session stays resumable (negative disables resume)")
+	flag.IntVar(&cfg.ResumeWindow, "resume-window", server.DefaultResumeWindow, "profiles retained per session for resend on resume")
+	flag.DurationVar(&cfg.ReadTimeout, "read-timeout", server.DefaultReadTimeout, "per-read wire deadline (negative disables)")
+	flag.DurationVar(&cfg.WriteTimeout, "write-timeout", server.DefaultWriteTimeout, "per-write wire deadline (negative disables)")
+
+	flag.BoolVar(&cfg.Publish, "publish", false, "publish per-epoch machine profiles for aggd subscribers")
+	flag.StringVar(&cfg.MachineID, "machine-id", server.DefaultMachineID, "this machine's name in published epochs")
+	flag.Uint64Var(&cfg.EpochLength, "epoch-length", server.DefaultEpochLength, "fleet events-per-epoch contract; sessions matching it publish")
+	flag.DurationVar(&cfg.EpochDeadline, "epoch-deadline", 0, "straggler deadline before an epoch closes partial (0: default; set well above reconnect time; negative disables)")
+
+	flag.StringVar(&cfg.JournalDir, "journal-dir", "", "directory for per-session write-ahead journals; empty disables crash durability")
+	flag.TextVar(&cfg.JournalSync, "journal-sync", journal.SyncInterval, "journal durability barrier: none, interval, or batch")
+	flag.Float64Var(&cfg.TenantRate, "tenant-rate", 0, "per-tenant session admission rate in sessions/s (0 disables)")
+	flag.Float64Var(&cfg.TenantBurst, "tenant-burst", 0, "per-tenant admission burst (0: ceil of -tenant-rate)")
+	flag.Float64Var(&cfg.TenantBudget, "tenant-budget", 0, "per-tenant slice of the cost budget in reference-session units (0 disables)")
+
+	flag.BoolVar(&cfg.Elastic, "elastic", false, "run the per-session online controller: live resizes and the degradation ladder (requires resume; marked sessions are left alone)")
+	flag.IntVar(&cfg.ElasticEngage, "elastic-engage", 0, "boundaries of sustained pressure before the controller acts (0: default)")
+	flag.IntVar(&cfg.ElasticRelease, "elastic-release", 0, "calm boundaries before the controller de-escalates (0: default)")
+	flag.IntVar(&cfg.ElasticSettle, "elastic-settle", 0, "cooldown boundaries after every committed action (0: default)")
 	flag.Parse()
-	sync, err := journal.ParseSync(*journalSync)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "profiled:", err)
-		os.Exit(2)
-	}
-	if *journalDir != "" && *resumeGrace < 0 {
+	if cfg.JournalDir != "" && cfg.ResumeGrace < 0 {
 		fmt.Fprintln(os.Stderr, "profiled: -journal-dir requires resume (-resume-grace must not be negative): recovery re-parks sessions for their clients to resume")
 		os.Exit(2)
 	}
-	cfg := server.Config{
-		QueueDepth:    *queue,
-		MaxSessions:   *maxSessions,
-		MaxShards:     *maxShards,
-		CostBudget:    *budget,
-		Shed:          *shed,
-		ShedHighWater: *shedHigh,
-		ShedLowWater:  *shedLow,
-		ResumeGrace:   *resumeGrace,
-		ResumeWindow:  *resumeWindow,
-		ReadTimeout:   *readTimeout,
-		WriteTimeout:  *writeTimeout,
-		Publish:       *publish,
-		MachineID:     *machineID,
-		EpochLength:   *epochLength,
-		EpochDeadline: *epochDeadline,
-
-		JournalDir:   *journalDir,
-		JournalSync:  sync,
-		TenantRate:   *tenantRate,
-		TenantBurst:  *tenantBurst,
-		TenantBudget: *tenantBudget,
-
-		Elastic:        *elastic,
-		ElasticEngage:  *elasticEngage,
-		ElasticRelease: *elasticRelease,
-		ElasticSettle:  *elasticSettle,
-	}
-	if *elastic && *resumeGrace < 0 {
+	if cfg.Elastic && cfg.ResumeGrace < 0 {
 		fmt.Fprintln(os.Stderr, "profiled: -elastic requires resume (-resume-grace must not be negative): ladder rung 4 parks sessions for their clients to resume")
 		os.Exit(2)
 	}

@@ -120,12 +120,6 @@ func (t *Table) slot(tp event.Tuple) (uint32, bool) {
 	return i, false
 }
 
-// Capacity returns the table's entry capacity.
-func (t *Table) Capacity() int { return t.capacity }
-
-// Threshold returns the candidate threshold count.
-func (t *Table) Threshold() uint64 { return t.threshold }
-
 // Len returns the number of occupied entries.
 func (t *Table) Len() int { return t.live }
 
@@ -313,16 +307,11 @@ func (t *Table) remove(i uint32) {
 	}
 }
 
-// Snapshot returns the current per-tuple counts. The map is freshly
-// allocated and safe for the caller to keep across EndInterval.
-func (t *Table) Snapshot() map[event.Tuple]uint64 {
-	return t.SnapshotInto(nil)
-}
-
 // SnapshotInto writes the current per-tuple counts into dst and returns
-// it, allocating a map only when dst is nil. dst must be empty — the
-// drivers recycle interval maps through clear() and hand them back here,
-// making steady-state interval boundaries allocation-free.
+// it, allocating a map only when dst is nil; the map is the caller's to
+// keep across EndInterval. dst must be empty — the drivers recycle
+// interval maps through clear() and hand them back here, making
+// steady-state interval boundaries allocation-free.
 func (t *Table) SnapshotInto(dst map[event.Tuple]uint64) map[event.Tuple]uint64 {
 	if dst == nil {
 		dst = make(map[event.Tuple]uint64, t.live)

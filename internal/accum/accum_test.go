@@ -184,7 +184,7 @@ func TestSnapshotIsDetached(t *testing.T) {
 	tbl := mustNew(t, 4, 10)
 	tp := event.Tuple{A: 1}
 	tbl.Insert(tp, 10)
-	snap := tbl.Snapshot()
+	snap := tbl.SnapshotInto(nil)
 	tbl.Inc(tp)
 	if snap[tp] != 10 {
 		t.Fatalf("snapshot mutated by later Inc: %d", snap[tp])

@@ -105,9 +105,6 @@ func newSubscriber(cfg SubscriberConfig, handler EpochHandler, reconnects, gaps 
 	return s
 }
 
-// Next returns the next epoch the subscriber needs.
-func (s *Subscriber) Next() uint64 { return s.next.Load() }
-
 // Reconnects returns how many times the link re-attached after an outage.
 func (s *Subscriber) Reconnects() uint64 { return s.reconnects.Load() }
 

@@ -26,8 +26,8 @@ func TestValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().Sets() != 32 {
-		t.Fatalf("sets = %d, want 32", c.Config().Sets())
+	if c.cfg.Sets() != 32 {
+		t.Fatalf("sets = %d, want 32", c.cfg.Sets())
 	}
 }
 

@@ -87,16 +87,6 @@ func (s *Set) Tables() int { return s.tables }
 // Size returns the number of counters per bank.
 func (s *Set) Size() int { return s.size }
 
-// Width returns the counter width in bits.
-func (s *Set) Width() uint { return s.width }
-
-// Max returns the saturation value, 2^width − 1.
-func (s *Set) Max() uint64 { return s.max }
-
-// Base returns the flat offset of bank t, for hot loops that precompute
-// GetAt/IncAt indexes.
-func (s *Set) Base(t int) int { return t * s.size }
-
 // GetAt returns the value of the counter at flat offset j.
 func (s *Set) GetAt(j int) uint64 {
 	if s.wide != nil {
@@ -109,8 +99,8 @@ func (s *Set) GetAt(j int) uint64 {
 	return uint64(w & s.cmask)
 }
 
-// IncAt increments the counter at flat offset j by 1, saturating at Max,
-// and returns the new value.
+// IncAt increments the counter at flat offset j by 1, saturating at
+// 2^width − 1, and returns the new value.
 func (s *Set) IncAt(j int) uint64 {
 	if s.wide != nil {
 		if s.wide[j] < s.max {
@@ -130,33 +120,6 @@ func (s *Set) IncAt(j int) uint64 {
 	return uint64(c)
 }
 
-// AddAt increments the counter at flat offset j by delta, saturating at
-// Max, and returns the new value.
-func (s *Set) AddAt(j int, delta uint64) uint64 {
-	if s.wide != nil {
-		c := s.wide[j]
-		if delta > s.max-c {
-			c = s.max
-		} else {
-			c += delta
-		}
-		s.wide[j] = c
-		return c
-	}
-	w := s.words[j]
-	var c uint64
-	if w>>s.width == s.epoch {
-		c = uint64(w & s.cmask)
-	}
-	if delta > s.max-c {
-		c = s.max
-	} else {
-		c += delta
-	}
-	s.words[j] = s.epoch<<s.width | uint32(c)
-	return c
-}
-
 // ResetAt zeroes the counter at flat offset j.
 func (s *Set) ResetAt(j int) {
 	if s.wide != nil {
@@ -171,8 +134,8 @@ func (s *Set) ResetAt(j int) {
 // mask through the pointer receiver on every call — and the compiler must
 // assume any counter store may alias them — so an n-table hot loop pays
 // those loads up to 3n times per event. A Hot value copies the invariants
-// into locals once per batch; its methods are leaf functions over plain
-// fields that inline across packages and keep everything in registers.
+// out once per batch, and the batch loops read its fields into locals that
+// stay in registers.
 //
 // A Hot view is valid until the next Flush (the epoch tag it carries goes
 // stale). The batched observation loops take a fresh view per batch, and
@@ -204,45 +167,8 @@ func (s *Set) Hot() (Hot, bool) {
 	}, true
 }
 
-// Get returns the value of the counter at flat offset j.
-func (h Hot) Get(j int) uint32 {
-	w := h.Words[j]
-	if w&^h.CMask != h.ETag {
-		return 0
-	}
-	return w & h.CMask
-}
-
-// Put stores count c at flat offset j under the current generation.
-// c must not exceed Max.
-func (h Hot) Put(j int, c uint32) { h.Words[j] = h.ETag | c }
-
-// Inc increments the counter at flat offset j, saturating at Max, and
-// returns the new value.
-func (h Hot) Inc(j int) uint32 {
-	c := h.Get(j)
-	if c < h.Max {
-		c++
-	}
-	h.Words[j] = h.ETag | c
-	return c
-}
-
 // Get returns the value of bank t's counter i.
 func (s *Set) Get(t int, i uint32) uint64 { return s.GetAt(t*s.size + int(i)) }
-
-// Inc increments bank t's counter i by 1, saturating at Max, and returns
-// the new value.
-func (s *Set) Inc(t int, i uint32) uint64 { return s.IncAt(t*s.size + int(i)) }
-
-// Add increments bank t's counter i by delta, saturating at Max, and
-// returns the new value.
-func (s *Set) Add(t int, i uint32, delta uint64) uint64 {
-	return s.AddAt(t*s.size+int(i), delta)
-}
-
-// Reset zeroes bank t's counter i.
-func (s *Set) Reset(t int, i uint32) { s.ResetAt(t*s.size + int(i)) }
 
 // Flush zeroes every counter of every bank (the end-of-interval hash-table
 // flush). On the packed path this is O(1): the epoch advances and stale
@@ -259,60 +185,3 @@ func (s *Set) Flush() {
 	}
 	s.epoch++
 }
-
-// Bytes returns the storage the set occupies in a hardware realization:
-// Tables × Size × width bits, rounded up to whole bytes per counter as the
-// paper does (3-byte counters).
-func (s *Set) Bytes() int {
-	perCounter := (int(s.width) + 7) / 8
-	return s.tables * s.size * perCounter
-}
-
-// Bank is a single bank of saturating counters of a fixed bit width: a
-// one-table Set, kept as the standalone surface for callers that do not
-// batch several tables together.
-type Bank struct {
-	set *Set
-}
-
-// NewBank returns a bank of size counters, each width bits wide.
-// width must be in [1, 64]; size must be positive.
-func NewBank(size int, width uint) (*Bank, error) {
-	s, err := NewSet(1, size, width)
-	if err != nil {
-		return nil, err
-	}
-	return &Bank{set: s}, nil
-}
-
-// Len returns the number of counters in the bank.
-func (b *Bank) Len() int { return b.set.size }
-
-// Width returns the counter width in bits.
-func (b *Bank) Width() uint { return b.set.width }
-
-// Max returns the saturation value, 2^width − 1.
-func (b *Bank) Max() uint64 { return b.set.max }
-
-// Get returns the value of counter i.
-func (b *Bank) Get(i uint32) uint64 { return b.set.GetAt(int(i)) }
-
-// Inc increments counter i by 1, saturating at Max, and returns the new
-// value.
-func (b *Bank) Inc(i uint32) uint64 { return b.set.IncAt(int(i)) }
-
-// Add increments counter i by delta, saturating at Max, and returns the new
-// value.
-func (b *Bank) Add(i uint32, delta uint64) uint64 { return b.set.AddAt(int(i), delta) }
-
-// Reset zeroes counter i.
-func (b *Bank) Reset(i uint32) { b.set.ResetAt(int(i)) }
-
-// Flush zeroes every counter (the end-of-interval hash-table flush) —
-// O(1) on the packed path, see Set.Flush.
-func (b *Bank) Flush() { b.set.Flush() }
-
-// Bytes returns the storage this bank occupies in a hardware realization:
-// Len × width bits, rounded up to whole bytes per counter as the paper does
-// (3-byte counters).
-func (b *Bank) Bytes() int { return b.set.Bytes() }

@@ -1,121 +1,65 @@
 package counter
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestNewBankValidation(t *testing.T) {
-	if _, err := NewBank(0, 24); err == nil {
+	if _, err := NewSet(1, 0, 24); err == nil {
 		t.Error("size 0 accepted")
 	}
-	if _, err := NewBank(-1, 24); err == nil {
+	if _, err := NewSet(1, -1, 24); err == nil {
 		t.Error("negative size accepted")
 	}
-	if _, err := NewBank(8, 0); err == nil {
+	if _, err := NewSet(1, 8, 0); err == nil {
 		t.Error("width 0 accepted")
 	}
-	if _, err := NewBank(8, 65); err == nil {
+	if _, err := NewSet(1, 8, 65); err == nil {
 		t.Error("width 65 accepted")
 	}
-	b, err := NewBank(8, 64)
+	s, err := NewSet(1, 8, 64)
 	if err != nil {
 		t.Fatalf("width 64 rejected: %v", err)
 	}
-	if b.Max() != ^uint64(0) {
-		t.Errorf("width-64 Max = %d", b.Max())
+	if s.max != ^uint64(0) {
+		t.Errorf("width-64 saturation value = %d", s.max)
 	}
 }
 
 func TestIncAndGet(t *testing.T) {
-	b, _ := NewBank(4, 24)
+	s, _ := NewSet(1, 4, 24)
 	for i := 0; i < 5; i++ {
-		b.Inc(2)
+		s.IncAt(2)
 	}
-	if got := b.Get(2); got != 5 {
-		t.Fatalf("Get(2) = %d, want 5", got)
+	if got := s.Get(0, 2); got != 5 {
+		t.Fatalf("Get(0, 2) = %d, want 5", got)
 	}
-	if got := b.Get(0); got != 0 {
-		t.Fatalf("Get(0) = %d, want 0", got)
+	if got := s.Get(0, 0); got != 0 {
+		t.Fatalf("Get(0, 0) = %d, want 0", got)
 	}
 }
 
 func TestSaturation(t *testing.T) {
-	b, _ := NewBank(1, 3) // max = 7
+	s, _ := NewSet(1, 1, 3) // saturates at 7
 	for i := 0; i < 20; i++ {
-		b.Inc(0)
+		s.IncAt(0)
 	}
-	if got := b.Get(0); got != 7 {
+	if got := s.GetAt(0); got != 7 {
 		t.Fatalf("3-bit counter = %d after 20 increments, want 7", got)
 	}
 }
 
-func TestAddSaturates(t *testing.T) {
-	b, _ := NewBank(1, 8) // max = 255
-	if got := b.Add(0, 100); got != 100 {
-		t.Fatalf("Add = %d, want 100", got)
-	}
-	if got := b.Add(0, 200); got != 255 {
-		t.Fatalf("Add past max = %d, want 255", got)
-	}
-	if got := b.Add(0, 1); got != 255 {
-		t.Fatalf("Add at max = %d, want 255", got)
-	}
-}
-
-func TestAddNeverWraps(t *testing.T) {
-	f := func(width8 uint8, delta uint64, pre uint16) bool {
-		width := uint(width8%64) + 1
-		b, err := NewBank(1, width)
-		if err != nil {
-			return false
-		}
-		b.Add(0, uint64(pre))
-		before := b.Get(0)
-		after := b.Add(0, delta)
-		return after >= before && after <= b.Max()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResetAndFlush(t *testing.T) {
-	b, _ := NewBank(3, 24)
-	b.Inc(0)
-	b.Inc(1)
-	b.Inc(2)
-	b.Reset(1)
-	if b.Get(0) != 1 || b.Get(1) != 0 || b.Get(2) != 1 {
-		t.Fatal("Reset touched the wrong counters")
+	s, _ := NewSet(1, 3, 24)
+	s.IncAt(0)
+	s.IncAt(1)
+	s.IncAt(2)
+	s.ResetAt(1)
+	if s.GetAt(0) != 1 || s.GetAt(1) != 0 || s.GetAt(2) != 1 {
+		t.Fatal("ResetAt touched the wrong counters")
 	}
-	b.Flush()
-	for i := uint32(0); i < 3; i++ {
-		if b.Get(i) != 0 {
-			t.Fatalf("counter %d nonzero after Flush", i)
+	s.Flush()
+	for j := 0; j < 3; j++ {
+		if s.GetAt(j) != 0 {
+			t.Fatalf("counter %d nonzero after Flush", j)
 		}
-	}
-}
-
-func TestBytesMatchesPaper(t *testing.T) {
-	// §7: "the size of the hash table was 6 Kilobytes (2K entries of
-	// 3 byte counters)".
-	b, _ := NewBank(2048, DefaultWidth)
-	if got := b.Bytes(); got != 6*1024 {
-		t.Fatalf("2K×24-bit bank = %d bytes, want 6144", got)
-	}
-}
-
-func TestBytesRoundsUp(t *testing.T) {
-	b, _ := NewBank(10, 9)
-	if got := b.Bytes(); got != 20 {
-		t.Fatalf("10×9-bit bank = %d bytes, want 20 (2 bytes/counter)", got)
-	}
-}
-
-func BenchmarkInc(b *testing.B) {
-	bank, _ := NewBank(2048, 24)
-	for i := 0; i < b.N; i++ {
-		bank.Inc(uint32(i) & 2047)
 	}
 }

@@ -178,9 +178,6 @@ func NewPhaseModel(numPhases int, dwell uint64, jump bool) (*PhaseModel, error) 
 	return &PhaseModel{numPhases: numPhases, dwell: dwell, jump: jump, remaining: dwell}, nil
 }
 
-// NumPhases returns the number of phases.
-func (p *PhaseModel) NumPhases() int { return p.numPhases }
-
 // Phase returns the current phase without advancing time.
 func (p *PhaseModel) Phase() int { return p.phase }
 

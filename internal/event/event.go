@@ -9,6 +9,8 @@
 // them — so the same machinery serves any tuple-based profile.
 package event
 
+import "hwprof/internal/xrand"
+
 // Kind labels what the two halves of a tuple mean. It has no effect on
 // profiler behaviour; it exists so tools and trace files can carry the
 // interpretation along with the data.
@@ -70,18 +72,9 @@ func Combine(vars ...uint64) Tuple {
 	acc := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vars[1:] {
 		acc ^= v + 0x9e3779b97f4a7c15 + (acc << 6) + (acc >> 2)
-		acc = mix64(acc)
+		acc = xrand.Mix64(acc)
 	}
 	return Tuple{A: vars[0], B: acc}
-}
-
-// mix64 is the SplitMix64 finalizer (duplicated here to keep the event
-// package dependency-free).
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // Nexter is the minimal pull surface of an event stream: Next returns the

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -168,7 +169,7 @@ func TestChaosTruncatedTrace(t *testing.T) {
 	if _, err := hwprof.WriteTrace(&buf, hwprof.KindValue, stream(t, 3*cfg.IntervalLength), 0); err != nil {
 		t.Fatal(err)
 	}
-	r, err := hwprof.OpenTrace(faultinject.TruncatedReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()*2/3)))
+	r, err := hwprof.OpenTrace(io.LimitReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()*2/3)))
 	if err != nil {
 		t.Fatal(err)
 	}

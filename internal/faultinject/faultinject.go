@@ -139,11 +139,6 @@ func (s *SlowSource) Next() (event.Tuple, bool) {
 // Err delegates to the wrapped source.
 func (s *SlowSource) Err() error { return s.Inner.Err() }
 
-// TruncatedReader exposes only the first N bytes of an io.Reader and then
-// reports EOF — a file that was cut off mid-write, as the trace layer
-// would meet it.
-func TruncatedReader(r io.Reader, n int64) io.Reader { return io.LimitReader(r, n) }
-
 // FailingReader reads from R until After bytes have been delivered, then
 // returns Cause (ErrInjected if nil) — a device-level I/O failure beneath
 // the trace reader.
@@ -373,9 +368,6 @@ func (f *FailingFile) Sync() error {
 
 // Close forwards to the wrapped file.
 func (f *FailingFile) Close() error { return f.F.Close() }
-
-// Syncs returns the number of Sync calls observed so far.
-func (f *FailingFile) Syncs() int64 { return f.syncs }
 
 var (
 	_ event.Source      = (*FailingSource)(nil)

@@ -86,10 +86,7 @@ func fillByteTable(tab *[256]byte, r *xrand.Rand) {
 	r.Shuffle(256, func(i, j int) { tab[i], tab[j] = tab[j], tab[i] })
 }
 
-// Bits returns the index width in bits.
-func (f *Func) Bits() uint { return f.bits }
-
-// Size returns the table size the function indexes into (2^Bits).
+// Size returns the table size the function indexes into (2^indexBits).
 func (f *Func) Size() int { return 1 << f.bits }
 
 // randomize substitutes each byte of v through tab, composing the
@@ -173,10 +170,6 @@ func (fam *Family) Len() int { return len(fam.funcs) }
 // Func returns the i-th function.
 func (fam *Family) Func(i int) *Func { return fam.funcs[i] }
 
-// Funcs returns the family's functions, for hot loops that index through
-// them directly instead of appending into a slice.
-func (fam *Family) Funcs() []*Func { return fam.funcs }
-
 // fusedFieldBits is the per-function field width inside a Fused table
 // word: 16 bits per index, so a uint64 word carries up to 4 functions.
 const fusedFieldBits = 16
@@ -243,28 +236,6 @@ func (fu *Fused) Packed(t event.Tuple) uint64 {
 		fu.tabA[5][byte(a>>40)] ^ fu.tabB[5][byte(b>>40)] ^
 		fu.tabA[6][byte(a>>48)] ^ fu.tabB[6][byte(b>>48)] ^
 		fu.tabA[7][byte(a>>56)] ^ fu.tabB[7][byte(b>>56)]
-}
-
-// PackedInto evaluates Packed for every tuple of batch, appending into dst
-// (reuse a recycled scratch slice to stay allocation-free). Evaluating a
-// whole batch in one branch-free pass decouples the 16 dependent table
-// loads per tuple from the consumer's control flow: the index-generation
-// stage of the staged observation pipeline runs at memory-level
-// parallelism instead of serializing behind per-event branches.
-func (fu *Fused) PackedInto(dst []uint64, batch []event.Tuple) []uint64 {
-	for _, t := range batch {
-		dst = append(dst, fu.Packed(t))
-	}
-	return dst
-}
-
-// IndexInto evaluates Index for every tuple of batch, appending into dst —
-// the single-function analog of Fused.PackedInto.
-func (f *Func) IndexInto(dst []uint32, batch []event.Tuple) []uint32 {
-	for _, t := range batch {
-		dst = append(dst, f.Index(t))
-	}
-	return dst
 }
 
 // Indexes computes the index of t under every function in the family,

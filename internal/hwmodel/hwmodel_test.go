@@ -16,6 +16,10 @@ func TestHashBytesPaperNumber(t *testing.T) {
 	if got != 6144 {
 		t.Fatalf("HashBytes(2048, 24) = %d, want 6144", got)
 	}
+	// Each counter rounds up to whole bytes: 9 bits take 2.
+	if got, err := HashBytes(10, 9); err != nil || got != 20 {
+		t.Fatalf("HashBytes(10, 9) = %d, %v, want 20", got, err)
+	}
 }
 
 func TestHashBytesValidation(t *testing.T) {

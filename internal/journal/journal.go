@@ -166,6 +166,21 @@ func (p SyncPolicy) String() string {
 	}
 }
 
+// MarshalText spells the policy as String does, so that a flag.TextVar
+// prints it as its default.
+func (p SyncPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses the policy with ParseSync, so that the -journal-sync
+// flag binds with flag.TextVar.
+func (p *SyncPolicy) UnmarshalText(text []byte) error {
+	v, err := ParseSync(string(text))
+	if err != nil {
+		return err
+	}
+	*p = v
+	return nil
+}
+
 // File is the journal's requirement of a segment file. *os.File satisfies
 // it; tests substitute fault injectors.
 type File interface {
@@ -632,13 +647,6 @@ func (w *Writer) Abandon() {
 	}
 	w.dead = true
 	w.f.Close()
-}
-
-// State returns the journal's stream position.
-func (w *Writer) State() State {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return State{Interval: w.interval, Observed: w.observed, Shed: w.shed}
 }
 
 // encodeMeta builds a meta record. The tenant key rides length-prefixed

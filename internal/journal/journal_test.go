@@ -153,9 +153,21 @@ func TestSyncPolicyParse(t *testing.T) {
 		if got.String() != tc.in {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
+		text, err := got.MarshalText()
+		if err != nil || string(text) != tc.in {
+			t.Fatalf("MarshalText() = %q, %v, want %q", text, err, tc.in)
+		}
+		var back SyncPolicy
+		if err := back.UnmarshalText(text); err != nil || back != tc.want {
+			t.Fatalf("UnmarshalText(%q) = %v, %v", text, back, err)
+		}
 	}
 	if _, err := ParseSync("always"); err == nil {
 		t.Fatal("ParseSync accepted junk")
+	}
+	back := SyncBatch
+	if err := back.UnmarshalText([]byte("always")); err == nil || back != SyncBatch {
+		t.Fatalf("UnmarshalText accepted junk or overwrote the policy: %v, %v", back, err)
 	}
 }
 

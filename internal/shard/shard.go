@@ -52,6 +52,7 @@ import (
 
 	"hwprof/internal/core"
 	"hwprof/internal/event"
+	"hwprof/internal/xrand"
 )
 
 // ErrClosed is reported when a Profiler is used after Close or Drain. The
@@ -157,7 +158,7 @@ func (c Config) ShardConfig(i int) core.Config {
 
 // shardSeed derives shard i's hash seed from the aggregate seed.
 func shardSeed(seed uint64, i int) uint64 {
-	return mix64(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
+	return xrand.Mix64(seed ^ (uint64(i)+1)*0x9e3779b97f4a7c15)
 }
 
 // RouteHash is the stable tuple-to-shard hash: a SplitMix64-style mix of
@@ -166,15 +167,7 @@ func shardSeed(seed uint64, i int) uint64 {
 // every occurrence of a tuple routes to the same shard — the property the
 // equivalence argument rests on.
 func RouteHash(tp event.Tuple) uint64 {
-	return mix64(mix64(tp.A) ^ tp.B)
-}
-
-// mix64 is the SplitMix64 finalizer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return xrand.Mix64(xrand.Mix64(tp.A) ^ tp.B)
 }
 
 // request is one unit of work on a shard's channel: either a pooled batch

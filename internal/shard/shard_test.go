@@ -330,3 +330,50 @@ func TestWorkerPanicContained(t *testing.T) {
 		engine.EndInterval()
 	}
 }
+
+// TestHashesPinned pins the tuple router, the per-shard seeds and
+// event.Combine to fixed values: every sharded profile and every recorded
+// scenario digest depends on them, so any change to the SplitMix64 mixing
+// behind them must show here first.
+func TestHashesPinned(t *testing.T) {
+	for _, c := range []struct {
+		tp   event.Tuple
+		want uint64
+	}{
+		{event.Tuple{}, 0xa706dd2f4d197e6f},
+		{event.Tuple{A: 1}, 0x5e41ab087439611e},
+		{event.Tuple{A: 0x400123, B: 7}, 0xc23057931d00414e},
+		{event.Tuple{A: ^uint64(0), B: 0x9e3779b97f4a7c15}, 0xc81b5873bbc0192c},
+	} {
+		if got := RouteHash(c.tp); got != c.want {
+			t.Errorf("RouteHash(%+v) = %#x, want %#x", c.tp, got, c.want)
+		}
+	}
+
+	seeds := map[uint64][4]uint64{
+		0:          {0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec, 0x1b39896a51a8749b},
+		1:          {0xe99ff867dbf682c9, 0xf893a2eefb32555e, 0x6d1db36ccba982d2, 0x71bb54d8d101b5b9},
+		0xdeadbeef: {0xe8cdc1bbdfed5d41, 0xbec198114b7e9ed9, 0xa7927fd9ee23e4d8, 0x6a1d4d47a93c7e7a},
+	}
+	for seed, want := range seeds {
+		cfg := Config{Core: core.Config{Seed: seed}, NumShards: len(want)}
+		for i, w := range want {
+			if got := cfg.ShardConfig(i).Seed; got != w {
+				t.Errorf("seed %#x: shard %d seed = %#x, want %#x", seed, i, got, w)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		vars []uint64
+		want event.Tuple
+	}{
+		{[]uint64{1, 2, 3}, event.Tuple{A: 1, B: 0xc2b3208558d887dd}},
+		{[]uint64{0x400000, 5, 6, 7}, event.Tuple{A: 0x400000, B: 0x6d6e27202e55742b}},
+		{[]uint64{9, 0, 0, 0, 0}, event.Tuple{A: 9, B: 0xe44af30c0bbcc4f3}},
+	} {
+		if got := event.Combine(c.vars...); got != c.want {
+			t.Errorf("Combine(%#x) = %+v, want %+v", c.vars, got, c.want)
+		}
+	}
+}

@@ -146,9 +146,6 @@ func New(cfg Config) (*Sampler, error) {
 	}, nil
 }
 
-// Config returns the sampler's configuration.
-func (s *Sampler) Config() Config { return s.cfg }
-
 // Observe feeds one tuple through the sampler.
 func (s *Sampler) Observe(tp event.Tuple) {
 	s.Events++

@@ -217,9 +217,6 @@ func (g *Generator) buildSets() {
 	}
 }
 
-// Model returns the generator's model.
-func (g *Generator) Model() Model { return g.model }
-
 // Next produces the next tuple; the stream never ends.
 func (g *Generator) Next() (event.Tuple, bool) {
 	p := g.phase.Tick(g.r)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"hwprof/internal/event"
+	"hwprof/internal/xrand"
 )
 
 // PathConfig parameterizes a PathSource.
@@ -89,11 +90,7 @@ func NewPathSource(m *Machine, cfg PathConfig) (*PathSource, error) {
 // order-sensitive: paths that traverse the same edges in different orders
 // get different IDs.
 func pathStep(h, from, to uint64) uint64 {
-	x := h ^ (from << 1) ^ (to * 0x9e3779b97f4a7c15)
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return xrand.Mix64(h ^ (from << 1) ^ (to * 0x9e3779b97f4a7c15))
 }
 
 func (s *PathSource) onEdge(tp event.Tuple) {

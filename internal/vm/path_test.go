@@ -124,6 +124,20 @@ func TestPathOrderSensitivity(t *testing.T) {
 	}
 }
 
+// TestPathStepPinned pins the path fold to fixed values, so that path IDs
+// stay stable across changes to the SplitMix64 mixing behind them.
+func TestPathStepPinned(t *testing.T) {
+	for _, c := range []struct{ got, want uint64 }{
+		{pathStep(0, 0, 0), 0xe220a8397b1dcdaf},
+		{pathStep(0, 1, 2), 0xd0d5127a96e8d90d},
+		{pathStep(pathStep(0x1234, 0x400100, 0x400200), 0x400200, 0x400100), 0x7c8885003dc57e55},
+	} {
+		if c.got != c.want {
+			t.Errorf("pathStep = %#x, want %#x", c.got, c.want)
+		}
+	}
+}
+
 func TestPathMaxEdgesBoundsPaths(t *testing.T) {
 	// A straight-line program with no back edges must still emit paths.
 	const straight = `

@@ -14,11 +14,9 @@ import "math/bits"
 // SplitMix64 sequence. It is the recommended seeder for xoshiro-family
 // generators and is also useful as a stateless mixing function.
 func SplitMix64(state *uint64) uint64 {
+	x := *state
 	*state += 0x9e3779b97f4a7c15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return Mix64(x)
 }
 
 // Mix64 returns a well-mixed function of x. It is the SplitMix64 finalizer
@@ -67,9 +65,6 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns the next 32 uniformly distributed bits.
-func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -99,28 +94,10 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using the provided swap
 // function, via the Fisher-Yates algorithm.
 func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		swap(i, r.Intn(i+1))
 	}
-}
-
-// Fork returns a new generator whose stream is independent of r's future
-// output. It is used to hand child components their own streams without
-// coupling their consumption rates.
-func (r *Rand) Fork() *Rand {
-	return New(r.Uint64())
 }

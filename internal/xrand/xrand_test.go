@@ -3,7 +3,6 @@ package xrand
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -116,25 +115,6 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + int(seed%64)
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(23)
 	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
@@ -149,17 +129,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 	if got != sum {
 		t.Fatalf("shuffle changed the multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	r := New(5)
-	child := r.Fork()
-	// The child stream must not replay the parent stream.
-	parentNext := r.Uint64()
-	childNext := child.Uint64()
-	if parentNext == childNext {
-		t.Fatal("forked stream mirrors parent")
 	}
 }
 
